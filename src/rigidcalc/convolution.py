@@ -165,44 +165,32 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
     for v in fixed.kernel_basis():
         spanning.append(list(v))
 
-    if spanning:
-        reduced, pivots = ExactMatrix.from_rows(spanning, order=order).rref()
-        subspace = [list(reduced.row(i)) for i in range(len(pivots))]
-        pivot_cols = set(pivots)
-    else:
-        subspace = []
-        pivot_cols = set()
-    dim_sub = len(subspace)
-    new_rank = big - dim_sub
-    if new_rank == 0:
+    reduced, pivots = ExactMatrix.from_rows(spanning, order=order).rref()
+    subspace = [reduced.row(i) for i in range(len(pivots))]
+    pivot_cols = set(pivots)
+    complement = [i for i in range(big) if i not in pivot_cols]
+    if not complement:
         raise ValueError("middle convolution collapsed to rank 0")
 
-    # Extend to a full basis by greedy insertion of standard vectors: e_i
-    # extends the reduced subspace basis exactly when i is not a pivot
-    # column, and the non-pivot e_i stay jointly independent of it.
-    complement = [i for i in range(big) if i not in pivot_cols]
-    if len(complement) != new_rank:  # pragma: no cover
-        raise RuntimeError("failed to extend quotient basis")
-
-    columns = [list(v) for v in subspace]
-    for i in complement:
-        e = [zero] * big
-        e[i] = CycNumber.one(order)
-        columns.append(e)
-    change = ExactMatrix.from_rows(columns, order=order).transpose()
-    change_inv = change.inverse()
+    # Each reduced row is 1 at its own pivot and 0 at every other pivot, so
+    # subtracting v[pivot] times each row leaves v's coordinates in the
+    # quotient basis e_i + (K + L), i not a pivot column, on the non-pivot
+    # columns.  Those e_i extend the subspace basis to a basis of the whole.
+    def quotient_coords(v):
+        v = list(v)
+        for c, row in zip(pivots, subspace):
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return [v[i] for i in complement]
 
     quotient_mats = []
     for b in generators:
-        conjugated = change_inv * b * change
-        for i in range(dim_sub, big):
-            for j in range(dim_sub):
-                if not conjugated[i, j].is_zero():  # pragma: no cover
-                    raise RuntimeError("convolution subspace is not invariant")
-        block = [
-            [conjugated[i, j] for j in range(dim_sub, big)] for i in range(dim_sub, big)
-        ]
-        quotient_mats.append(ExactMatrix.from_rows(block, order=order))
+        for row in subspace:
+            if any(quotient_coords(b.mul_vector(row))):  # pragma: no cover
+                raise RuntimeError("convolution subspace is not invariant")
+        columns = [quotient_coords(b.column(j)) for j in complement]
+        quotient_mats.append(ExactMatrix.from_rows(columns, order=order).transpose())
     return MonodromyTuple(order, t.punctures, quotient_mats)
 
 

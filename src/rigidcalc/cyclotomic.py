@@ -20,12 +20,17 @@ from fractions import Fraction
 
 import mpmath
 
+from . import poly
 from .errors import InvalidOrder, NotAnEmbedding
 
 RationalLike = int | Fraction
 
 #: bits of working precision for complex embeddings unless overridden
 DEFAULT_EMBED_PRECISION = 128
+
+#: largest conductor accepted; the reduction table of Q(zeta_N) holds
+#: N * phi(N) integers, so an unchecked order from the input can exhaust memory
+MAX_ORDER = 1000
 
 
 def _as_fraction(value) -> Fraction:
@@ -49,20 +54,14 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact long division of integer polynomials; den is monic.
-    num = list(num)
-    deg_d = len(den) - 1
-    out = [0] * (len(num) - deg_d)
-    for k in range(len(num) - 1, deg_d - 1, -1):
-        c = num[k]
-        out[k - deg_d] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k - deg_d + j] -= c * dj
-    if any(num[:deg_d]):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
+def _check_order(n: int) -> None:
+    # The field Q(zeta_n) has conductor n // 2 when n = 2 (mod 4), and the
+    # cap applies to the conductor: the negatives of odd-order roots of
+    # unity live at order 2n.
+    if n < 1:
+        raise InvalidOrder(f"cyclotomic order must be >= 1, got {n}")
+    if (n // 2 if n % 4 == 2 else n) > MAX_ORDER:
+        raise InvalidOrder(f"cyclotomic order {n} is above the supported maximum {MAX_ORDER}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,12 +73,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(12)
     (1, 0, -1, 0, 1)
     """
-    if n < 1:
-        raise InvalidOrder(f"cyclotomic order must be >= 1, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
+    _check_order(n)
+    phi = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+        phi, rem = poly.divmod(phi, cyclotomic_polynomial(d))
+        if rem:
+            raise ArithmeticError("polynomial division was not exact")
+    return tuple(phi)
 
 
 def euler_phi(n: int) -> int:
@@ -126,55 +126,22 @@ def _reduce_raw(raw, n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    # Long division over Q; den need not be monic.
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    deg_d = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < deg_d:
-        return [], num
-    out = [Fraction(0)] * (len(num) - deg_d)
-    for k in range(len(num) - 1, deg_d - 1, -1):
-        c = num[k] / lead
-        out[k - deg_d] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k - deg_d + j] -= c * dj
-    rem = num[:deg_d]
-    while rem and not rem[-1]:
-        rem.pop()
-    return out, rem
-
-
 def _invert_mod_cyclotomic(coeffs: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
     # Extended Euclid against Phi_n; Phi_n is irreducible so any nonzero
-    # element is a unit.
-    phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    r0, r1 = phi_poly, [c for c in coeffs]
-    while r1 and not r1[-1]:
-        r1.pop()
+    # element is a unit.  Phi_n goes in as Fractions: the remainders are
+    # not monic, and int / int would give floats.
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    r1 = poly.trim(coeffs)
     if not r1:
         raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
     s0: list[Fraction] = []
-    s1: list[Fraction] = [Fraction(1)]
+    s1 = [Fraction(1)]
     while r1:
-        q, r = _poly_divmod(r0, r1)
-        s_new = list(s0)
-        s_new += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s_new))
-        for i, qi in enumerate(q):
-            if not qi:
-                continue
-            for j, sj in enumerate(s1):
-                s_new[i + j] -= qi * sj
+        q, r = poly.divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s_new
+        s0, s1 = s1, poly.sub(s0, poly.mul(q, s1))
     unit = r0[0]  # gcd has degree 0
-    inv = [c / unit for c in s0]
-    return _reduce_raw(inv, n)
+    return _reduce_raw([c / unit for c in s0], n)
 
 
 def _solve_linear(columns: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
@@ -218,8 +185,6 @@ class CycNumber:
     __slots__ = ("order", "coeffs", "_canonical")
 
     def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise InvalidOrder(f"cyclotomic order must be >= 1, got {order}")
         coeffs = tuple(_as_fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(order):
             raise ValueError(
@@ -238,20 +203,17 @@ class CycNumber:
         This is the normalization map: it is idempotent on already-reduced
         vectors padded back to length N.
         """
-        if order < 1:
-            raise InvalidOrder(f"cyclotomic order must be >= 1, got {order}")
         return cls(order, _reduce_raw(raw, order))
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycNumber":
-        raw = [_as_fraction(value)] + [Fraction(0)] * (order - 1)
-        return cls.from_raw(raw, order)
+        zeros = (Fraction(0),) * (euler_phi(order) - 1)
+        return cls(order, (_as_fraction(value),) + zeros)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycNumber":
         """The root of unity zeta_N^power."""
-        if order < 1:
-            raise InvalidOrder(f"cyclotomic order must be >= 1, got {order}")
+        _check_order(order)
         raw = [Fraction(0)] * order
         raw[power % order] = Fraction(1)
         return cls.from_raw(raw, order)
@@ -270,7 +232,7 @@ class CycNumber:
         if isinstance(value, CycNumber):
             x = value
         else:
-            x = cls.from_rational(value)
+            x = cls.from_rational(value, order)
         if order % x.order == 0:
             return x.lift(order)
         return x.lift(math.lcm(x.order, order))
@@ -283,6 +245,7 @@ class CycNumber:
             return self
         if order % self.order != 0:
             raise InvalidOrder(f"{self.order} does not divide {order}")
+        _check_order(order)
         step = order // self.order
         raw = [Fraction(0)] * order
         for i, c in enumerate(self.coeffs):
@@ -389,8 +352,8 @@ class CycNumber:
         return result
 
     def inverse(self) -> "CycNumber":
-        if self.order == 1:
-            return CycNumber(1, (1 / self.coeffs[0],))
+        if self.is_rational():
+            return CycNumber(self.order, (1 / self.coeffs[0],) + self.coeffs[1:])
         return CycNumber(self.order, _invert_mod_cyclotomic(self.coeffs, self.order))
 
     def conjugate(self) -> "CycNumber":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import poly
 from .cyclotomic import CycNumber
 from .errors import DimensionMismatch, EmptyParameters, EmptySupport, NotRootOfUnity
 from .linalg import ExactMatrix
@@ -56,18 +57,6 @@ class MultiplicityFunction:
         return self.entries
 
 
-def _poly_from_roots(roots: list[CycNumber], order: int) -> list[CycNumber]:
-    # prod(T - root), coefficients constant term first.
-    coeffs = [CycNumber.one(order)]
-    for root in roots:
-        out = [CycNumber.zero(order)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            out[k + 1] = out[k + 1] + c
-            out[k] = out[k] - root * c
-        coeffs = out
-    return coeffs
-
-
 def hypergeometric_tuple(a_params, b_params, order: int) -> MonodromyTuple:
     """Tuple on punctures {0, 1} from two parameter lists in mu_N."""
     a_list = [CycNumber.coerce(a, order) for a in a_params]
@@ -84,8 +73,8 @@ def hypergeometric_tuple(a_params, b_params, order: int) -> MonodromyTuple:
             raise NotRootOfUnity(
                 f"{value} is not a root of unity of order dividing {common}"
             )
-    a_poly = _poly_from_roots([v.lift(common) for v in a_list], common)
-    b_poly = _poly_from_roots([v.lift(common) for v in b_list], common)
+    a_poly = poly.from_roots([v.lift(common) for v in a_list])
+    b_poly = poly.from_roots([v.lift(common) for v in b_list])
     a_mat = ExactMatrix.companion(a_poly, order=common)
     b_mat = ExactMatrix.companion(b_poly, order=common)
     at_zero = b_mat.inverse()

@@ -17,40 +17,6 @@ from .errors import DimensionMismatch, SingularMatrix
 Entry = CycNumber | int | Fraction
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    # Bareiss elimination on raw Fractions: same pivoting as the generic
-    # path, minus the per-entry field-element wrapping.
-    if not rows:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    prev = Fraction(1)
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][c]
-        top = rows[r]
-        for i in range(r + 1, nrows):
-            row_i = rows[i]
-            f = row_i[c]
-            if f:
-                for j in range(c + 1, ncols):
-                    row_i[j] = (p * row_i[j] - f * top[j]) / prev
-            elif p != prev:
-                for j in range(c + 1, ncols):
-                    if row_i[j]:
-                        row_i[j] = (p * row_i[j]) / prev
-            row_i[c] = Fraction(0)
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 class ExactMatrix:
     """A dense matrix over Q(zeta_N)."""
 
@@ -59,12 +25,12 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int, entries, order: int | None = None):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
-        values = [CycNumber.coerce(e) for e in entries]
+        common = order if order is not None else 1
+        values = [CycNumber.coerce(e, common) for e in entries]
         if len(values) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(values)}"
             )
-        common = order if order is not None else 1
         for v in values:
             common = math.lcm(common, v.order)
         self.rows = rows
@@ -287,39 +253,46 @@ class ExactMatrix:
     # -- elimination ---------------------------------------------------------
 
     def _forward_eliminate(self):
-        # Fraction-free forward pass.  Each produced entry is (up to sign) a
-        # minor of the input, which keeps coefficient growth polynomial.
-        data = [list(self.row(i)) for i in range(self.rows)]
-        one = CycNumber.one(self.order)
-        prev = one
+        # Fraction-free (Bareiss) forward pass.  Each produced entry is (up to
+        # sign) a minor of the input, which keeps coefficient growth
+        # polynomial.  Rational matrices run on bare Fractions, others on
+        # CycNumbers: zero tests by truthiness and 1 / pivot serve both.  The
+        # division by the previous pivot is exact, so its inverse is taken
+        # once per pivot; before the first pivot it is the plain int 1.
+        if all(e.is_rational() for e in self.entries):
+            data = [[e.coeffs[0] for e in self.row(i)] for i in range(self.rows)]
+        else:
+            data = self.to_lists()
+        prev = prev_inv = 1
         pivots: list[int] = []
         sign = 1
         r = 0
         for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if not data[i][c].is_zero()), None)
+            pivot_row = next((i for i in range(r, self.rows) if data[i][c]), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
                 data[r], data[pivot_row] = data[pivot_row], data[r]
                 sign = -sign
             p = data[r][c]
+            top = data[r]
+            zero = p * 0
             for i in range(r + 1, self.rows):
-                f = data[i][c]
                 row_i = data[i]
-                top = data[r]
-                if f.is_zero():
+                f = row_i[c]
+                if f:
                     for j in range(c + 1, self.cols):
-                        if not row_i[j].is_zero():
-                            row_i[j] = (p * row_i[j]) / prev
-                else:
+                        row_i[j] = (p * row_i[j] - f * top[j]) * prev_inv
+                elif p != prev:
                     for j in range(c + 1, self.cols):
-                        row_i[j] = (p * row_i[j] - f * top[j]) / prev
-                row_i[c] = CycNumber.zero(self.order)
+                        if row_i[j]:
+                            row_i[j] = p * row_i[j] * prev_inv
+                row_i[c] = zero
             pivots.append(c)
-            prev = p
             r += 1
             if r == self.rows:
                 break
+            prev, prev_inv = p, 1 / p
         return data, tuple(pivots), sign
 
     def rref(self):
@@ -327,21 +300,16 @@ class ExactMatrix:
         data, pivots, _ = self._forward_eliminate()
         for r in range(len(pivots) - 1, -1, -1):
             c = pivots[r]
-            inv = data[r][c].inverse()
+            inv = 1 / data[r][c]
             data[r] = [e * inv for e in data[r]]
             for i in range(r):
                 f = data[i][c]
-                if not f.is_zero():
+                if f:
                     data[i] = [a - f * b for a, b in zip(data[i], data[r])]
         flat = [e for row in data for e in row]
         return ExactMatrix(self.rows, self.cols, flat, order=self.order), pivots
 
     def rank(self) -> int:
-        if all(e.is_rational() for e in self.entries):
-            rows = [
-                [e.coeffs[0] for e in self.row(i)] for i in range(self.rows)
-            ]
-            return _rational_rank(rows)
         _, pivots, _ = self._forward_eliminate()
         return len(pivots)
 
@@ -389,7 +357,7 @@ class ExactMatrix:
         data, pivots, sign = self._forward_eliminate()
         if len(pivots) < self.rows:
             return CycNumber.zero(self.order)
-        d = data[self.rows - 1][pivots[-1]]
+        d = CycNumber.coerce(data[self.rows - 1][pivots[-1]], self.order)
         return d if sign == 1 else -d
 
     def charpoly(self) -> tuple[CycNumber, ...]:

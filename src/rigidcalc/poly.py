@@ -1,0 +1,68 @@
+"""Polynomial arithmetic on coefficient lists, constant term first.
+
+Coefficients may be ints, Fractions or CycNumbers.  Zero tests use
+truthiness and the leading coefficient is inverted as ``1 / lead``, so one
+routine serves every coefficient type.  Division by a non-monic integer
+polynomial would produce floats: pass Fractions instead.
+"""
+from __future__ import annotations
+
+
+def trim(p: list) -> list:
+    """p without its zero leading coefficients; [] is the zero polynomial."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def sub(a: list, b: list) -> list:
+    zero = next(iter(a + b), 0) * 0
+    a = a + [zero] * (len(b) - len(a))
+    b = b + [zero] * (len(a) - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def derivative(p: list) -> list:
+    return [c * k for k, c in enumerate(p)][1:]
+
+
+def divmod(num: list, den: list) -> tuple[list, list]:
+    """(quotient, remainder) with num = quotient * den + remainder.
+
+    The remainder is trimmed and has degree below that of den.
+    """
+    den = trim(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(num)
+    deg = len(den) - 1
+    inv = None if den[-1] == 1 else 1 / den[-1]
+    quo = []
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = rem[k] if inv is None else rem[k] * inv
+        quo.append(c)
+        if c:
+            for j in range(deg):
+                rem[k - deg + j] -= c * den[j]
+    quo.reverse()
+    return quo, trim(rem[:deg])
+
+
+def from_roots(roots: list) -> list:
+    """prod(T - root) over the roots."""
+    out = [1]
+    for root in roots:
+        out = mul(out, [-root, 1])
+    return out

@@ -7,7 +7,8 @@ approximate this from both sides:
 
 * the exact functional equation conj(Q)(X) = X^n Q(q^w / X) / Q(0),
   a necessary condition that costs no floating point at all;
-* a numerical magnitude check on all roots under all embeddings, run at
+* a numerical magnitude check on all roots under one embedding of each
+  complex-conjugate pair (the other gives the conjugate roots), run at
   high precision with a certified error margin and automatic precision
   doubling (up to 4096 bits) when a root cannot be decided.
 
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 import mpmath
 
+from . import poly
 from .cyclotomic import CycNumber
 from .errors import RootFindingFailure, ZeroConstantTerm
 
@@ -145,54 +147,16 @@ def functional_equation_check(p: WeilPolynomial) -> bool:
     return True
 
 
-def _poly_trim(coeffs: list[CycNumber]) -> list[CycNumber]:
-    out = list(coeffs)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _poly_derivative(coeffs: list[CycNumber]) -> list[CycNumber]:
-    return [c * k for k, c in enumerate(coeffs)][1:]
-
-
-def _poly_mod(num: list[CycNumber], den: list[CycNumber]) -> list[CycNumber]:
-    num = list(num)
-    lead = den[-1]
-    while len(num) >= len(den):
-        factor = num[-1] / lead
-        shift = len(num) - len(den)
-        for j, d in enumerate(den):
-            num[shift + j] = num[shift + j] - factor * d
-        num.pop()
-        num = _poly_trim(num)
-        if not num:
-            break
-    return num
-
-
-def _poly_div_exact(num: list[CycNumber], den: list[CycNumber]) -> list[CycNumber]:
-    num = list(num)
-    lead = den[-1]
-    out = [CycNumber.zero()] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        factor = num[k + len(den) - 1] / lead
-        out[k] = factor
-        for j, d in enumerate(den):
-            num[k + j] = num[k + j] - factor * d
-    return out
-
-
 def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
     """Monic polynomial with the same roots, all simple: f / gcd(f, f')."""
-    f = _poly_trim(list(coeffs))
-    a, b = f, _poly_trim(_poly_derivative(f))
+    f = poly.trim(coeffs)
+    a, b = f, poly.trim(poly.derivative(f))
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, poly.divmod(a, b)[1]
     gcd = [c / a[-1] for c in a]
     if len(gcd) == 1:
         return tuple(f)
-    return tuple(_poly_div_exact(f, gcd))
+    return tuple(poly.divmod(f, gcd)[0])
 
 
 def _embedded_coeffs(coeffs, a: int, prec: int):
@@ -243,7 +207,11 @@ def magnitude_check(p: WeilPolynomial, tolerance=1e-20) -> bool:
         raise ValueError("tolerance must be positive")
     squarefree = _squarefree_part(p.coeffs)
     n_field = p.order
-    embeddings = [a for a in range(1, n_field + 1) if math.gcd(a, n_field) == 1]
+    # Embeddings a and N - a are complex conjugate, and so are their roots,
+    # which have equal moduli: one embedding per conjugate pair decides.
+    embeddings = [
+        a for a in range(1, max(1, n_field // 2) + 1) if math.gcd(a, n_field) == 1
+    ]
     for a in embeddings:
         prec = min(working_precision(), _PRECISION_CAP)
         decided = None

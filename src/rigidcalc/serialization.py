@@ -81,6 +81,22 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _json_int(value, pair) -> int:
+    # The emitter writes decimal strings; bare ints are accepted too.  A
+    # float or a bool is refused: int() would truncate it or read it as 0/1.
+    if (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, str) and _INTEGER_RE.fullmatch(value)
+    ):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts from a string
+            pass
+    raise SchemaError(f"non-integer rational component in {pair!r}")
+
+
 def cyc_from_json(document) -> CycNumber:
     _require(isinstance(document, dict), "cyclotomic number must be an object")
     _require("N" in document and "coeffs" in document, "cyclotomic number needs N and coeffs")
@@ -94,10 +110,7 @@ def cyc_from_json(document) -> CycNumber:
             isinstance(pair, list) and len(pair) == 2,
             f"coefficient must be a [numerator, denominator] pair, got {pair!r}",
         )
-        try:
-            num, den = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError):
-            raise SchemaError(f"non-integer rational component in {pair!r}") from None
+        num, den = _json_int(pair[0], pair), _json_int(pair[1], pair)
         _require(den > 0, f"denominator must be positive in {pair!r}")
         parsed.append(Fraction(num, den))
     try:

@@ -246,6 +246,24 @@ class TestInputHandling:
         code, out, _ = run(capsys, "rigidity", "-")
         assert code == 0 and out.strip() == "2"
 
+    @pytest.mark.parametrize("component", ["1.5", "true"])
+    def test_non_integer_coefficients_exit_two(self, capsys, monkeypatch, component):
+        import io
+
+        entry = f'{{"N": 1, "coeffs": [[{component}, 2]]}}'
+        doc = (
+            '{"N": 1, "n": 1, "punctures": ["0"], '
+            f'"matrices": [{{"rows": 1, "cols": 1, "entries": [{entry}]}}]}}'
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run(capsys, "rigidity", "-")[0] == 2
+        poly = f'{{"coeffs": [{entry}, {{"N": 1, "coeffs": [["1", "1"]]}}]}}'
+        assert run(capsys, "weil", "--poly", poly, "--q", "2", "--w", "1")[0] == 2
+
+    def test_order_above_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "hypergeom", "--a", "1", "--b", "zeta1001")
+        assert code == 2 and out == "" and "error" in err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -37,6 +37,19 @@ class TestCyclotomicPolynomial:
         with pytest.raises(InvalidOrder):
             cyclotomic_polynomial(0)
 
+    def test_order_cap(self):
+        # The cap is checked before any table is built.  Q(zeta_1998) is
+        # Q(zeta_999), so the cap follows the conductor.
+        with pytest.raises(InvalidOrder):
+            cyclotomic_polynomial(1001)
+        with pytest.raises(InvalidOrder):
+            CycNumber.zeta(1001)
+        with pytest.raises(InvalidOrder):
+            CycNumber.zeta(2002)
+        with pytest.raises(InvalidOrder):
+            CycNumber.one().lift(1001)
+        assert CycNumber.zeta(1998) ** 999 == -1
+
 
 class TestNormalize:
     def test_zeta4_squared_is_minus_one(self):
@@ -194,6 +207,13 @@ class TestArithmeticDetails:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             CycNumber.zero(3).inverse()
+
+    def test_rational_inverse_keeps_order(self):
+        for order in (1, 2, 3, 12):
+            x = CycNumber.from_rational(Fraction(-3, 4), order)
+            inv = x.inverse()
+            assert inv.order == order
+            assert inv == Fraction(-4, 3) and (x * inv).is_one()
 
     def test_scalar_ops(self):
         z = CycNumber.zeta(4)

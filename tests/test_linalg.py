@@ -58,13 +58,22 @@ class TestRankKernel:
             assert all(x.is_zero() for x in m.mul_vector(v))
 
     def test_fast_path_matches_generic(self, rng):
-        # rational entries carried at order 3 exercise the is_rational branch
-        for _ in range(10):
-            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        # Elimination runs on bare Fractions for M and on CycNumbers for
+        # zeta3 * M; scaling by a unit keeps rank and rref, and det picks up
+        # zeta3^n.
+        z = CycNumber.zeta(3)
+        for _ in range(15):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[-1] = [2 * a for a in rows[0]] if n > 1 else [0]  # singular
             m = mat(rows, order=3)
-            assert m.order == 3
-            _, pivots, _ = m._forward_eliminate()
-            assert m.rank() == len(pivots)
+            scaled = m * z
+            assert scaled.rank() == m.rank()
+            reduced, pivots = m.rref()
+            assert reduced.order == 3
+            assert scaled.rref() == (reduced, pivots)
+            assert scaled.det() == z ** n * m.det()
 
 
 class TestInverse:

@@ -1,0 +1,65 @@
+from fractions import Fraction
+
+from rigidcalc import CycNumber
+from rigidcalc import poly
+from rigidcalc.purity import _squarefree_part
+
+from helpers import random_cyc, random_rational
+
+
+def check_division(num, den):
+    # num = q * den + r with deg r < deg den
+    q, r = poly.divmod(num, den)
+    assert len(r) < len(poly.trim(den))
+    assert poly.trim(poly.sub(num, poly.mul(q, den))) == r
+
+
+class TestDivmod:
+    def test_int_monic(self, rng):
+        for _ in range(20):
+            num = [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
+            den = [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))] + [1]
+            check_division(num, den)
+            q, r = poly.divmod(num, den)
+            assert all(type(c) is int for c in q + r)
+
+    def test_fraction(self, rng):
+        for _ in range(20):
+            num = [random_rational(rng) for _ in range(rng.randint(0, 7))]
+            den = [random_rational(rng) for _ in range(rng.randint(0, 3))]
+            den.append(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+            check_division(num, den)
+
+    def test_cyclotomic(self, rng):
+        for order in (3, 5, 12):
+            for _ in range(5):
+                num = [random_cyc(rng, order) for _ in range(rng.randint(1, 5))]
+                den = [random_cyc(rng, order) for _ in range(rng.randint(1, 3))]
+                if not den[-1]:
+                    den[-1] = CycNumber.zeta(order)
+                check_division(num, den)
+
+
+class TestSquarefree:
+    def test_repeated_roots_appear_once(self, rng):
+        for order in (1, 4, 6):
+            for _ in range(5):
+                roots = []
+                while len(roots) < 3:
+                    root = random_cyc(rng, order)
+                    if all(root != other for other in roots):
+                        roots.append(root)
+                repeated = [r for r, k in zip(roots, (1, 2, 3)) for _ in range(k)]
+                rng.shuffle(repeated)
+                f = poly.from_roots(repeated)
+                assert list(_squarefree_part(f)) == poly.from_roots(roots)
+
+    def test_from_roots_vanishes_at_roots(self):
+        z = CycNumber.zeta(5)
+        roots = [z, z ** 2, Fraction(1, 3)]
+        f = poly.from_roots(roots)
+        for root in roots:
+            value = 0
+            for c in reversed(f):
+                value = value * root + c
+            assert value == 0

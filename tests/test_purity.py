@@ -123,6 +123,24 @@ class TestMagnitude:
             magnitude_check(poly([-8, 0, 1], 2, 1), tolerance=3.0)
 
 
+    def test_one_embedding_per_conjugate_pair(self, monkeypatch):
+        from rigidcalc import purity
+
+        seen = []
+        decide = purity._decide_roots
+
+        def record(squarefree, a, *args):
+            seen.append(a)
+            return decide(squarefree, a, *args)
+
+        monkeypatch.setattr(purity, "_decide_roots", record)
+        for order, expected in ((1, [1]), (2, [1]), (3, [1]), (5, [1, 2]), (12, [1, 5])):
+            seen.clear()
+            z = CycNumber.zeta(order)
+            assert magnitude_check(poly([-5 * z * z, 0, CycNumber.one(order)], 5, 1))
+            assert seen == expected
+
+
 class TestWeilCheck:
     def test_pass(self):
         assert weil_check(poly([5, 0, 1], 5, 1)) is WeilVerdict.PASS

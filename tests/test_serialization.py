@@ -33,6 +33,18 @@ class TestCycJson:
         with pytest.raises(SchemaError):
             ser.cyc_from_json([1, 2])
 
+    def test_floats_and_booleans_rejected(self):
+        # int() would read [1.5, 2] and [true, 2] as 1/2
+        for pair in ([1.5, 2], [True, 2], [1, 2.0], [1, False], ["1.5", "2"], [" 1", "2"]):
+            with pytest.raises(SchemaError):
+                ser.cyc_from_json({"N": 1, "coeffs": [pair]})
+        assert ser.cyc_from_json({"N": 1, "coeffs": [[-1, "2"]]}) == Fraction(-1, 2)
+
+    def test_order_above_cap(self):
+        coeffs = [["1", "1"]] + [["0", "1"]] * 719  # phi(1001) = 720
+        with pytest.raises(SchemaError):
+            ser.cyc_from_json({"N": 1001, "coeffs": coeffs})
+
 
 class TestMatrixJson:
     def test_round_trip(self):
