@@ -54,6 +54,39 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+#: Miller-Rabin with the first 13 prime bases is exact below this bound
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+#: 2015); above it the test could accept a composite.
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above the exact bound."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"primality of {n} is decided exactly only below {_MILLER_RABIN_BOUND}")
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_order(n: int) -> None:
     # The field Q(zeta_n) has conductor n // 2 when n = 2 (mod 4), and the
     # cap applies to the conductor: the negatives of odd-order roots of
@@ -85,6 +118,26 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def euler_phi(n: int) -> int:
     """phi(n), read off as the degree of Phi_n."""
     return len(cyclotomic_polynomial(n)) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def residue_prime(n: int) -> tuple[int, int]:
+    """(p, r): the largest prime p < 2^31 with p = 1 (mod n), and r in F_p
+    of multiplicative order exactly n.
+
+    r is then a root of Phi_n mod p, so zeta_n -> r extends to a ring map
+    from Z_(p)[zeta_n] onto F_p (see CycNumber.residue).
+    """
+    _check_order(n)
+    p = (2**31 - 2) // n * n + 1
+    while not _is_prime(p):
+        p -= n
+    primes = [q for q in divisors(n) if _is_prime(q)]
+    for g in range(2, p):
+        r = pow(g, (p - 1) // n, p)
+        if all(pow(r, n // q, p) != 1 for q in primes):
+            return p, r
+    raise ArithmeticError(f"no element of order {n} mod {p}")  # pragma: no cover
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,6 +417,22 @@ class CycNumber:
             raw[(-i) % n] += c
         return CycNumber.from_raw(raw, n)
 
+    def residue(self) -> int | None:
+        """Image in F_p under zeta -> r, with (p, r) = residue_prime(order).
+
+        This is the residue map of the degree-one prime (p, zeta - r) of
+        Z[zeta], restricted to Z_(p)[zeta]: a ring homomorphism, because
+        Phi_N(r) = 0 mod p.  None when p divides a coefficient's
+        denominator, where the value lies outside Z_(p)[zeta].
+        """
+        p, r = residue_prime(self.order)
+        acc = 0
+        for c in reversed(self.coeffs):
+            if c.denominator % p == 0:
+                return None
+            acc = (acc * r + c.numerator * pow(c.denominator, -1, p)) % p
+        return acc
+
     # -- canonical form ----------------------------------------------------
 
     def canonical(self) -> "CycNumber":
@@ -392,33 +461,33 @@ class CycNumber:
 
     def multiplicative_order(self) -> int | None:
         """Order as a root of unity, or None if not one."""
-        if self.is_zero():
-            return None
-        bound = self.order if self.order % 2 == 0 else 2 * self.order
-        if not (self ** bound).is_one():
-            return None
-        for d in divisors(bound):
-            if (self ** d).is_one():
-                return d
-        return None  # pragma: no cover
+        exponent = self.root_of_unity_exponent()
+        return None if exponent is None else exponent[0]
 
     def root_of_unity_exponent(self) -> tuple[int, int] | None:
         """(k, j) with self = zeta_k^j, gcd(j, k) = 1, or None.
 
         k is the multiplicative order, so the pair is unique with 0 <= j < k.
+        By Kronecker's theorem self is a root of unity iff it is an algebraic
+        integer (integral coefficients: the power basis spans Z[zeta_N]) with
+        |sigma(self)| = 1 for every embedding, i.e. self * conj(self) = 1, as
+        conjugation commutes with every embedding of this abelian field.  It
+        is then a power of zeta_m, m = lcm(N, 2).  The exponent is read off
+        one complex embedding and confirmed exactly; only when that check
+        fails are all m powers of zeta_m compared.
         """
-        k = self.multiplicative_order()
-        if k is None:
+        if any(c.denominator != 1 for c in self.coeffs):
             return None
-        if k == 1:
-            return (1, 0)
-        zeta = CycNumber.zeta(k)
-        power = CycNumber.one(k)
-        for j in range(k):
-            if self == power:
-                return (k, j)
-            power = power * zeta
-        return None  # pragma: no cover
+        if not (self * self.conjugate()).is_one():
+            return None
+        m = self.order if self.order % 2 == 0 else 2 * self.order
+        with mpmath.workprec(DEFAULT_EMBED_PRECISION):
+            turns = mpmath.arg(self.embed()) / (2 * mpmath.pi)
+            j = int(mpmath.nint(m * turns)) % m
+        if self != CycNumber.zeta(m, j):
+            j = next(i for i in range(m) if self == CycNumber.zeta(m, i))
+        g = math.gcd(j, m)
+        return (m // g, j // g)
 
     # -- embeddings ----------------------------------------------------------
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, residue_prime
 from .errors import (
     DimensionMismatch,
     DuplicatePuncture,
@@ -328,8 +329,8 @@ class _SpanBasis:
         self.rows: list[tuple] = []
         self.pivots: list[int] = []
 
-    def insert(self, vector) -> bool:
-        v = list(vector)
+    def insert(self, word: ExactMatrix) -> bool:
+        v = list(word.entries)
         for pivot, row in zip(self.pivots, self.rows):
             if not v[pivot].is_zero():
                 f = v[pivot]
@@ -347,29 +348,99 @@ class _SpanBasis:
         return len(self.rows)
 
 
+class _ModularSpanBasis:
+    # The same echelon basis over F_p, on flattened matrices of plain ints.
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def insert(self, word: list[int]) -> bool:
+        p = self.p
+        v = word
+        for pivot, row in zip(self.pivots, self.rows):
+            f = v[pivot]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is None:
+            return False
+        inv = pow(v[lead], -1, p)
+        self.rows.append([a * inv % p for a in v])
+        self.pivots.append(lead)
+        return True
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def _spans_all_matrices(n: int, identity, generators, multiply, basis) -> bool:
+    # Close the span of the words under left multiplication by the
+    # generators, starting from the identity.  The dimension strictly
+    # increases each productive round, so at most n^2 rounds are needed.
+    target = n * n
+    basis.insert(identity)
+    frontier = [identity]
+    rounds = 0
+    while frontier and len(basis) < target and rounds <= target:
+        new_frontier = []
+        for word in frontier:
+            for generator in generators:
+                candidate = multiply(generator, word)
+                if basis.insert(candidate):
+                    if len(basis) == target:
+                        return True
+                    new_frontier.append(candidate)
+        frontier = new_frontier
+        rounds += 1
+    return len(basis) == target
+
+
+def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
+    """The Burnside closure on the generators reduced mod p, over F_p.
+
+    (p, r) = residue_prime(t.order).  False when p divides a denominator of
+    some entry (the reduction is undefined) or the span mod p is smaller
+    than n^2; neither says anything about the tuple over K.
+    """
+    n = t.rank
+    p, _ = residue_prime(t.order)
+    generators = []
+    for m in t.matrices:
+        rows = [[e.residue() for e in m.row(i)] for i in range(n)]
+        if any(None in row for row in rows):
+            return False
+        generators.append(rows)
+
+    def multiply(rows, word):  # generator as rows, word and product flattened
+        columns = [word[j::n] for j in range(n)]
+        return [sum(map(operator.mul, row, column)) % p for row in rows for column in columns]
+
+    identity = [int(i == j) for i in range(n) for j in range(n)]
+    return _spans_all_matrices(n, identity, generators, multiply, _ModularSpanBasis(p))
+
+
 def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
     """Burnside criterion: the generated matrix algebra spans all of n x n.
 
     The span of words in the generators is closed under left multiplication
-    starting from the identity; the dimension strictly increases each
-    productive round, so at most n^2 rounds are needed.
+    starting from the identity.  The closure runs first over F_p, with (p, r)
+    from residue_prime(t.order), and a full span there returns True.  That is
+    sound: reduction zeta -> r mod p is a ring homomorphism from Z_(p)[zeta]
+    to F_p, so the words reduced mod p are the reductions of the exact words.
+    If n^2 of them are independent mod p, the n^2 x n^2 determinant of the
+    corresponding exact words lies in Z_(p)[zeta] and is nonzero mod the
+    prime (p, zeta - r), hence nonzero, and those words span M_n(K).
+
+    Otherwise (p divides a denominator, or the span mod p is short, which
+    can also happen for an irreducible tuple) the closure runs again over
+    K = Q(zeta_N), and only that exact closure returns False.
     """
-    n = t.rank
-    basis = _SpanBasis()
-    identity = ExactMatrix.identity(n, order=t.order)
-    basis.insert(identity.entries)
-    frontier = [identity]
-    rounds = 0
-    while frontier and len(basis) < n * n and rounds <= n * n:
-        new_frontier = []
-        for word in frontier:
-            for generator in t.matrices:
-                candidate = generator * word
-                if basis.insert(candidate.entries):
-                    new_frontier.append(candidate)
-        frontier = new_frontier
-        rounds += 1
-    return len(basis) == n * n
+    if _spans_all_matrices_mod_p(t):
+        return True
+    identity = ExactMatrix.identity(t.rank, order=t.order)
+    return _spans_all_matrices(t.rank, identity, t.matrices, operator.mul, _SpanBasis())
 
 
 def is_somewhere_maximal(t: MonodromyTuple) -> Puncture | None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath
 
 from . import poly
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _is_prime
 from .errors import RootFindingFailure, ZeroConstantTerm
 
 #: default working precision (bits) for the magnitude check
@@ -49,20 +49,17 @@ def working_precision() -> int:
 
 
 def _is_prime_power(q: int) -> bool:
+    # q = b^k with b prime forces k <= log2 q.  The float root is off by far
+    # less than 1 for q below the Miller-Rabin bound, and b^k == q is exact.
     if q < 2:
         return False
-    p = None
-    m = q
-    for candidate in range(2, q + 1):
-        if candidate * candidate > m:
-            p = m
-            break
-        if m % candidate == 0:
-            p = candidate
-            break
-    while m % p == 0:
-        m //= p
-    return m == 1
+    if _is_prime(q):
+        return True
+    for k in range(2, q.bit_length()):
+        b = round(q ** (1 / k))
+        if any(c ** k == q and _is_prime(c) for c in (b - 1, b, b + 1)):
+            return True
+    return False
 
 
 class WeilVerdict(enum.Enum):

@@ -81,15 +81,18 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+def _is_integer(value) -> bool:
+    # A JSON integer; json.loads gives bool for true/false, and bool is an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 def _json_int(value, pair) -> int:
     # The emitter writes decimal strings; bare ints are accepted too.  A
     # float or a bool is refused: int() would truncate it or read it as 0/1.
-    if (isinstance(value, int) and not isinstance(value, bool)) or (
-        isinstance(value, str) and _INTEGER_RE.fullmatch(value)
-    ):
+    if _is_integer(value) or (isinstance(value, str) and _INTEGER_RE.fullmatch(value)):
         try:
             return int(value)
         except ValueError:  # more digits than int() converts from a string
@@ -102,7 +105,7 @@ def cyc_from_json(document) -> CycNumber:
     _require("N" in document and "coeffs" in document, "cyclotomic number needs N and coeffs")
     order = document["N"]
     coeffs = document["coeffs"]
-    _require(isinstance(order, int) and order >= 1, f"bad cyclotomic order {order!r}")
+    _require(_is_integer(order) and order >= 1, f"bad cyclotomic order {order!r}")
     _require(isinstance(coeffs, list) and coeffs, "coeffs must be a nonempty list")
     parsed = []
     for pair in coeffs:
@@ -134,7 +137,7 @@ def matrix_from_json(document) -> ExactMatrix:
     for key in ("rows", "cols", "entries"):
         _require(key in document, f"matrix needs {key}")
     rows, cols, entries = document["rows"], document["cols"], document["entries"]
-    _require(isinstance(rows, int) and isinstance(cols, int), "matrix dimensions must be integers")
+    _require(_is_integer(rows) and _is_integer(cols), "matrix dimensions must be integers")
     _require(isinstance(entries, list), "matrix entries must be a list")
     _require(len(entries) == rows * cols, f"expected {rows * cols} entries, got {len(entries)}")
     values = [cyc_from_json(e) for e in entries]
@@ -160,7 +163,8 @@ def tuple_from_json(document) -> MonodromyTuple:
     for key in ("N", "n", "punctures", "matrices"):
         _require(key in document, f"tuple needs {key}")
     order, rank = document["N"], document["n"]
-    _require(isinstance(order, int) and order >= 1, f"bad order {order!r}")
+    _require(_is_integer(order) and order >= 1, f"bad order {order!r}")
+    _require(_is_integer(rank), f"bad rank {rank!r}")
     punctures = document["punctures"]
     matrices = document["matrices"]
     _require(isinstance(punctures, list) and punctures, "punctures must be a nonempty list")
@@ -263,7 +267,7 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
     _require(isinstance(document, dict), "multiplicity function must be an object")
     _require("N" in document and "m" in document, "multiplicity function needs N and m")
     order = document["N"]
-    _require(isinstance(order, int) and order >= 1, f"bad order {order!r}")
+    _require(_is_integer(order) and order >= 1, f"bad order {order!r}")
     entries = document["m"]
     _require(isinstance(entries, list), "m must be a list")
     pairs = []
@@ -274,7 +278,7 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
         )
         key = parse_root_of_unity(str(item["zeta"]))
         mult = item["mult"]
-        _require(isinstance(mult, int) and mult > 0, f"bad multiplicity {mult!r}")
+        _require(_is_integer(mult) and mult > 0, f"bad multiplicity {mult!r}")
         pairs.append((key, mult))
     try:
         return MultiplicityFunction.of(pairs), order

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rigidcalc import CycNumber, ExactMatrix, MonodromyTuple
+from rigidcalc import CycNumber, ExactMatrix, MonodromyTuple, MultiplicityFunction
 
 
 def random_rational(rng: random.Random, span: int = 4) -> Fraction:
@@ -39,6 +39,19 @@ def random_small_invertible(rng: random.Random, n: int) -> ExactMatrix:
         m = ExactMatrix.from_rows(rows)
         if m.rank() == n:
             return m
+
+
+def random_multiplicity(rng: random.Random, max_rank: int = 6):
+    """A seeded multiplicity function and its order, as criterion 4 draws them."""
+    order = rng.choice([2, 3, 4, 6, 8, 12])
+    total = rng.randint(1, max_rank)
+    keys = [CycNumber.zeta(order, k) for k in range(1, order)]
+    rng.shuffle(keys)
+    chosen = keys[: rng.randint(1, min(3, len(keys), total))]
+    counts = [1] * len(chosen)
+    for _ in range(total - len(chosen)):
+        counts[rng.randrange(len(chosen))] += 1
+    return MultiplicityFunction.of(list(zip(chosen, counts))), order
 
 
 def count_points_x3_plus_x(p: int) -> int:

@@ -24,7 +24,6 @@ from rigidcalc import (
     ExactMatrix,
     HodgeMultiset,
     JordanType,
-    MultiplicityFunction,
     WeilPolynomial,
     WeilVerdict,
     build_F,
@@ -51,6 +50,7 @@ from helpers import (
     brute_force_irreducible,
     count_points_x3_plus_x,
     random_invertible,
+    random_multiplicity,
     random_small_invertible,
 )
 
@@ -58,18 +58,6 @@ from helpers import (
 def report(label, ok, elapsed):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {label}: {status} [{elapsed:.1f}s]")
-
-
-def random_multiplicity(rng, max_rank=6):
-    order = rng.choice([2, 3, 4, 6, 8, 12])
-    total = rng.randint(1, max_rank)
-    keys = [CycNumber.zeta(order, k) for k in range(1, order)]
-    rng.shuffle(keys)
-    chosen = keys[: rng.randint(1, min(3, len(keys), total))]
-    counts = [1] * len(chosen)
-    for _ in range(total - len(chosen)):
-        counts[rng.randrange(len(chosen))] += 1
-    return MultiplicityFunction.of(list(zip(chosen, counts))), order
 
 
 def random_hypergeometric_rank_le_4(rng):

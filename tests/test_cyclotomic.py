@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from rigidcalc import CycNumber, cyclotomic_polynomial, euler_phi
+from rigidcalc.cyclotomic import _is_prime, residue_prime
 from rigidcalc.errors import InvalidOrder, NotAnEmbedding
 
 from helpers import random_cyc
@@ -191,6 +193,44 @@ class TestRootsOfUnity:
         assert (-CycNumber.zeta(3)).root_of_unity_exponent() == (6, 5)
         assert CycNumber.one().root_of_unity_exponent() == (1, 0)
         assert (CycNumber.zeta(3) + 2).root_of_unity_exponent() is None
+        # (3 + 4i) / 5 has absolute value 1 under both embeddings but is no
+        # algebraic integer, so no root of unity
+        assert CycNumber(4, [Fraction(3, 5), Fraction(4, 5)]).root_of_unity_exponent() is None
+
+    def test_exponent_matches_power_walk(self):
+        # The exponent by walking the powers of zeta_k, as the order and
+        # exponent were found before the embedding shortcut.
+        def walked(x):
+            power = x
+            for k in range(1, 2 * x.order + 1):
+                if power.is_one():
+                    power = CycNumber.one(k)
+                    for j in range(k):
+                        if x == power:
+                            return (k, j)
+                        power = power * CycNumber.zeta(k)
+                power = power * x
+            return None
+
+        for k in range(1, 25):
+            for j in range(k):
+                for x in (CycNumber.zeta(k, j), -CycNumber.zeta(k, j)):
+                    assert x.root_of_unity_exponent() == walked(x)
+                    assert x.multiplicative_order() == walked(x)[0]
+        # sums of roots of unity: some are roots (1 + zeta3), most are not
+        for k in range(1, 13):
+            for j in range(k):
+                for x in (1 + CycNumber.zeta(k, j), CycNumber.zeta(k, j) - CycNumber.zeta(k)):
+                    assert x.root_of_unity_exponent() == walked(x), (k, j)
+
+    def test_large_order_exponent_is_fast(self):
+        start = time.perf_counter()
+        assert str(-CycNumber.zeta(999)) == "zeta1998^1001"
+        assert time.perf_counter() - start < 0.2
+        start = time.perf_counter()  # not a root: x^1998 took 7 s
+        assert (CycNumber.zeta(999) + 2).root_of_unity_exponent() is None
+        assert (CycNumber.zeta(999) / 2).root_of_unity_exponent() is None
+        assert time.perf_counter() - start < 0.5
 
 
 class TestArithmeticDetails:
@@ -225,3 +265,44 @@ class TestArithmeticDetails:
         assert str(CycNumber.zeta(3)) == "zeta3"
         assert str(-CycNumber.zeta(3)) == "zeta6^5"
         assert str(CycNumber.zeta(3) + 2) == "2+zeta3"
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestModularReduction:
+    def test_is_prime_matches_trial_division(self):
+        assert [n for n in range(1, 10**4 + 1) if _is_prime(n)] == [
+            n for n in range(1, 10**4 + 1) if _trial_division_is_prime(n)
+        ]
+
+    def test_is_prime_refuses_past_exact_bound(self):
+        assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+        with pytest.raises(ValueError):
+            _is_prime(3317044064679887385961981)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 12, 999])
+    def test_residue_prime(self, order):
+        p, r = residue_prime(order)
+        assert p < 2**31 and p % order == 1 % order and _is_prime(p)
+        # the largest such prime: no p' = 1 (mod order) in (p, 2^31) is prime
+        assert not any(_is_prime(q) for q in range(p + order, 2**31, order))
+        powers = [pow(r, k, p) for k in range(1, order + 1)]
+        assert powers[-1] == 1 and 1 not in powers[:-1]
+
+    @pytest.mark.parametrize("order", [1, 3, 4, 5, 8, 12])
+    def test_residue_is_a_ring_map(self, rng, order):
+        p, r = residue_prime(order)
+        assert CycNumber.zeta(order).residue() == r
+        for _ in range(20):
+            a, b = random_cyc(rng, order, span=50), random_cyc(rng, order, span=50)
+            assert (a + b).residue() == (a.residue() + b.residue()) % p
+            assert (a * b).residue() == a.residue() * b.residue() % p
+            if not a.is_zero():
+                assert (a.inverse()).residue() == pow(a.residue(), -1, p)
+
+    def test_residue_undefined_on_p_in_denominator(self):
+        p, _ = residue_prime(4)
+        assert CycNumber(4, [Fraction(1), Fraction(1, p)]).residue() is None
+        assert CycNumber(4, [Fraction(1, 2 * p + 1), Fraction(3)]).residue() is not None

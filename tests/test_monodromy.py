@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,16 @@ from rigidcalc.errors import (
     UnknownPuncture,
 )
 
-from helpers import brute_force_irreducible, random_invertible, random_small_invertible
+from rigidcalc.cyclotomic import residue_prime
+from rigidcalc.hypergeometric import from_multiplicity_function
+from rigidcalc.monodromy import _spans_all_matrices_mod_p
+
+from helpers import (
+    brute_force_irreducible,
+    random_invertible,
+    random_multiplicity,
+    random_small_invertible,
+)
 
 
 def mat(rows, order=None):
@@ -247,6 +257,86 @@ class TestIrreducibility:
             corpus.append(t)
         for t in corpus:
             assert is_absolutely_irreducible(t) == brute_force_irreducible(t)
+
+
+def _random_entry(rng, order):
+    return rng.choice([0, 1, -1] + [CycNumber.zeta(order, k) for k in range(1, order)])
+
+
+def _random_invertible_over(rng, n, order):
+    # Entries 0, +-1 or a root of unity, by rejection.
+    while True:
+        m = ExactMatrix.from_rows(
+            [[_random_entry(rng, order) for _ in range(n)] for _ in range(n)], order=order
+        )
+        if m.rank() == n:
+            return m
+
+
+def _block_triangular_tuple(rng, n, k, order):
+    # Every generator is block upper triangular, so span(e_1..e_k) is
+    # invariant; one random conjugation then hides the subspace.
+    matrices = []
+    for _ in range(2):
+        top = _random_invertible_over(rng, k, order)
+        bottom = _random_invertible_over(rng, n - k, order)
+        rows = [
+            [top[i, j] for j in range(k)] + [_random_entry(rng, order) for _ in range(n - k)]
+            for i in range(k)
+        ] + [[0] * k + [bottom[i, j] for j in range(n - k)] for i in range(n - k)]
+        matrices.append(ExactMatrix.from_rows(rows, order=order))
+    return make_tuple(order, ["0", "1"], matrices).conjugate_by(random_invertible(rng, n, order))
+
+
+class TestModularCertificate:
+    @pytest.mark.parametrize("order", [3, 4, 5, 8, 12])
+    def test_agrees_with_brute_force_over_cyclotomic_fields(self, rng, order):
+        corpus = [
+            make_tuple(order, ["0", "1"], [_random_invertible_over(rng, n, order) for _ in range(2)])
+            for n in (2, 2, 3)
+        ]
+        corpus.append(_block_triangular_tuple(rng, 3, 1, order))
+        verdicts = [is_absolutely_irreducible(t) for t in corpus]
+        assert verdicts == [brute_force_irreducible(t) for t in corpus]
+        assert verdicts[-1] is False
+
+    @pytest.mark.parametrize("order", [1, 3, 4, 12])
+    def test_conjugated_block_triangular_is_reducible(self, rng, order):
+        for n, k in ((2, 1), (3, 1), (3, 2), (4, 2)):
+            t = _block_triangular_tuple(rng, n, k, order)
+            assert not _spans_all_matrices_mod_p(t)
+            assert not is_absolutely_irreducible(t)
+
+    def test_denominator_divisible_by_p_takes_exact_path(self):
+        p, _ = residue_prime(1)
+        shear = mat([[1, Fraction(1, p)], [0, 1]])
+        irreducible = make_tuple(1, ["0", "1"], [shear, mat([[1, 0], [1, 1]])])
+        reducible = make_tuple(1, ["0", "1"], [shear, mat([[1, 2], [0, 1]])])
+        for t, expected in ((irreducible, True), (reducible, False)):
+            assert not _spans_all_matrices_mod_p(t)
+            assert is_absolutely_irreducible(t) is expected
+            assert brute_force_irreducible(t) is expected
+
+    def test_short_span_mod_p_falls_back_to_exact(self):
+        # [[1, p], [0, 1]] is the identity mod p, so the span mod p stops at
+        # dimension 2, while over Q the pair generates all of M_2.
+        p, _ = residue_prime(1)
+        t = make_tuple(1, ["0", "1"], [mat([[1, p], [0, 1]]), mat([[1, 0], [1, 1]])])
+        assert not _spans_all_matrices_mod_p(t)
+        assert is_absolutely_irreducible(t) and brute_force_irreducible(t)
+
+    def test_modular_closure_certifies_family_and_hypergeometric(self, rng):
+        for i in range(9):
+            assert _spans_all_matrices_mod_p(build_F(i)), i
+        for _ in range(20):  # the seeded tuples of acceptance criterion 4
+            m, order = random_multiplicity(rng, max_rank=6)
+            assert _spans_all_matrices_mod_p(from_multiplicity_function(m, order))
+
+    def test_rank_thirteen_is_fast(self):
+        t = build_F(12)  # rank 13: about a minute with the exact closure alone
+        start = time.perf_counter()
+        assert is_absolutely_irreducible(t)
+        assert time.perf_counter() - start < 2
 
 
 class TestSomewhereMaximal:

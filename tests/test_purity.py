@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rigidcalc import (
     magnitude_check,
     weil_check,
 )
+from rigidcalc.cli import main
 from rigidcalc.errors import RootFindingFailure, ZeroConstantTerm
 from rigidcalc.purity import working_precision
 
@@ -39,6 +41,24 @@ class TestWeilPolynomial:
             poly([-2, 1], 6, 1)
         with pytest.raises(ValueError):
             poly([-2, 1], 1, 1)
+
+    def test_large_prime_power_q(self):
+        start = time.perf_counter()
+        poly([-2, 1], 99999999999973, 1)  # prime; trial division took > 1 s
+        assert time.perf_counter() - start < 0.1
+        poly([-2, 1], 2**61 - 1, 1)
+        poly([-2, 1], 3**40, 1)
+        for composite in (6, 2**61 + 1, 3**40 * 2, 101**2 * 103):
+            with pytest.raises(ValueError):
+                poly([-2, 1], composite, 1)
+
+    def test_q_past_exact_primality_bound_refused(self, capsys):
+        # 3^52 is a prime power, but Miller-Rabin with 13 bases is exact
+        # only below 3.317e24, so the verdict could not be exact.
+        with pytest.raises(ValueError):
+            poly([-2, 1], 3**52, 1)
+        assert main(["weil", "--poly", "X-5", "--q", str(3**52), "--w", "1"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_degree_at_least_one(self):
         with pytest.raises(ValueError):

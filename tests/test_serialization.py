@@ -5,6 +5,7 @@ import pytest
 
 from rigidcalc import CycNumber, ExactMatrix, MultiplicityFunction, build_F, katz_reduce
 from rigidcalc import serialization as ser
+from rigidcalc.cli import main
 from rigidcalc.errors import SchemaError
 
 
@@ -177,3 +178,55 @@ class TestMultiplicityJson:
             ser.multiplicity_from_json({"N": 6, "m": [{"zeta": "zeta3", "mult": 0}]})
         with pytest.raises(SchemaError):
             ser.multiplicity_from_json({"N": 6})
+
+
+def _set(document, path, value):
+    for key in path[:-1]:
+        document = document[key]
+    document[path[-1]] = value
+
+
+# Each integer field, set to JSON true.  Every valid value in the tuple is 1,
+# which is what a bool used to be read as.
+_RANK_ONE_TUPLE = (
+    '{"N": 1, "n": 1, "punctures": ["0"], "matrices": '
+    '[{"rows": 1, "cols": 1, "entries": [{"N": 1, "coeffs": [["2", "1"]]}]}]}'
+)
+_MULTIPLICITY = '{"N": 2, "m": [{"zeta": "-1", "mult": 1}]}'
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("N",), ("n",), ("matrices", 0, "rows"), ("matrices", 0, "cols"),
+     ("matrices", 0, "entries", 0, "N")],
+    ids=["tuple-N", "n", "rows", "cols", "cyc-N"],
+)
+def test_boolean_tuple_fields_rejected(capsys, monkeypatch, path):
+    import io
+
+    document = json.loads(_RANK_ONE_TUPLE)
+    assert ser.tuple_from_json(document).rank == 1
+    _set(document, path, True)
+    with pytest.raises(SchemaError):
+        ser.tuple_from_json(document)
+    if path[0] == "matrices":  # the inner parsers refuse it on their own too
+        inner = document["matrices"][0]
+        with pytest.raises(SchemaError):
+            ser.matrix_from_json(inner)
+        if len(path) > 3:
+            with pytest.raises(SchemaError):
+                ser.cyc_from_json(inner["entries"][0])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    assert main(["rigidity", "-"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("path", [("N",), ("m", 0, "mult")], ids=["N", "mult"])
+def test_boolean_multiplicity_fields_rejected(capsys, path):
+    document = json.loads(_MULTIPLICITY)
+    assert ser.multiplicity_from_json(document)[0].rank == 1
+    _set(document, path, True)
+    with pytest.raises(SchemaError):
+        ser.multiplicity_from_json(document)
+    assert main(["hypergeom", "--multiplicity", json.dumps(document)]) == 2
+    assert capsys.readouterr().out == ""
