@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import ExactMatrix
 from .monodromy import (
     MonodromyTuple,
+    _rank_sequences,
     is_absolutely_irreducible,
     rigidity_index,
 )
@@ -219,18 +220,11 @@ def build_F(i: int) -> MonodromyTuple:
 
 
 def _eigenvalue_with_max_eigenspace(matrix: ExactMatrix, order: int) -> CycNumber:
-    # Enumerate mu_N; ties break toward the smallest power of zeta_N.
-    n = matrix.rows
-    best_dim = -1
-    best = CycNumber.one(order)
-    identity = ExactMatrix.identity(n, order=matrix.order)
-    for power in range(order):
-        zeta = CycNumber.zeta(order, power)
-        dim = n - (matrix - identity * zeta).rank()
-        if dim > best_dim:
-            best_dim = dim
-            best = zeta
-    return best
+    # The eigenspace of zeta_N^t has dimension n - r_1 from its rank
+    # sequence, and 0 when zeta_N^t is no eigenvalue; ties break toward the
+    # smallest power of zeta_N.
+    dims = {t: matrix.rows - ranks[1] for t, ranks in _rank_sequences(matrix, order).items()}
+    return CycNumber.zeta(order, max(range(order), key=lambda t: (dims.get(t, 0), -t)))
 
 
 def katz_reduce_step(t: MonodromyTuple):

@@ -428,9 +428,13 @@ class CycNumber:
         p, r = residue_prime(self.order)
         acc = 0
         for c in reversed(self.coeffs):
-            if c.denominator % p == 0:
+            d = c.denominator
+            if d == 1:
+                acc = (acc * r + c.numerator) % p
+            elif d % p:
+                acc = (acc * r + c.numerator * pow(d, -1, p)) % p
+            else:
                 return None
-            acc = (acc * r + c.numerator * pow(c.denominator, -1, p)) % p
         return acc
 
     # -- canonical form ----------------------------------------------------

@@ -179,13 +179,19 @@ class MonodromyTuple:
         for m in matrices:
             if not m.is_square or m.rows != n:
                 raise DimensionMismatch("matrices must be square and of equal size")
+        if n == 0:
+            raise DimensionMismatch("a tuple needs rank at least 1")
         common = order
         for m in matrices:
             common = math.lcm(common, m.order)
         matrices = tuple(m.lift(common) for m in matrices)
-        for p, m in zip(punctures, matrices):
+        p, _ = residue_prime(common)
+        for point, m in zip(punctures, matrices):
+            residues = _residue_rows(m)
+            if residues is not None and _full_rank_mod_p(residues, p):
+                continue
             if m.rank() != n:
-                raise SingularMatrix(f"monodromy at {p} is singular")
+                raise SingularMatrix(f"monodromy at {point} is singular")
         self.order = common
         self.rank = n
         self.punctures = punctures
@@ -251,36 +257,89 @@ def is_quasi_unipotent(matrix: ExactMatrix, order: int) -> bool:
     return (power ** n).is_zero()
 
 
+def _residue_rows(matrix: ExactMatrix) -> list[list[int]] | None:
+    # The entries mapped to F_p by CycNumber.residue, with (p, r) =
+    # residue_prime(matrix.order); None when p divides a denominator.
+    rows = [[e.residue() for e in matrix.row(i)] for i in range(matrix.rows)]
+    return None if any(None in row for row in rows) else rows
+
+
+def _full_rank_mod_p(rows: list[list[int]], p: int) -> bool:
+    """True when the square matrix of residues ``rows`` is invertible mod p.
+
+    That proves the exact matrix invertible over K: the residue map of the
+    prime (p, zeta - r) is a ring homomorphism on Z_(p)[zeta], so the
+    residue of the exact determinant is the determinant of the residues,
+    and a determinant that is nonzero mod the prime is nonzero.  False says
+    nothing over K.
+    """
+    basis = _ModularSpanBasis(p)
+    return all(basis.insert(row) for row in rows)
+
+
+def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
+    """{t: [n, r_1, ..., r_k]} for each t in range(order) such that
+    zeta = zeta_order^t is an eigenvalue, with r_j = rank((matrix - zeta I)^j)
+    and r_k the stable rank: the first repeat, or 0.
+
+    Each candidate is screened first: with big = lcm(matrix.order, order)
+    and (p, r) = residue_prime(big), matrix - zeta I reduces to the residues
+    of matrix minus r^(t big / order) on the diagonal.  Full rank there
+    proves full rank over K (see _full_rank_mod_p), so zeta is skipped as
+    no eigenvalue.  When p divides a denominator of the matrix, or the rank
+    mod p is short, the exact ranks decide.
+    """
+    n = matrix.rows
+    big = math.lcm(matrix.order, order)
+    matrix = matrix.lift(big)
+    p, r = residue_prime(big)
+    residues = _residue_rows(matrix)
+    sequences = {}
+    for t in range(order):
+        exponent = t * (big // order)
+        if residues is not None:
+            shifted_rows = [row[:] for row in residues]
+            z = pow(r, exponent, p)
+            for i in range(n):
+                shifted_rows[i][i] = (shifted_rows[i][i] - z) % p
+            if _full_rank_mod_p(shifted_rows, p):
+                continue
+        entries = list(matrix.entries)
+        zeta = CycNumber.zeta(big, exponent)
+        for i in range(n):
+            entries[i * n + i] = entries[i * n + i] - zeta
+        shifted = ExactMatrix(n, n, entries, order=big)
+        ranks = [n, shifted.rank()]
+        power = shifted
+        while 0 < ranks[-1] < ranks[-2]:
+            power = power * shifted
+            ranks.append(power.rank())
+        if ranks[1] < n:
+            sequences[t] = ranks
+    return sequences
+
+
+def _blocks_at_least(ranks: list[int]) -> list[int]:
+    # r_(j-1) - r_j is the number of Jordan blocks of size >= j.
+    return [a - b for a, b in zip(ranks, ranks[1:]) if a != b]
+
+
 def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
     """Jordan type of a quasi-unipotent matrix from its rank sequences.
 
-    For each eigenvalue candidate zeta in mu_N the number of blocks of size
-    exactly j is r_(j-1) - 2 r_j + r_(j+1) where r_j = rank((m - zeta I)^j).
+    For each eigenvalue zeta in mu_N, with r_j = rank((m - zeta I)^j), the
+    number of blocks of size at least j is r_(j-1) - r_j, so the number of
+    size exactly j is r_(j-1) - 2 r_j + r_(j+1).
     """
     if not matrix.is_square:
         raise DimensionMismatch("jordan type requires a square matrix")
-    n = matrix.rows
     blocks: list[tuple[CycNumber, int]] = []
-    total = 0
-    for t in range(order):
+    for t, ranks in _rank_sequences(matrix, order).items():
         zeta = CycNumber.zeta(order, t)
-        shifted = matrix - ExactMatrix.identity(n, order=matrix.order) * zeta
-        ranks = [n]
-        power = ExactMatrix.identity(n, order=shifted.order)
-        while True:
-            power = power * shifted
-            ranks.append(power.rank())
-            if ranks[-1] == ranks[-2] or len(ranks) > n + 1:
-                break
-        if ranks[1] == n:
-            continue  # not an eigenvalue
-        ranks.append(ranks[-1])
-        for j in range(1, len(ranks) - 1):
-            count = ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]
-            for _ in range(count):
-                blocks.append((zeta, j))
-                total += j
-    if total != n:
+        at_least = _blocks_at_least(ranks)
+        for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
+            blocks.extend([(zeta, size)] * (a - b))
+    if sum(size for _, size in blocks) != matrix.rows:
         raise NotQuasiUnipotent(
             f"eigenvalues are not all roots of unity of order dividing {order}; "
             "try a larger order"
@@ -289,9 +348,26 @@ def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
 
 
 def centralizer_dim(matrix: ExactMatrix) -> int:
-    """dim of {X : MX = XM}, as the kernel of the n^2 x n^2 commutation system."""
+    """dim of {X : MX = XM}.
+
+    The rank sequences over mu_m, m = lcm(2, N), which are all the roots of
+    unity in K = Q(zeta_N), give it as sum over eigenvalues zeta and j >= 1
+    of (r_(j-1) - r_j)^2, the squared parts of each eigenvalue's conjugate
+    block partition.  When the multiplicities found there fall short of n
+    (some eigenvalue is not a root of unity in K), it is the nullity of the
+    n^2 x n^2 commutation system instead.
+    """
     if not matrix.is_square:
         raise DimensionMismatch("centralizer requires a square matrix")
+    sequences = _rank_sequences(matrix, math.lcm(2, matrix.order))
+    at_least = [d for ranks in sequences.values() for d in _blocks_at_least(ranks)]
+    if sum(at_least) == matrix.rows:
+        return sum(d * d for d in at_least)
+    return _commutation_nullity(matrix)
+
+
+def _commutation_nullity(matrix: ExactMatrix) -> int:
+    # dim of {X : MX = XM}, as the kernel of the n^2 x n^2 linear system.
     n = matrix.rows
     zero = CycNumber.zero(matrix.order)
     rows = []
@@ -408,8 +484,8 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     p, _ = residue_prime(t.order)
     generators = []
     for m in t.matrices:
-        rows = [[e.residue() for e in m.row(i)] for i in range(n)]
-        if any(None in row for row in rows):
+        rows = _residue_rows(m)
+        if rows is None:
             return False
         generators.append(rows)
 

@@ -138,6 +138,7 @@ def matrix_from_json(document) -> ExactMatrix:
         _require(key in document, f"matrix needs {key}")
     rows, cols, entries = document["rows"], document["cols"], document["entries"]
     _require(_is_integer(rows) and _is_integer(cols), "matrix dimensions must be integers")
+    _require(rows >= 0 and cols >= 0, f"bad matrix dimensions {rows}x{cols}")
     _require(isinstance(entries, list), "matrix entries must be a list")
     _require(len(entries) == rows * cols, f"expected {rows * cols} entries, got {len(entries)}")
     values = [cyc_from_json(e) for e in entries]
@@ -164,7 +165,7 @@ def tuple_from_json(document) -> MonodromyTuple:
         _require(key in document, f"tuple needs {key}")
     order, rank = document["N"], document["n"]
     _require(_is_integer(order) and order >= 1, f"bad order {order!r}")
-    _require(_is_integer(rank), f"bad rank {rank!r}")
+    _require(_is_integer(rank) and rank >= 1, f"bad rank {rank!r}")
     punctures = document["punctures"]
     matrices = document["matrices"]
     _require(isinstance(punctures, list) and punctures, "punctures must be a nonempty list")

@@ -260,6 +260,26 @@ class TestInputHandling:
         poly = f'{{"coeffs": [{entry}, {{"N": 1, "coeffs": [["1", "1"]]}}]}}'
         assert run(capsys, "weil", "--poly", poly, "--q", "2", "--w", "1")[0] == 2
 
+    @pytest.mark.parametrize("declared", [0, 1])
+    @pytest.mark.parametrize(
+        "command",
+        [["jordan", "-", "--point", "0"], ["jordan", "-", "--point", "inf"], ["rigidity", "-"],
+         ["rigidity", "-", "--expect-rigid"], ["irreducible", "-"], ["regular", "-"],
+         ["katz-reduce", "-"], ["mc", "-", "--lambda", "-1"], ["twist", "-", "--scalars", "1"]],
+        ids=lambda argv: " ".join(argv[:1] + argv[2:]),
+    )
+    def test_rank_zero_tuple_exits_two(self, capsys, monkeypatch, command, declared):
+        import io
+
+        doc = (
+            f'{{"N": 1, "n": {declared}, "punctures": ["0"], '
+            '"matrices": [{"rows": 0, "cols": 0, "entries": []}]}'
+        )
+        for fmt in ([], ["--format", "json"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            code, out, err = run(capsys, *command, *fmt)
+            assert code == 2 and out == "" and "error" in err
+
     def test_order_above_cap_exits_two(self, capsys):
         code, out, err = run(capsys, "hypergeom", "--a", "1", "--b", "zeta1001")
         assert code == 2 and out == "" and "error" in err

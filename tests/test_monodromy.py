@@ -27,12 +27,19 @@ from rigidcalc.errors import (
     UnknownPuncture,
 )
 
+from rigidcalc.convolution import _eigenvalue_with_max_eigenspace
 from rigidcalc.cyclotomic import residue_prime
 from rigidcalc.hypergeometric import from_multiplicity_function
-from rigidcalc.monodromy import _spans_all_matrices_mod_p
+from rigidcalc.monodromy import (
+    _commutation_nullity,
+    _full_rank_mod_p,
+    _residue_rows,
+    _spans_all_matrices_mod_p,
+)
 
 from helpers import (
     brute_force_irreducible,
+    random_cyc,
     random_invertible,
     random_multiplicity,
     random_small_invertible,
@@ -72,6 +79,37 @@ class TestMakeTuple:
     def test_duplicate_puncture(self):
         with pytest.raises(DuplicatePuncture):
             make_tuple(1, ["0", "0"], [mat([[1]]), mat([[1]])])
+
+    def test_rank_zero_refused(self):
+        with pytest.raises(DimensionMismatch):
+            make_tuple(1, ["0"], [ExactMatrix(0, 0, [])])
+        with pytest.raises(DimensionMismatch):
+            make_tuple(2, ["0", "1"], [ExactMatrix(0, 0, []), ExactMatrix(0, 0, [])])
+
+    def test_singular_exactly_when_exact_rank_is_short(self, rng):
+        # The mod-p screen may only skip the exact rank on invertible
+        # matrices: p and 1/p entries reach the exact rank, and a singular
+        # matrix is refused whatever its reduction looks like.
+        p, _ = residue_prime(1)
+        q = Fraction(1, p)
+        invertible = [mat([[p, 0], [0, 1]]), mat([[1, q], [0, 1]]), mat([[1, p], [1, 1]])]
+        singular = [mat([[1, q], [p, 1]]), mat([[p, p], [1, 1]]), mat([[0, 0], [0, 1]])]
+        for m in invertible:
+            assert make_tuple(1, ["0"], [m]).rank == 2
+        for m in singular:
+            with pytest.raises(SingularMatrix):
+                make_tuple(1, ["0"], [m])
+        for order in (1, 3, 4, 12):
+            for _ in range(10):
+                n = rng.randint(1, 3)
+                m = ExactMatrix.from_rows(
+                    [[_random_entry(rng, order) for _ in range(n)] for _ in range(n)], order=order
+                )
+                if m.rank() == n:
+                    assert make_tuple(order, ["0"], [m]).rank == n
+                else:
+                    with pytest.raises(SingularMatrix):
+                        make_tuple(order, ["0"], [m])
 
     def test_puncture_parsing(self):
         assert Puncture.parse("inf").is_infinity
@@ -202,6 +240,140 @@ class TestCentralizer:
             for _ in range(5):
                 m = random_invertible(rng, n)
                 assert centralizer_dim(m) >= n
+
+
+def _jordan_matrix(blocks, order):
+    # Direct sum of zeta * I + (ones on the superdiagonal), one per block.
+    n = sum(size for _, size in blocks)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for eig, size in blocks:
+        for i in range(size):
+            rows[start + i][start + i] = eig
+            if i + 1 < size:
+                rows[start + i][start + i + 1] = 1
+        start += size
+    return ExactMatrix.from_rows(rows, order=order)
+
+
+def _conjugator(rng, n, order):
+    # Unit lower times unit upper triangular, off-diagonal entries random in
+    # Q(zeta_N): invertible by construction.
+    def triangle(below):
+        return ExactMatrix.from_rows(
+            [[1 if i == j else (random_cyc(rng, order, 2) if (j < i) == below else 0)
+              for j in range(n)] for i in range(n)],
+            order=order,
+        )
+
+    return triangle(True) * triangle(False)
+
+
+def _centralizer_from_blocks(blocks):
+    # dim of the centralizer of a Jordan matrix: sum over eigenvalues of
+    # sum over pairs of its blocks of min(size_a, size_b).
+    total = 0
+    for eig, size in blocks:
+        for other, other_size in blocks:
+            if other == eig:
+                total += min(size, other_size)
+    return total
+
+
+def _commutation_nullity_sympy(matrix):
+    # n^2 - rank(I (x) M - M^T (x) I), the commutation map X -> MX - XM on
+    # column-stacked X, built and ranked by sympy over Q.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    n = matrix.rows
+    m = sympy.Matrix(n, n, [sympy.Rational(e.as_rational()) for e in matrix.entries])
+    eye = sympy.eye(n)
+    system = sympy.kronecker_product(eye, m) - sympy.kronecker_product(m.T, eye)
+    return n * n - DomainMatrix.from_Matrix(system).convert_to(sympy.QQ).rank()
+
+
+class TestRankSequences:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 12])
+    def test_constructed_jordan_data(self, rng, order):
+        roots = [CycNumber.zeta(order, k) for k in range(order)]
+        for _ in range(4):
+            eigenvalues = rng.sample(roots, rng.randint(1, min(3, order)))
+            count = rng.randint(1, 3)
+            blocks = [(rng.choice(eigenvalues), rng.randint(1, 3)) for _ in range(count)]
+            p = _conjugator(rng, sum(size for _, size in blocks), order)
+            m = p * _jordan_matrix(blocks, order) * p.inverse()
+            assert jordan_type(m, order) == JordanType.from_blocks(blocks)
+            assert centralizer_dim(m) == _centralizer_from_blocks(blocks)
+
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    def test_identity_mod_p_is_still_a_unipotent_block(self, order):
+        # [[1, p], [0, 1]] reduces to the identity, so the screen cannot
+        # decide zeta = 1 and the exact ranks find U(2).
+        p, _ = residue_prime(order)
+        m = mat([[1, p], [0, 1]], order=order)
+        assert not _full_rank_mod_p(_residue_rows(m - ExactMatrix.identity(2, order=order)), p)
+        assert jordan_type(m, order) == JordanType.from_blocks([(1, 2)])
+        assert centralizer_dim(m) == 2
+
+    def test_eigenvalue_congruent_to_one_is_not_one(self):
+        # 1 + p is congruent to 1 but is no root of unity: the exact rank
+        # rejects zeta = 1, and the commutation system gives the dimension.
+        p, _ = residue_prime(1)
+        m = mat([[1 + p]])
+        with pytest.raises(NotQuasiUnipotent):
+            jordan_type(m, 2)
+        assert centralizer_dim(m) == 1
+
+    def test_denominator_divisible_by_p_takes_exact_path(self):
+        p, _ = residue_prime(1)
+        shear = mat([[1, Fraction(1, p)], [0, 1]])
+        split = mat([[-1, Fraction(1, p)], [0, 1]])
+        assert _residue_rows(shear) is None
+        assert jordan_type(shear, 1) == JordanType.from_blocks([(1, 2)])
+        assert centralizer_dim(shear) == 2
+        assert jordan_type(split, 2) == JordanType.from_blocks([(1, 1), (-1, 1)])
+        assert centralizer_dim(split) == 2
+
+    def test_eigenvalues_outside_the_field_fall_back(self):
+        rotation = ExactMatrix.companion([1, 1, 1])  # x^2 + x + 1 over Q
+        for order in (1, 2):
+            with pytest.raises(NotQuasiUnipotent):
+                jordan_type(rotation, order)
+        assert centralizer_dim(rotation) == 2
+        assert centralizer_dim(ExactMatrix.diagonal([2, 3, 3])) == 5
+
+    def test_agrees_with_commutation_system(self, rng):
+        for i in range(7):
+            t = build_F(i)
+            for m in t.matrices + (t.at_infinity,):
+                assert centralizer_dim(m) == _commutation_nullity(m)
+        for _ in range(10):  # the seeded tuples of acceptance criterion 4
+            mult, order = random_multiplicity(rng, max_rank=5)
+            t = from_multiplicity_function(mult, order)
+            for m in t.matrices + (t.at_infinity,):
+                assert centralizer_dim(m) == _commutation_nullity(m)
+
+    def test_sympy_commutation_nullity(self, rng):
+        # Rational quasi-unipotent matrices: blocks with eigenvalue +-1, and
+        # the rotations x^2 + 1 and x^2 + x + 1, whose eigenvalues lie
+        # outside Q, so both paths of centralizer_dim meet the oracle.
+        pieces = [mat([[1]]), mat([[-1]]), mat([[1, 1], [0, 1]]), mat([[-1, 1], [0, -1]]),
+                  ExactMatrix.companion([1, 0, 1]), ExactMatrix.companion([1, 1, 1])]
+        for _ in range(12):
+            chosen = [rng.choice(pieces) for _ in range(rng.randint(1, 3))]
+            n = sum(piece.rows for piece in chosen)
+            grid = [[piece if a == b else ExactMatrix.zeros(piece.rows, other.rows)
+                     for b, other in enumerate(chosen)] for a, piece in enumerate(chosen)]
+            p = random_invertible(rng, n)
+            m = p * ExactMatrix.from_blocks(grid) * p.inverse()
+            assert centralizer_dim(m) == _commutation_nullity_sympy(m)
+
+    def test_katz_eigenvalue_tie_break(self):
+        assert _eigenvalue_with_max_eigenspace(ExactMatrix.diagonal([1, -1]), 2) == 1
+        assert _eigenvalue_with_max_eigenspace(ExactMatrix.diagonal([-1, -1, 1]), 2) == -1
+        # no eigenvalue in mu_2: every eigenspace is 0, and zeta^0 = 1 wins
+        assert _eigenvalue_with_max_eigenspace(ExactMatrix.diagonal([2, 3]), 2) == 1
 
 
 class TestRigidityIndex:
@@ -336,6 +508,12 @@ class TestModularCertificate:
         t = build_F(12)  # rank 13: about a minute with the exact closure alone
         start = time.perf_counter()
         assert is_absolutely_irreducible(t)
+        assert time.perf_counter() - start < 2
+
+    def test_rigidity_at_rank_thirteen_is_fast(self):
+        t = build_F(12)  # rank 13: 5.7 s through the commutation systems
+        start = time.perf_counter()
+        assert rigidity_index(t) == 2
         assert time.perf_counter() - start < 2
 
 

@@ -59,6 +59,13 @@ class TestMatrixJson:
         with pytest.raises(SchemaError):
             ser.matrix_from_json(doc)
 
+    def test_negative_dimensions_rejected_before_entry_count(self):
+        for rows, cols in ((-1, -1), (-1, 2), (2, -1)):
+            with pytest.raises(SchemaError, match="dimensions"):
+                ser.matrix_from_json({"rows": rows, "cols": cols, "entries": []})
+        empty = ser.matrix_from_json({"rows": 0, "cols": 3, "entries": []})
+        assert (empty.rows, empty.cols) == (0, 3)
+
 
 class TestTupleJson:
     def test_round_trip_byte_identical(self):
@@ -73,6 +80,13 @@ class TestTupleJson:
         doc["n"] = 5
         with pytest.raises(SchemaError):
             ser.tuple_from_json(doc)
+
+    def test_rank_zero_rejected(self):
+        empty = {"rows": 0, "cols": 0, "entries": []}
+        for declared in (0, -1, 1):
+            doc = {"N": 1, "n": declared, "punctures": ["0"], "matrices": [empty]}
+            with pytest.raises(SchemaError):
+                ser.tuple_from_json(doc)
 
     def test_duplicate_punctures_rejected(self):
         doc = ser.tuple_to_json(build_F(0))
