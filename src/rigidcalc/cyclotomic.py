@@ -2,9 +2,10 @@
 
 A value is stored as its order N together with the coefficient vector of the
 reduced power basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic
-polynomial Phi_N.  The reduced representative is unique, so equality within a
-fixed ambient order is plain coefficient comparison.  Operands of different
-orders are lifted to the least common multiple before combining.
+polynomial Phi_N, written as integer numerators over one shared positive
+denominator in lowest terms.  The reduced representative is unique, so
+equality within a fixed ambient order is plain tuple comparison.  Operands
+of different orders are lifted to the least common multiple before combining.
 
 >>> z = CycNumber.zeta(4)
 >>> z * z
@@ -22,8 +23,6 @@ import mpmath
 
 from . import poly
 from .errors import InvalidOrder, NotAnEmbedding
-
-RationalLike = int | Fraction
 
 #: bits of working precision for complex embeddings unless overridden
 DEFAULT_EMBED_PRECISION = 128
@@ -115,6 +114,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """phi(n), read off as the degree of Phi_n."""
     return len(cyclotomic_polynomial(n)) - 1
@@ -160,13 +160,19 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_raw(raw, n: int) -> tuple[Fraction, ...]:
+def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    # Rationals as integer numerators over their least common denominator.
+    fracs = [_as_fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def _reduce_raw(raw, n: int) -> list[int]:
     # Fold zeta^k with k >= n via zeta^n = 1, then rewrite through the table.
     phi = euler_phi(n)
     table = _power_table(n)
-    out = [Fraction(0)] * phi
+    out = [0] * phi
     for k, c in enumerate(raw):
-        c = _as_fraction(c)
         if not c:
             continue
         k %= n
@@ -176,76 +182,64 @@ def _reduce_raw(raw, n: int) -> tuple[Fraction, ...]:
             for j, t in enumerate(table[k]):
                 if t:
                     out[j] += c * t
-    return tuple(out)
+    return out
 
 
-def _invert_mod_cyclotomic(coeffs: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
-    # Extended Euclid against Phi_n; Phi_n is irreducible so any nonzero
-    # element is a unit.  Phi_n goes in as Fractions: the remainders are
-    # not monic, and int / int would give floats.
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    r1 = poly.trim(coeffs)
-    if not r1:
-        raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-    s0: list[Fraction] = []
-    s1 = [Fraction(1)]
-    while r1:
-        q, r = poly.divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly.sub(s0, poly.mul(q, s1))
-    unit = r0[0]  # gcd has degree 0
-    return _reduce_raw([c / unit for c in s0], n)
-
-
-def _solve_linear(columns: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
-    # Solve sum_j x_j * columns[j] = target over Q; None if inconsistent.
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        solution[c] = aug[row][ncols]
-    return tuple(solution)
+def _invert_mod_cyclotomic(nums: tuple[int, ...], n: int) -> tuple[list[int], int]:
+    # (s, c) with s(zeta) / c the inverse of nums(zeta) != 0: extended Euclid
+    # against Phi_n over Z by pseudo-division.  Every remainder r keeps
+    # r = s * nums (mod Phi_n), and r, s are divided by their common content
+    # so the integers stay small.  Phi_n is irreducible, so the last nonzero
+    # remainder is a constant c.
+    r0, s0 = list(cyclotomic_polynomial(n)), []
+    r1, s1 = poly.trim(nums), [1]
+    while len(r1) > 1:
+        scale, q, r = poly.pseudo_divmod(r0, r1)
+        s = poly.sub([scale * t for t in s0], poly.mul(q, s1))
+        g = math.gcd(*r, *s)
+        r0, s0, r1, s1 = r1, s1, [t // g for t in r], [t // g for t in s]
+    return s1, r1[0]
 
 
 class CycNumber:
     """An element of Q(zeta_N) in the reduced power basis mod Phi_N.
 
-    Instances are immutable; all arithmetic returns new values.  Mixing
-    orders is allowed and resolves by lifting to the lcm of the orders.
+    Stored as integer numerators ``nums`` over one positive denominator
+    ``den`` with gcd(den, *nums) = 1, so the representation at a fixed order
+    is unique.  ``CycNumber(order, coeffs, den)`` is sum coeffs[i] zeta^i / den
+    for rational coeffs.  Instances are immutable; all arithmetic returns
+    new values.  Mixing orders is allowed and resolves by lifting to the lcm
+    of the orders.
     """
 
-    __slots__ = ("order", "coeffs", "_canonical")
+    __slots__ = ("order", "nums", "den", "_canonical")
 
-    def __init__(self, order: int, coeffs):
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
-        if len(coeffs) != euler_phi(order):
-            raise ValueError(
-                f"need phi({order}) = {euler_phi(order)} coefficients, got {len(coeffs)}"
-            )
+    def __init__(self, order: int, coeffs, den: int = 1):
+        nums = tuple(coeffs)
+        try:
+            g = math.gcd(den, *nums)
+        except TypeError:  # not all ints: put rationals over one denominator
+            nums, common = _over_common_denominator(nums)
+            den *= common
+            g = math.gcd(den, *nums)
+        if len(nums) != euler_phi(order):
+            raise ValueError(f"need phi({order}) = {euler_phi(order)} coefficients, got {len(nums)}")
+        if den < 0:
+            g = -g
+        elif not den:
+            raise ZeroDivisionError("zero denominator")
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
         self.order = order
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._canonical = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions: a read-only view."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- construction ---------------------------------------------------
 
@@ -256,20 +250,22 @@ class CycNumber:
         This is the normalization map: it is idempotent on already-reduced
         vectors padded back to length N.
         """
-        return cls(order, _reduce_raw(raw, order))
+        nums, den = _over_common_denominator(raw)
+        return cls(order, _reduce_raw(nums, order), den)
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycNumber":
-        zeros = (Fraction(0),) * (euler_phi(order) - 1)
-        return cls(order, (_as_fraction(value),) + zeros)
+        value = _as_fraction(value)
+        zeros = (0,) * (euler_phi(order) - 1)
+        return cls(order, (value.numerator,) + zeros, value.denominator)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycNumber":
         """The root of unity zeta_N^power."""
         _check_order(order)
-        raw = [Fraction(0)] * order
-        raw[power % order] = Fraction(1)
-        return cls.from_raw(raw, order)
+        raw = [0] * order
+        raw[power % order] = 1
+        return cls(order, _reduce_raw(raw, order))
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycNumber":
@@ -300,46 +296,53 @@ class CycNumber:
             raise InvalidOrder(f"{self.order} does not divide {order}")
         _check_order(order)
         step = order // self.order
-        raw = [Fraction(0)] * order
-        for i, c in enumerate(self.coeffs):
+        raw = [0] * order
+        for i, c in enumerate(self.nums):
             raw[i * step] = c
-        return CycNumber.from_raw(raw, order)
+        return CycNumber(order, _reduce_raw(raw, order), self.den)
 
     def _common(self, other: "CycNumber"):
+        if self.order == other.order:
+            return self, other, self.order
         n = math.lcm(self.order, other.order)
         return self.lift(n), other.lift(n), n
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, CycNumber):
+            a, b, n = self._common(other)
+            da, db = a.den, b.den
+            if da == db:
+                return CycNumber(n, tuple(x + y for x, y in zip(a.nums, b.nums)), da)
+            return CycNumber(n, tuple(x * db + y * da for x, y in zip(a.nums, b.nums)), da * db)
         if isinstance(other, (int, Fraction)):
-            coeffs = (self.coeffs[0] + other,) + self.coeffs[1:]
-            return CycNumber(self.order, coeffs)
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        a, b, n = self._common(other)
-        return CycNumber(n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+            q = other.denominator
+            nums = self.nums
+            head = nums[0] * q + other.numerator * self.den
+            return CycNumber(self.order, (head,) + tuple(c * q for c in nums[1:]), self.den * q)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
+        if isinstance(other, (CycNumber, int, Fraction)):
             return self + (-other)
         return NotImplemented
 
@@ -347,33 +350,22 @@ class CycNumber:
         return (-self) + other
 
     def __neg__(self):
-        return CycNumber(self.order, tuple(-c for c in self.coeffs))
+        return CycNumber(self.order, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
+        if isinstance(other, CycNumber):
+            if other.is_rational() and self.order % other.order == 0:
+                p = other.nums[0]
+                return CycNumber(self.order, tuple(c * p for c in self.nums), self.den * other.den)
+            if self.is_rational() and other.order % self.order == 0:
+                p = self.nums[0]
+                return CycNumber(other.order, tuple(c * p for c in other.nums), self.den * other.den)
+            a, b, n = self._common(other)
+            return CycNumber(n, _reduce_raw(poly.mul(a.nums, b.nums), n), a.den * b.den)
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.order, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        if other.is_rational():
-            q = other.coeffs[0]
-            return CycNumber(self.order, tuple(c * q for c in self.coeffs)) \
-                if self.order % other.order == 0 else self._mul_full(other)
-        if self.is_rational() and other.order % self.order == 0:
-            q = self.coeffs[0]
-            return CycNumber(other.order, tuple(c * q for c in other.coeffs))
-        return self._mul_full(other)
-
-    def _mul_full(self, other: "CycNumber") -> "CycNumber":
-        a, b, n = self._common(other)
-        la, lb = len(a.coeffs), len(b.coeffs)
-        prod = [Fraction(0)] * (la + lb - 1)
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj:
-                    prod[i + j] += ci * cj
-        return CycNumber.from_raw(prod, n)
+            p = other.numerator
+            return CycNumber(self.order, tuple(c * p for c in self.nums), self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -381,7 +373,8 @@ class CycNumber:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return CycNumber(self.order, tuple(c / other for c in self.coeffs))
+            q = other.denominator
+            return CycNumber(self.order, tuple(c * q for c in self.nums), self.den * other.numerator)
         if not isinstance(other, CycNumber):
             return NotImplemented
         return self * other.inverse()
@@ -406,36 +399,34 @@ class CycNumber:
 
     def inverse(self) -> "CycNumber":
         if self.is_rational():
-            return CycNumber(self.order, (1 / self.coeffs[0],) + self.coeffs[1:])
-        return CycNumber(self.order, _invert_mod_cyclotomic(self.coeffs, self.order))
+            return CycNumber(self.order, (self.den,) + self.nums[1:], self.nums[0])
+        s, c = _invert_mod_cyclotomic(self.nums, self.order)
+        return CycNumber(self.order, _reduce_raw([self.den * t for t in s], self.order), c)
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation zeta -> zeta^(N-1), a field involution."""
         n = self.order
-        raw = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
+        raw = [0] * n
+        for i, c in enumerate(self.nums):
             raw[(-i) % n] += c
-        return CycNumber.from_raw(raw, n)
+        return CycNumber(n, _reduce_raw(raw, n), self.den)
 
     def residue(self) -> int | None:
         """Image in F_p under zeta -> r, with (p, r) = residue_prime(order).
 
         This is the residue map of the degree-one prime (p, zeta - r) of
         Z[zeta], restricted to Z_(p)[zeta]: a ring homomorphism, because
-        Phi_N(r) = 0 mod p.  None when p divides a coefficient's
-        denominator, where the value lies outside Z_(p)[zeta].
+        Phi_N(r) = 0 mod p.  None when p divides the denominator, which is
+        the lcm of the coefficients' reduced denominators: there the value
+        lies outside Z_(p)[zeta].
         """
         p, r = residue_prime(self.order)
+        if self.den % p == 0:
+            return None
         acc = 0
-        for c in reversed(self.coeffs):
-            d = c.denominator
-            if d == 1:
-                acc = (acc * r + c.numerator) % p
-            elif d % p:
-                acc = (acc * r + c.numerator * pow(d, -1, p)) % p
-            else:
-                return None
-        return acc
+        for c in reversed(self.nums):
+            acc = (acc * r + c) % p
+        return acc if self.den == 1 else acc * pow(self.den, -1, p) % p
 
     # -- canonical form ----------------------------------------------------
 
@@ -450,12 +441,17 @@ class CycNumber:
         if n == 1:
             return self
         if self.is_rational():
-            return CycNumber(1, (self.coeffs[0],))
+            return CycNumber(1, self.nums[:1], self.den)
+        from .linalg import ExactMatrix  # linalg imports this module
+
         for d in divisors(n)[1:-1]:
-            basis = [CycNumber.zeta(d, i).lift(n).coeffs for i in range(euler_phi(d))]
-            sol = _solve_linear(basis, self.coeffs)
-            if sol is not None:
-                return CycNumber(d, sol)
+            # Solve nums = sum_i x_i * (zeta_d^i lifted to order n) over Q.
+            m = euler_phi(d)
+            basis = [CycNumber.zeta(d, i).lift(n).nums for i in range(m)]
+            rows = [[v[k] for v in basis] + [c] for k, c in enumerate(self.nums)]
+            reduced, pivots = ExactMatrix.from_rows(rows).rref()
+            if m not in pivots:
+                return CycNumber(d, [reduced[i, m].as_rational() for i in range(m)], self.den)
         return self
 
     def sort_key(self):
@@ -473,14 +469,14 @@ class CycNumber:
 
         k is the multiplicative order, so the pair is unique with 0 <= j < k.
         By Kronecker's theorem self is a root of unity iff it is an algebraic
-        integer (integral coefficients: the power basis spans Z[zeta_N]) with
+        integer (denominator 1: the power basis spans Z[zeta_N]) with
         |sigma(self)| = 1 for every embedding, i.e. self * conj(self) = 1, as
         conjugation commutes with every embedding of this abelian field.  It
         is then a power of zeta_m, m = lcm(N, 2).  The exponent is read off
         one complex embedding and confirmed exactly; only when that check
         fails are all m powers of zeta_m compared.
         """
-        if any(c.denominator != 1 for c in self.coeffs):
+        if self.den != 1:
             return None
         if not (self * self.conjugate()).is_one():
             return None
@@ -506,32 +502,31 @@ class CycNumber:
         with mpmath.workprec(prec + 16):
             root = mpmath.expjpi(mpmath.mpf(2 * a) / self.order)
             acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
+            for c in reversed(self.nums):
+                acc = acc * root + c
+            acc /= self.den
         return acc
 
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, CycNumber):
+            a, b, _ = self._common(other)
+            return a.nums == b.nums and a.den == b.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        a, b, _ = self._common(other)
-        return a.coeffs == b.coeffs
+            return self.is_rational() and self.nums[0] * other.denominator == other.numerator * self.den
+        return NotImplemented
 
     def __hash__(self):
         c = self.canonical()
-        return hash((c.order, c.coeffs))
+        return hash((c.order, c.nums, c.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __str__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.as_rational())
         exponent = self.root_of_unity_exponent()
         if exponent is not None:
             k, j = exponent

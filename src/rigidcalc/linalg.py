@@ -242,7 +242,7 @@ class ExactMatrix:
         return all(a == b for a, b in zip(self.entries, other.entries))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(e.canonical().coeffs for e in self.entries)))
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(
@@ -255,14 +255,10 @@ class ExactMatrix:
     def _forward_eliminate(self):
         # Fraction-free (Bareiss) forward pass.  Each produced entry is (up to
         # sign) a minor of the input, which keeps coefficient growth
-        # polynomial.  Rational matrices run on bare Fractions, others on
-        # CycNumbers: zero tests by truthiness and 1 / pivot serve both.  The
-        # division by the previous pivot is exact, so its inverse is taken
-        # once per pivot; before the first pivot it is the plain int 1.
-        if all(e.is_rational() for e in self.entries):
-            data = [[e.coeffs[0] for e in self.row(i)] for i in range(self.rows)]
-        else:
-            data = self.to_lists()
+        # polynomial.  The division by the previous pivot is exact, so its
+        # inverse is taken once per pivot; before the first pivot it is the
+        # plain int 1.
+        data = self.to_lists()
         prev = prev_inv = 1
         pivots: list[int] = []
         sign = 1
@@ -292,7 +288,7 @@ class ExactMatrix:
             r += 1
             if r == self.rows:
                 break
-            prev, prev_inv = p, 1 / p
+            prev, prev_inv = p, p.inverse()
         return data, tuple(pivots), sign
 
     def rref(self):
@@ -300,7 +296,7 @@ class ExactMatrix:
         data, pivots, _ = self._forward_eliminate()
         for r in range(len(pivots) - 1, -1, -1):
             c = pivots[r]
-            inv = 1 / data[r][c]
+            inv = data[r][c].inverse()
             data[r] = [e * inv for e in data[r]]
             for i in range(r):
                 f = data[i][c]
@@ -357,7 +353,7 @@ class ExactMatrix:
         data, pivots, sign = self._forward_eliminate()
         if len(pivots) < self.rows:
             return CycNumber.zero(self.order)
-        d = CycNumber.coerce(data[self.rows - 1][pivots[-1]], self.order)
+        d = data[self.rows - 1][pivots[-1]]
         return d if sign == 1 else -d
 
     def charpoly(self) -> tuple[CycNumber, ...]:

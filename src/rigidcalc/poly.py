@@ -3,7 +3,7 @@
 Coefficients may be ints, Fractions or CycNumbers.  Zero tests use
 truthiness and the leading coefficient is inverted as ``1 / lead``, so one
 routine serves every coefficient type.  Division by a non-monic integer
-polynomial would produce floats: pass Fractions instead.
+polynomial would produce floats: use pseudo_divmod, which stays in Z[X].
 """
 from __future__ import annotations
 
@@ -58,6 +58,26 @@ def divmod(num: list, den: list) -> tuple[list, list]:
                 rem[k - deg + j] -= c * den[j]
     quo.reverse()
     return quo, trim(rem[:deg])
+
+
+def pseudo_divmod(num: list[int], den: list[int]) -> tuple[int, list[int], list[int]]:
+    """(scale, quotient, remainder) over Z with scale * num = quotient * den +
+    remainder; scale is a power of den's leading coefficient.
+
+    The remainder is trimmed and has degree below that of den.
+    """
+    lead, deg = den[-1], len(den) - 1
+    scale, quo, rem = 1, [0] * max(len(num) - deg, 0), list(num)
+    for k in range(len(num) - 1, deg - 1, -1):
+        c = rem[k]
+        if c:
+            scale *= lead
+            quo = [lead * t for t in quo]
+            quo[k - deg] += c
+            rem = [lead * t for t in rem]
+            for j, t in enumerate(den):
+                rem[k - deg + j] -= c * t
+    return scale, quo, trim(rem[:deg])
 
 
 def from_roots(roots: list) -> list:

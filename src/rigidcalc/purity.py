@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,24 +27,10 @@ from . import poly
 from .cyclotomic import CycNumber, _is_prime
 from .errors import RootFindingFailure, ZeroConstantTerm
 
-#: default working precision (bits) for the magnitude check
+#: starting working precision (bits) for the magnitude check; it doubles
+#: up to the cap while a root cannot be certified
 DEFAULT_PRECISION_BITS = 256
 _PRECISION_CAP = 4096
-
-#: environment variable overriding the working precision
-PRECISION_ENV_VAR = "RIGIDCALC_PRECISION_BITS"
-
-
-def working_precision() -> int:
-    """Precision in bits for numeric purity work, honoring the env override."""
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(64, bits)
 
 
 def _is_prime_power(q: int) -> bool:
@@ -210,7 +195,7 @@ def magnitude_check(p: WeilPolynomial, tolerance=1e-20) -> bool:
         a for a in range(1, max(1, n_field // 2) + 1) if math.gcd(a, n_field) == 1
     ]
     for a in embeddings:
-        prec = min(working_precision(), _PRECISION_CAP)
+        prec = DEFAULT_PRECISION_BITS
         decided = None
         while prec <= _PRECISION_CAP:
             decided = _decide_roots(squarefree, a, p.q, p.w, tolerance, prec)

@@ -284,6 +284,10 @@ class TestInputHandling:
         code, out, err = run(capsys, "hypergeom", "--a", "1", "--b", "zeta1001")
         assert code == 2 and out == "" and "error" in err
 
+    def test_zero_denominator_point_exits_two(self, capsys, f6_path):
+        code, out, err = run(capsys, "jordan", f6_path, "--point", "1/0")
+        assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:")
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -76,6 +76,35 @@ class TestNormalize:
             CycNumber.from_raw([1], 0)
 
 
+class TestStorage:
+    def test_integer_numerators_over_one_denominator(self, rng):
+        # Equal values built different ways store the same ints in lowest
+        # terms with a positive denominator; coeffs is the Fraction view.
+        for order in (1, 2, 3, 5, 12):
+            for _ in range(20):
+                x = random_cyc(rng, order) * random_cyc(rng, order) + Fraction(1, 6)
+                assert all(type(c) is int for c in x.nums) and type(x.den) is int
+                assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+                assert x.coeffs == tuple(Fraction(c, x.den) for c in x.nums)
+                assert CycNumber(order, x.coeffs).nums == x.nums
+                doubled = CycNumber(order, [2 * c for c in x.nums], -2 * x.den)
+                assert (doubled.nums, doubled.den) == (tuple(-c for c in x.nums), x.den)
+
+    def test_common_denominator_argument(self):
+        x = CycNumber(3, [1, 2], 5)
+        assert x.coeffs == (Fraction(1, 5), Fraction(2, 5))
+        assert x == CycNumber(3, [Fraction(1, 5), Fraction(2, 5)])
+        with pytest.raises(ZeroDivisionError):
+            CycNumber(3, [1, 2], 0)
+
+    @pytest.mark.parametrize("bad", [1.5, "1", None])
+    def test_non_rational_coefficients_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            CycNumber(1, [bad])
+        with pytest.raises(TypeError):
+            CycNumber(3, [1, bad])
+
+
 class TestConjugation:
     def test_conj_i(self):
         z = CycNumber.zeta(4)

@@ -58,9 +58,9 @@ class TestRankKernel:
             assert all(x.is_zero() for x in m.mul_vector(v))
 
     def test_fast_path_matches_generic(self, rng):
-        # Elimination runs on bare Fractions for M and on CycNumbers for
-        # zeta3 * M; scaling by a unit keeps rank and rref, and det picks up
-        # zeta3^n.
+        # M is rational and zeta3 * M is not; both run through the one
+        # elimination on CycNumbers.  Scaling by a unit keeps rank and rref,
+        # and det picks up zeta3^n.
         z = CycNumber.zeta(3)
         for _ in range(15):
             n = rng.randint(1, 4)

@@ -117,6 +117,13 @@ class TestMakeTuple:
         assert str(Puncture.finite(0)) == "0"
         assert str(INFINITY) == "inf"
 
+    def test_zero_denominator_label_is_a_value_error(self):
+        for text in ("1/0", " -3/0 "):
+            with pytest.raises(ValueError):
+                Puncture.parse(text)
+            with pytest.raises(ValueError):
+                Puncture.finite(text)
+
 
 class TestMonodromyAt:
     def test_f0_points(self):

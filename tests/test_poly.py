@@ -40,6 +40,22 @@ class TestDivmod:
                 check_division(num, den)
 
 
+class TestPseudoDivmod:
+    def test_identity_over_z(self, rng):
+        # scale * num = q * den + r over Z, deg r < deg den, and the quotient
+        # agrees with division over Q after dividing by scale.
+        for _ in range(40):
+            num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
+            den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-4, -1, 2, 3])]
+            scale, q, r = poly.pseudo_divmod(num, den)
+            assert all(type(c) is int for c in [scale] + q + r)
+            assert len(r) < len(den)
+            assert poly.trim(poly.sub([scale * c for c in num], poly.mul(q, den))) == r
+            q_over_q, r_over_q = poly.divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
+            assert poly.trim([Fraction(c, scale) for c in q]) == poly.trim(q_over_q)
+            assert [Fraction(c, scale) for c in r] == r_over_q
+
+
 class TestSquarefree:
     def test_repeated_roots_appear_once(self, rng):
         for order in (1, 4, 6):

@@ -16,7 +16,6 @@ from rigidcalc import (
 )
 from rigidcalc.cli import main
 from rigidcalc.errors import RootFindingFailure, ZeroConstantTerm
-from rigidcalc.purity import working_precision
 
 from helpers import count_points_x3_plus_x
 
@@ -216,15 +215,3 @@ class TestHodge:
         with pytest.raises(ValueError):
             HodgeMultiset([], 1)
 
-
-class TestPrecisionControl:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RIGIDCALC_PRECISION_BITS", "512")
-        assert working_precision() == 512
-        monkeypatch.setenv("RIGIDCALC_PRECISION_BITS", "16")
-        assert working_precision() == 64  # floor
-        monkeypatch.delenv("RIGIDCALC_PRECISION_BITS")
-        assert working_precision() == 256
-        monkeypatch.setenv("RIGIDCALC_PRECISION_BITS", "many")
-        with pytest.raises(ValueError):
-            working_precision()
