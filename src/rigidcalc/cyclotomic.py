@@ -185,22 +185,6 @@ def _reduce_raw(raw, n: int) -> list[int]:
     return out
 
 
-def _invert_mod_cyclotomic(nums: tuple[int, ...], n: int) -> tuple[list[int], int]:
-    # (s, c) with s(zeta) / c the inverse of nums(zeta) != 0: extended Euclid
-    # against Phi_n over Z by pseudo-division.  Every remainder r keeps
-    # r = s * nums (mod Phi_n), and r, s are divided by their common content
-    # so the integers stay small.  Phi_n is irreducible, so the last nonzero
-    # remainder is a constant c.
-    r0, s0 = list(cyclotomic_polynomial(n)), []
-    r1, s1 = poly.trim(nums), [1]
-    while len(r1) > 1:
-        scale, q, r = poly.pseudo_divmod(r0, r1)
-        s = poly.sub([scale * t for t in s0], poly.mul(q, s1))
-        g = math.gcd(*r, *s)
-        r0, s0, r1, s1 = r1, s1, [t // g for t in r], [t // g for t in s]
-    return s1, r1[0]
-
-
 class CycNumber:
     """An element of Q(zeta_N) in the reduced power basis mod Phi_N.
 
@@ -398,10 +382,22 @@ class CycNumber:
         return result
 
     def inverse(self) -> "CycNumber":
+        n = self.order
         if self.is_rational():
-            return CycNumber(self.order, (self.den,) + self.nums[1:], self.nums[0])
-        s, c = _invert_mod_cyclotomic(self.nums, self.order)
-        return CycNumber(self.order, _reduce_raw([self.den * t for t in s], self.order), c)
+            return CycNumber(n, (self.den,) + self.nums[1:], self.nums[0])
+        # Extended Euclid against Phi_n over Z by pseudo-division.  Every
+        # remainder r keeps r = s * nums (mod Phi_n), and r, s are divided by
+        # their common content so the integers stay small.  Phi_n is
+        # irreducible, so the last nonzero remainder is a constant c, and
+        # the inverse of nums / den is den * s / c.
+        r0, s0 = list(cyclotomic_polynomial(n)), []
+        r1, s1 = poly.trim(self.nums), [1]
+        while len(r1) > 1:
+            scale, q, r = poly.pseudo_divmod(r0, r1)
+            s = poly.sub([scale * t for t in s0], poly.mul(q, s1))
+            g = math.gcd(*r, *s)
+            r0, s0, r1, s1 = r1, s1, [t // g for t in r], [t // g for t in s]
+        return CycNumber(n, _reduce_raw([self.den * t for t in s1], n), r1[0])
 
     def conjugate(self) -> "CycNumber":
         """Complex conjugation zeta -> zeta^(N-1), a field involution."""

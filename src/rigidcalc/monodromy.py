@@ -41,7 +41,10 @@ class Puncture:
             if value.is_infinity:
                 raise ValueError("expected a finite puncture")
             return value
-        return cls(_label(value))
+        try:
+            return cls(Fraction(value))
+        except ZeroDivisionError:  # a malformed label, not an arithmetic fault
+            raise ValueError(f"puncture label {value!r} has a zero denominator") from None
 
     @classmethod
     def infinity(cls) -> "Puncture":
@@ -52,7 +55,7 @@ class Puncture:
         text = text.strip()
         if text in ("inf", "infinity", "oo"):
             return INFINITY
-        return cls(_label(text))
+        return cls.finite(text)
 
     @property
     def is_infinity(self) -> bool:
@@ -63,14 +66,6 @@ class Puncture:
 
 
 INFINITY = Puncture(None)
-
-
-def _label(value) -> Fraction:
-    # A zero denominator is a malformed label, not an arithmetic fault.
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"puncture label {value!r} has a zero denominator") from None
 
 
 def _eigenvalue_class(value: CycNumber):
