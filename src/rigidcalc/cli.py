@@ -10,6 +10,7 @@ tuple JSON document; report commands honor --format text|json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,7 +29,9 @@ from .purity import WeilPolynomial, WeilVerdict, weil_check
 from .table1 import run_table1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and shared: parse_args keeps no state in it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -84,7 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help='polynomial: JSON, file, or e.g. "X^2-3X+2"')
     p.add_argument("--q", type=int, required=True, help="residue field size (prime power)")
     p.add_argument("--w", type=int, required=True, help="weight")
-    p.add_argument("--tol", type=float, default=1e-20, help="relative magnitude tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-20,
+        help="relative tolerance of the numeric stage, which runs only on impure "
+        "input and does not change the exact verdict",
+    )
 
     return parser
 

@@ -160,6 +160,17 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_circle(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # cos and sin of 2 pi k / n for 0 <= k < n, times 2^bits, rounded to
+    # integers.  The 32 guard bits keep each within one of its exact value.
+    with mpmath.workprec(bits + 32):
+        turns = [mpmath.mpf(2 * k) / n for k in range(n)]
+        cos = tuple(int(mpmath.nint(mpmath.ldexp(mpmath.cospi(t), bits))) for t in turns)
+        sin = tuple(int(mpmath.nint(mpmath.ldexp(mpmath.sinpi(t), bits))) for t in turns)
+    return cos, sin
+
+
 def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     # Rationals as integer numerators over their least common denominator.
     fracs = [_as_fraction(v) for v in values]
@@ -490,18 +501,28 @@ class CycNumber:
     def embed(self, a: int = 1, prec: int = DEFAULT_EMBED_PRECISION):
         """Evaluate at zeta = exp(2*pi*i*a/N) as an mpmath complex number.
 
-        The result carries at least ``prec`` bits; gcd(a, N) must be 1 so the
+        The real and the imaginary part are each within 2^-prec * sum|c| of
+        the exact value, for the coefficients c; gcd(a, N) must be 1 so the
         evaluation is a field embedding.
         """
-        if math.gcd(a, self.order) != 1:
-            raise NotAnEmbedding(f"gcd({a}, {self.order}) != 1")
+        n = self.order
+        if math.gcd(a, n) != 1:
+            raise NotAnEmbedding(f"gcd({a}, {n}) != 1")
+        # Fixed point: each table entry is within one unit 2^-bits of its
+        # value, so re and im are within sum|nums| units of the exact sums;
+        # the three roundings to bits significant bits below add at most
+        # three more such bounds, and 4 * 2^-bits < 2^-prec.
+        bits = prec + 16
+        cos, sin = _unit_circle(n, bits)
+        re = im = 0
+        for i, c in enumerate(self.nums):
+            if c:
+                k = a * i % n
+                re += c * cos[k]
+                im += c * sin[k]
         with mpmath.workprec(prec + 16):
-            root = mpmath.expjpi(mpmath.mpf(2 * a) / self.order)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.nums):
-                acc = acc * root + c
-            acc /= self.den
-        return acc
+            scale = mpmath.mpf(self.den << bits)
+            return mpmath.mpc(re / scale, im / scale)
 
     # -- comparison and display ----------------------------------------------
 

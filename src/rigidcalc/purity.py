@@ -2,21 +2,24 @@
 
 A candidate is a monic polynomial Q over Q(zeta_N) together with a prime
 power q and an integer weight w.  Purity of weight w demands that every root
-alpha, under every complex embedding, satisfies |alpha|^2 = q^w.  Two checks
-approximate this from both sides:
+alpha, under every complex embedding, satisfies |alpha|^2 = q^w.  Two stages
+decide it:
 
 * the exact functional equation conj(Q)(X) = X^n Q(q^w / X) / Q(0),
   a necessary condition that costs no floating point at all;
-* a numerical magnitude check on all roots under one embedding of each
-  complex-conjugate pair (the other gives the conjugate roots), run at
-  high precision with a certified error margin and automatic precision
-  doubling (up to 4096 bits) when a root cannot be decided.
+* the magnitude stage: an exact decision of purity by Sturm counts over the
+  real subfield (see _exactly_pure), which is the verdict.  On impure input
+  only, a numerical check of all roots follows under one embedding of each
+  complex-conjugate pair, at high precision with a certified error margin
+  and automatic precision doubling (up to 4096 bits); its tolerance decides
+  magnitude_check, never weil_check.
 
-The overall verdict passes only when both agree.
+The overall verdict passes only when both stages pass.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +27,7 @@ from fractions import Fraction
 import mpmath
 
 from . import poly
-from .cyclotomic import CycNumber, _is_prime
+from .cyclotomic import CycNumber, _is_prime, residue_prime
 from .errors import RootFindingFailure, ZeroConstantTerm
 
 #: starting working precision (bits) for the magnitude check; it doubles
@@ -90,6 +93,11 @@ class WeilPolynomial:
     def order(self) -> int:
         return self.coeffs[0].order
 
+    @functools.cached_property
+    def _pure(self) -> bool:
+        # The exact purity decision, made once per polynomial.
+        return _exactly_pure(self)
+
     def __str__(self):
         terms = []
         for k in range(self.degree, -1, -1):
@@ -129,16 +137,204 @@ def functional_equation_check(p: WeilPolynomial) -> bool:
     return True
 
 
-def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
-    """Monic polynomial with the same roots, all simple: f / gcd(f, f')."""
-    f = poly.trim(coeffs)
-    a, b = f, poly.trim(poly.derivative(f))
+def _monic_gcd(a, b) -> list:
+    """Monic gcd of two nonzero polynomials over Q(zeta_N), by Euclid."""
+    a, b = poly.trim(a), poly.trim(b)
     while b:
         a, b = b, poly.divmod(a, b)[1]
-    gcd = [c / a[-1] for c in a]
+    return [c / a[-1] for c in a]
+
+
+def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
+    """The monic f with the same roots, all simple: f / gcd(f, f')."""
+    f = poly.trim(coeffs)
+    if _squarefree_mod_p(f):
+        return tuple(f)
+    gcd = _monic_gcd(f, poly.derivative(f))
     if len(gcd) == 1:
         return tuple(f)
     return tuple(poly.divmod(f, gcd)[0])
+
+
+def _squarefree_mod_p(f) -> bool:
+    """True when the residues of the monic f (see CycNumber.residue) form a
+    squarefree polynomial over F_p.
+
+    That proves f squarefree over K.  The discriminant of a monic polynomial
+    of degree n is an integer polynomial in its coefficients, and the
+    residue map is a ring homomorphism on Z_(p)[zeta] that keeps the leading
+    1, so it sends disc(f) to the discriminant of the residues.  That one is
+    nonzero, since the residues have no common factor with their derivative
+    over the perfect field F_p; so disc(f) is nonzero.  False says nothing
+    over K.
+    """
+    p, _ = residue_prime(f[0].order)
+    a = [c.residue() for c in f]
+    if None in a:
+        return False
+    b = poly.trim([k * c % p for k, c in enumerate(a)][1:])
+    while b:
+        inv, deg = pow(b[-1], -1, p), len(b) - 1
+        for k in range(len(a) - 1, deg - 1, -1):
+            c = a[k] * inv % p
+            for j, t in enumerate(b):
+                a[k - deg + j] = (a[k - deg + j] - c * t) % p
+        a, b = b, poly.trim(a[:deg])
+    return len(a) == 1
+
+
+def _conjugate_pair_representatives(n: int) -> list[int]:
+    # Embeddings a and N - a are complex conjugate: a <= N/2 meets each
+    # conjugate pair once, and each real embedding of Q(zeta_N) ∩ R once.
+    return [a for a in range(1, max(1, n // 2) + 1) if math.gcd(a, n) == 1]
+
+
+def _primitive(f) -> list[CycNumber]:
+    # f times the positive rational that makes all its numerators coprime
+    # integers: no sign under any embedding changes, and heights stay small.
+    den = math.lcm(*(c.den for c in f))
+    g = math.gcd(*(x * (den // c.den) for c in f for x in c.nums))
+    return [c * Fraction(den, g) for c in f]
+
+
+def _sturm_chain(h) -> list[list[CycNumber]]:
+    """The Sturm chain h, h', -rem, ... of a squarefree h over K+, each term
+    a positive multiple of the true one under every real embedding.
+
+    The remainders are pseudo-remainders: lc^e * f_{i-1} = quotient * f_i +
+    r with lc = lc(f_i) and e = deg f_{i-1} - deg f_i + 1, raised to the
+    next even e, so lc^e > 0 under every real embedding and no inverse in
+    K+ is needed.  Each term is then made primitive by _primitive.
+    """
+    chain = [h, _primitive(poly.derivative(h))]
+    while len(chain[-1]) > 1:
+        rem, divisor = list(chain[-2]), chain[-1]
+        lead, deg = divisor[-1], len(divisor) - 1
+        if (len(rem) - deg) % 2:
+            rem = [lead * c for c in rem]
+        for k in range(len(rem) - 1, deg - 1, -1):
+            c = rem[k]
+            rem = [lead * t for t in rem[:k]]
+            for j in range(deg):
+                rem[k - deg + j] -= c * divisor[j]
+        chain.append(_primitive([-c for c in poly.trim(rem)]))
+    return chain
+
+
+def _trace_polynomial(s, d) -> list[CycNumber]:
+    """h with S(X) = X^m h(X + d/X), for S of degree 2m with a_(m-k) =
+    d^k a_(m+k).
+
+    X^-m S = a_m + sum a_(m+k) (X^k + d^k X^-k), and X^k + d^k X^-k =
+    D_k(X + d/X) with D_0 = 2, D_1 = t and D_(k+1) = t D_k - d D_(k-1).
+    """
+    m = (len(s) - 1) // 2
+    h = [s[m]] + [s[m] * 0] * m
+    prev, cur = [2], [0, 1]
+    for k in range(1, m + 1):
+        for j, c in enumerate(cur):
+            h[j] += s[m + k] * c
+        prev, cur = cur, poly.sub([0] + cur, [d * c for c in prev])
+    return h
+
+
+def _real_sign(x: CycNumber, a: int) -> int:
+    """Sign of the real number iota_a(x), for x fixed by complex conjugation.
+
+    Exact when x is rational.  Otherwise x is not zero, nor is iota_a(x),
+    and the precision doubles until the real part of x.embed(a, prec)
+    exceeds that method's error bound, 2^-prec * sum|c|: the sign of the
+    approximation is then the sign of iota_a(x).
+    """
+    if x.is_rational():
+        return (x.nums[0] > 0) - (x.nums[0] < 0)
+    size = mpmath.mpf(sum(map(abs, x.nums))) / x.den
+    prec = 64
+    while True:
+        value = x.embed(a, prec).real
+        if abs(value) > mpmath.ldexp(size, -prec):
+            return 1 if value > 0 else -1
+        prec *= 2
+
+
+def _sign_variations(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(x != y for x, y in zip(nonzero, nonzero[1:]))
+
+
+def _exactly_pure(p: WeilPolynomial) -> bool:
+    """True iff every root of Q, under every complex embedding, has
+    |alpha|^2 = d = q^w; decided exactly (Kedlaya, "Search techniques for
+    root-unitary polynomials", 2008).
+
+    Let K+ = Q(zeta_N) ∩ R and let iota_a, gcd(a, N) = 1, be the embeddings.
+
+    1. R = Q * conj(Q), or Q itself when Q = conj(Q), lies in K+[X].  The
+       roots of iota_a(R) are those of iota_a(Q) and their complex
+       conjugates, of equal moduli, since iota_a commutes with conjugation.
+       So R is pure iff Q is.
+    2. S is R with repeated roots and the roots +-sqrt(d) removed, which
+       are pure.  When R (X^2 - d) is squarefree mod a prime
+       (_squarefree_mod_p), S = R; otherwise S comes from exact gcds.
+    3. The roots of a pure S are non-real, and alpha -> d / alpha =
+       conj(alpha) permutes them.  So S has even degree 2m and coefficients
+       a_(m-k) = d^k a_(m+k), or Q is impure; then S = X^m h(X + d/X).
+    4. A root t of h carries the roots of X^2 - tX + d, which satisfy
+       |alpha|^2 = d iff t is real with t^2 < 4d (t^2 = 4d would give
+       +-sqrt(d)).  A double root t would make a double root of S, so h is
+       squarefree, and Q is pure iff under every real embedding h has m
+       real roots in (-2 sqrt d, 2 sqrt d): by Sturm's theorem, iff the sign
+       variations of its Sturm chain drop by m across that interval.
+
+    Soundness of computing once over K+: iota_a is an injective ring map,
+    so it commutes with sums and products and keeps nonzero coefficients
+    nonzero; degrees, squarefreeness and the remainder sequence commute
+    with it, and the chain of _sturm_chain maps to positive multiples of a
+    Sturm chain of iota_a(h).  A chain term takes the value A +- B sqrt(d)
+    at +-2 sqrt(d), with A, B in K+.  Its sign follows from the signs of A
+    and B, and, where they differ, of A^2 - B^2 d; each is a zero test or a
+    certified sign from _real_sign.  No verdict rests on a rounded value.
+    """
+    d = Fraction(p.q) ** p.w
+    coeffs = list(p.coeffs)
+    bar = [c.conjugate() for c in coeffs]
+    r = coeffs if bar == coeffs else poly.mul(coeffs, bar)
+    one = r[-1]
+    edge = [one * -d, one * 0, one]  # X^2 - d
+    if _squarefree_mod_p(poly.mul(r, edge)):
+        s = r
+    else:
+        s = list(_squarefree_part(r))
+        gcd = _monic_gcd(s, edge)
+        if len(gcd) > 1:
+            s = poly.divmod(s, gcd)[0]
+    m, odd = divmod(len(s) - 1, 2)
+    if odd or any(s[m - k] != s[m + k] * d**k for k in range(1, m + 1)):
+        return False
+    if m == 0:
+        return True
+    values = []
+    for f in _sturm_chain(_trace_polynomial(s, d)):
+        halves = [one * 0, one * 0]
+        for k, c in enumerate(f):
+            halves[k % 2] += c * (2**k * d ** (k // 2))
+        a_part, b_part = halves
+        values.append((a_part, b_part, a_part * a_part - b_part * b_part * d))
+
+    def sign_at_edge(sa, sb, se):
+        # sign of A + B sqrt(d) from the signs of A, B and A^2 - B^2 d
+        return sa or sb if sa * sb >= 0 else sa * se
+
+    for a in _conjugate_pair_representatives(p.order):
+        upper, lower = [], []
+        for a_part, b_part, norm in values:
+            sa, sb = _real_sign(a_part, a), _real_sign(b_part, a)
+            se = _real_sign(norm, a) if sa and sb else 0
+            upper.append(sign_at_edge(sa, sb, se))
+            lower.append(sign_at_edge(sa, -sb, se))
+        if _sign_variations(lower) - _sign_variations(upper) != m:
+            return False
+    return True
 
 
 def _embedded_coeffs(coeffs, a: int, prec: int):
@@ -184,17 +380,17 @@ def _decide_roots(squarefree, a: int, target_q: int, target_w: int, tolerance, p
 def magnitude_check(p: WeilPolynomial, tolerance=1e-20) -> bool:
     """True iff | |alpha|^2 - q^w | <= tolerance * q^w for every root alpha
     of every complex embedding of Q, certified numerically.
+
+    An exactly pure Q (see _exactly_pure) passes at once, as its roots
+    deviate by 0; only an impure Q has its roots found numerically.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
+    if p._pure:
+        return True
     squarefree = _squarefree_part(p.coeffs)
-    n_field = p.order
-    # Embeddings a and N - a are complex conjugate, and so are their roots,
-    # which have equal moduli: one embedding per conjugate pair decides.
-    embeddings = [
-        a for a in range(1, max(1, n_field // 2) + 1) if math.gcd(a, n_field) == 1
-    ]
-    for a in embeddings:
+    # One embedding per conjugate pair decides: conjugate roots have equal moduli.
+    for a in _conjugate_pair_representatives(p.order):
         prec = DEFAULT_PRECISION_BITS
         decided = None
         while prec <= _PRECISION_CAP:
@@ -213,10 +409,20 @@ def magnitude_check(p: WeilPolynomial, tolerance=1e-20) -> bool:
 
 
 def weil_check(p: WeilPolynomial, tolerance=1e-20) -> WeilVerdict:
-    """Both checks in order; reports the first failing stage."""
+    """Both stages in order; reports the first failing stage.
+
+    The verdict is exact: the magnitude stage fails whenever Q is impure,
+    also when every root lies within the tolerance of the circle, and a
+    RootFindingFailure of the numeric check, raised only on impure input,
+    ends in FailMagnitude too.
+    """
     if not functional_equation_check(p):
         return WeilVerdict.FAIL_FUNCTIONAL_EQUATION
-    if not magnitude_check(p, tolerance):
+    try:
+        within = magnitude_check(p, tolerance)
+    except RootFindingFailure:
+        within = False
+    if not (within and p._pure):
         return WeilVerdict.FAIL_MAGNITUDE
     return WeilVerdict.PASS
 

@@ -1,3 +1,5 @@
+import json
+import math
 import time
 from fractions import Fraction
 
@@ -22,6 +24,61 @@ from helpers import count_points_x3_plus_x
 
 def poly(coeffs, q, w):
     return WeilPolynomial(coeffs, q, w)
+
+
+def expand(factors, order):
+    """The product of coefficient lists (constant term first) over Q(zeta_order)."""
+    acc = [CycNumber.one(order)]
+    for f in factors:
+        out = [CycNumber.zero(order)] * (len(acc) + len(f) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(f):
+                out[i + j] = out[i + j] + a * b
+        acc = out
+    return acc
+
+
+def twisted_frobenius(z, t, q):
+    """(X - z beta)(X - z conj(beta)) for the roots beta of X^2 - tX + q."""
+    return [z * z * q, -z * t, CycNumber.one(z.order)]
+
+
+def sqrt2_convergent(steps=40):
+    """p/q after `steps` steps of (p, q) -> (p + 2q, p + q): |a^2 - 2| ~ 3e-31."""
+    p, q = 1, 1
+    for _ in range(steps):
+        p, q = p + 2 * q, p + q
+    return Fraction(p, q)
+
+
+def jacobi_sum(p, n, a, b):
+    """J(chi^a, chi^b) = sum chi^a(x) chi^b(1 - x) over F_p, for a character
+    chi of order n (n | p - 1) sending a generator to zeta_n; |J|^2 = p when
+    a, b and a + b are nonzero mod n."""
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1
+                                         for r in range(2, p) if (p - 1) % r == 0
+                                         and all(r % s for s in range(2, r))))
+    log = {pow(g, k, p): k for k in range(p - 1)}
+    total = CycNumber.zero(n)
+    for x in range(2, p):
+        total = total + CycNumber.zeta(n, a * log[x] + b * log[(1 - x) % p])
+    return total
+
+
+# primes p = 1 (mod N) for the Jacobi sums over Q(zeta_N)
+WEIL_FIELDS = {1: (5, 7), 3: (7, 13), 4: (5, 13), 5: (11, 31), 8: (17, 41), 12: (13, 37)}
+
+
+def random_weil_factor(rng, order, q):
+    """A factor whose roots all have |alpha|^2 = q by construction."""
+    z = CycNumber.zeta(order, rng.randrange(order))
+    if order > 2 and rng.random() < 0.5:
+        while True:
+            a, b = rng.randrange(1, order), rng.randrange(1, order)
+            if (a + b) % order:
+                return [-z * jacobi_sum(q, order, a, b), CycNumber.one(order)]
+    bound = math.isqrt(4 * q - 1)
+    return twisted_frobenius(z, rng.randint(-bound, bound), q)
 
 
 class TestWeilPolynomial:
@@ -156,7 +213,10 @@ class TestMagnitude:
         for order, expected in ((1, [1]), (2, [1]), (3, [1]), (5, [1, 2]), (12, [1, 5])):
             seen.clear()
             z = CycNumber.zeta(order)
-            assert magnitude_check(poly([-5 * z * z, 0, CycNumber.one(order)], 5, 1))
+            # roots +-i sqrt(6) z: |alpha|^2 = 6, impure at q = 5 but within
+            # the tolerance, so the numeric stage visits every embedding
+            p = poly([6 * z * z, 0, CycNumber.one(order)], 5, 1)
+            assert magnitude_check(p, tolerance=0.5)
             assert seen == expected
 
 
@@ -188,6 +248,165 @@ class TestWeilCheck:
                     out[k] = out[k] - root * c
                 acc = out
             assert weil_check(WeilPolynomial(acc, q, w)) is WeilVerdict.PASS
+
+
+class TestExactPurity:
+    """The exact decision against verdicts known from how the input was made."""
+
+    def test_sqrt2_convergent_fails(self, capsys):
+        # Both roots a and 2/a are real, and a^2 is within 3e-31 of 2: the
+        # numeric stage alone passed it at the default tolerance 1e-20.
+        a = sqrt2_convergent()
+        coeffs = [2, -(a + 2 / a), 1]
+        assert functional_equation_check(poly(coeffs, 2, 1))
+        assert weil_check(poly(coeffs, 2, 1)) is WeilVerdict.FAIL_MAGNITUDE
+        assert magnitude_check(poly(coeffs, 2, 1))  # within the tolerance
+        document = {
+            "coeffs": [
+                {"N": 1, "coeffs": [[c.numerator, c.denominator]]}
+                for c in map(Fraction, coeffs)
+            ]
+        }
+        assert main(["weil", "--poly", json.dumps(document), "--q", "2", "--w", "1"]) == 1
+        assert capsys.readouterr().out == "FailMagnitude\n"
+
+    def test_random_weil_products_pass(self, rng):
+        for order, primes in WEIL_FIELDS.items():
+            for _ in range(6):
+                q = rng.choice(primes)
+                factors = [random_weil_factor(rng, order, q) for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.3:
+                    factors.append(factors[0])  # a repeated factor
+                p = poly(expand(factors, order), q, 1)
+                assert weil_check(p) is WeilVerdict.PASS, (order, q, str(p))
+
+    def test_square_q_linear_factors_pass(self, rng):
+        # X - 3 zeta^j at q = 9: the roots are the circle's own points
+        for order in (1, 3, 4, 5, 8, 12):
+            factors = [
+                [-3 * CycNumber.zeta(order, rng.randrange(order)), CycNumber.one(order)]
+                for _ in range(3)
+            ]
+            assert weil_check(poly(expand(factors, order), 9, 1)) is WeilVerdict.PASS
+
+    def test_convergent_near_misses_fail(self, rng):
+        # (X - z a)(X - z q/a) with a a convergent of sqrt(q): real-ratio
+        # roots off the circle by less than any tolerance, times pure factors
+        for order, primes in WEIL_FIELDS.items():
+            q = rng.choice(primes)
+            x, y = 1, 1
+            for _ in range(30):
+                x, y = x + q * y, x + y
+            a = Fraction(x, y)
+            z = CycNumber.zeta(order, rng.randrange(order))
+            miss = [z * z * q, -z * (a + q / a), CycNumber.one(order)]
+            factors = [miss] + [random_weil_factor(rng, order, q) for _ in range(rng.randint(0, 2))]
+            p = poly(expand(factors, order), q, 1)
+            assert functional_equation_check(p)
+            assert weil_check(p) is WeilVerdict.FAIL_MAGNITUDE, (order, q, str(p))
+
+    def test_traces_at_the_hasse_bound(self):
+        # X^2 - 2aX + q with a rational near sqrt(q): pure iff a^2 < q, as the
+        # discriminant 4(a^2 - q) decides between conjugate and real roots
+        for q in (2, 3, 5, 7):
+            x, y = 1, 1
+            for _ in range(25):
+                x, y = x + q * y, x + y
+                a = Fraction(x, y)
+                expected = WeilVerdict.PASS if a * a < q else WeilVerdict.FAIL_MAGNITUDE
+                assert weil_check(poly([q, -2 * a, 1], q, 1)) is expected, (q, a)
+
+    def test_every_real_embedding_is_checked(self):
+        # t = s + sqrt(5) in Q(zeta_5), sqrt(5) = 1 + 2(zeta + zeta^4); the
+        # two real embeddings send sqrt(5) to +-2.236, and X^2 - tX + 5 is
+        # pure under one of them iff t^2 < 20 there
+        z = CycNumber.zeta(5)
+        root5 = 1 + 2 * (z + z**4)
+        assert root5 * root5 == 5
+        for s, expected in ((1, WeilVerdict.PASS),  # 3.24, -1.24
+                            (3, WeilVerdict.FAIL_MAGNITUDE),  # 5.24, 0.76
+                            (-3, WeilVerdict.FAIL_MAGNITUDE)):  # -0.76, -5.24
+            t = s + root5
+            assert weil_check(poly([5, -t, 1], 5, 1)) is expected, s
+
+    def test_perturbed_constants_fail(self, rng):
+        for order, primes in WEIL_FIELDS.items():
+            q = rng.choice(primes)
+            coeffs = expand([random_weil_factor(rng, order, q) for _ in range(2)], order)
+            coeffs[0] = coeffs[0] + rng.choice([-1, 1])
+            assert weil_check(poly(coeffs, q, 1)) is not WeilVerdict.PASS
+            # |Q(0)|^2 is the product of the |alpha|^2, now not q^4
+            assert not magnitude_check(poly(coeffs, q, 1))
+
+    def test_agrees_with_the_numeric_stage(self, rng, monkeypatch):
+        # Every root deviates by 0 or by at least 0.2 q, far from the
+        # tolerance 1e-20, where the certified numeric stage is reliable.
+        from rigidcalc import purity
+
+        cases = []
+        for order, primes in WEIL_FIELDS.items():
+            for _ in range(3):
+                q = rng.choice(primes)
+                factors = [random_weil_factor(rng, order, q) for _ in range(rng.randint(1, 2))]
+                impure = rng.random() < 0.5
+                if impure:
+                    z = CycNumber.zeta(order, rng.randrange(order))
+                    a = Fraction(rng.choice([1, 2, Fraction(1, 2)]))
+                    factors.append([z * z * q, -z * (a + q / a), CycNumber.one(order)])
+                cases.append((expand(factors, order), q, impure))
+        exact = [weil_check(poly(coeffs, q, 1)) for coeffs, q, _ in cases]
+        monkeypatch.setattr(purity, "_exactly_pure", lambda p: False)  # numeric only
+        for (coeffs, q, impure), verdict in zip(cases, exact):
+            numeric = magnitude_check(poly(coeffs, q, 1))
+            assert numeric is not impure
+            assert (verdict is WeilVerdict.PASS) is numeric
+
+    def test_root_finding_failure_on_impure_input_is_a_failure(self):
+        # roots 1 and 2 at q = 2: root 2 sits exactly on the tolerance
+        # boundary 1.0, which magnitude_check cannot certify
+        p = poly([2, -3, 1], 2, 1)
+        with pytest.raises(RootFindingFailure):
+            magnitude_check(p, tolerance=1.0)
+        assert weil_check(p, tolerance=1.0) is WeilVerdict.FAIL_MAGNITUDE
+
+    def test_trace_polynomial_inverts_the_substitution(self, rng):
+        from rigidcalc.purity import _trace_polynomial
+
+        for _ in range(20):
+            d = Fraction(rng.choice([2, 3, 4, 5, 9]), rng.choice([1, 1, 2]))
+            m = rng.randint(1, 5)
+            h = [Fraction(rng.randint(-9, 9)) for _ in range(m)] + [Fraction(1)]
+            # X^m h(X + d/X) = sum h_j X^(m-j) (X^2 + d)^j
+            s = [Fraction(0)] * (2 * m + 1)
+            power = [Fraction(1)]
+            for j, c in enumerate(h):
+                for i, e in enumerate(power):
+                    s[m - j + i] += c * e
+                power = [a + b for a, b in zip([d * e for e in power] + [0, 0], [0, 0] + power)]
+            assert _trace_polynomial(s, d) == h
+
+    def test_degree_twenty_product_is_fast(self):
+        # ten Frobenius factors at p = 101, seven distinct traces
+        coeffs = [1]
+        for t in (-3, -2, -1, 0, 1, 2, 3, 1, -2, 0):
+            out = [0] * (len(coeffs) + 2)
+            for i, c in enumerate(coeffs):
+                out[i] += 101 * c
+                out[i + 1] -= t * c
+                out[i + 2] += c
+            coeffs = out
+        p = poly(coeffs, 101, 1)
+        start = time.perf_counter()
+        assert weil_check(p) is WeilVerdict.PASS  # about 0.8 s by root finding
+        assert time.perf_counter() - start < 0.1
+
+    def test_degree_four_over_q_zeta_60_is_fast(self):
+        z = CycNumber.zeta(60)
+        coeffs = expand([twisted_frobenius(z, 3, 7), twisted_frobenius(z**7, -4, 7)], 60)
+        p = poly(coeffs, 7, 1)
+        start = time.perf_counter()
+        assert weil_check(p) is WeilVerdict.PASS
+        assert time.perf_counter() - start < 1
 
 
 class TestHodge:
