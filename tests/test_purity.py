@@ -55,9 +55,7 @@ def jacobi_sum(p, n, a, b):
     """J(chi^a, chi^b) = sum chi^a(x) chi^b(1 - x) over F_p, for a character
     chi of order n (n | p - 1) sending a generator to zeta_n; |J|^2 = p when
     a, b and a + b are nonzero mod n."""
-    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // r, p) != 1
-                                         for r in range(2, p) if (p - 1) % r == 0
-                                         and all(r % s for s in range(2, r))))
+    g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
     log = {pow(g, k, p): k for k in range(p - 1)}
     total = CycNumber.zero(n)
     for x in range(2, p):
@@ -290,12 +288,13 @@ class TestExactPurity:
             assert weil_check(poly(expand(factors, order), 9, 1)) is WeilVerdict.PASS
 
     def test_convergent_near_misses_fail(self, rng):
-        # (X - z a)(X - z q/a) with a a convergent of sqrt(q): real-ratio
-        # roots off the circle by less than any tolerance, times pure factors
+        # (X - z a)(X - z q/a) with a a convergent of sqrt(q), times pure
+        # factors: |alpha|^2 is off q by a relative 1e-10 or less for the
+        # two roots z a and z q/a, and by less than 1e-20 for q <= 11
         for order, primes in WEIL_FIELDS.items():
             q = rng.choice(primes)
             x, y = 1, 1
-            for _ in range(30):
+            for _ in range(80):
                 x, y = x + q * y, x + y
             a = Fraction(x, y)
             z = CycNumber.zeta(order, rng.randrange(order))
