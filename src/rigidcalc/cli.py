@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success or a passing verdict, 1 for a well-formed input
 whose check fails (weil failure, rigidity != 2 under --expect-rigid, table
-mismatch), 2 for malformed input.
+mismatch) or for an internal error, 2 for malformed input.
 
 Tuple-producing commands (mc, twist, hypergeom) always emit one canonical
 tuple JSON document; report commands honor --format text|json.
@@ -314,6 +314,10 @@ def main(argv=None) -> int:
     except (SchemaError, RigidCalcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ZeroDivisionError) as exc:
+        # a fault of rigidcalc itself, not of the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

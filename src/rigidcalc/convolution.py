@@ -103,33 +103,20 @@ def tensor_rank_one(t: MonodromyTuple, data: RankOneData) -> MonodromyTuple:
     return MonodromyTuple(t.order, t.punctures, matrices)
 
 
-def _convolution_generators(t: MonodromyTuple, lam: CycNumber) -> list[ExactMatrix]:
-    # The rn x rn block generators B_k of the convolution, before quotienting.
-    r = len(t.matrices)
-    n = t.rank
+def _block_rows(t: MonodromyTuple, lam: CycNumber) -> list[ExactMatrix]:
+    # Block row k of each generator B_k of the convolution, an n x rn
+    # matrix: (A_j - I) for j < k, lam*A_k at j = k, lam*(A_j - I) for
+    # j > k.  Outside block row k, B_k is the identity.
     order = math.lcm(t.order, lam.order)
     lam = lam.lift(order)
     mats = [m.lift(order) for m in t.matrices]
-    identity = ExactMatrix.identity(n, order=order)
-    zero = ExactMatrix.zeros(n, n, order=order)
-    generators = []
-    for k in range(r):
-        grid = []
-        for block_row in range(r):
-            if block_row != k:
-                grid.append([identity if j == block_row else zero for j in range(r)])
-                continue
-            row = []
-            for j in range(r):
-                if j < k:
-                    row.append(mats[j] - identity)
-                elif j == k:
-                    row.append(mats[k] * lam)
-                else:
-                    row.append((mats[j] - identity) * lam)
-            grid.append(row)
-        generators.append(ExactMatrix.from_blocks(grid))
-    return generators
+    identity = ExactMatrix.identity(t.rank, order=order)
+    shifted = [m - identity for m in mats]
+    scaled = [s * lam for s in shifted]
+    return [
+        ExactMatrix.from_blocks([shifted[:k] + [m * lam] + scaled[k + 1 :]])
+        for k, m in enumerate(mats)
+    ]
 
 
 def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
@@ -137,33 +124,36 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
 
     Output rank is rn - dim(K + L) where K is the slotwise sum of
     ker(A_j - I) and L the common fixed space of the block generators.
+    Each generator B_k is held as its block row k alone: B_k v equals v
+    outside block k, and L is the kernel of the rn x rn stack of the block
+    rows of B_k - I.
     """
     lam = CycNumber.coerce(lam)
     if lam.is_zero():
         raise ZeroLambda("middle convolution requires lambda != 0")
     r = len(t.matrices)
     n = t.rank
-    generators = _convolution_generators(t, lam)
-    order = generators[0].order
     big = r * n
-    identity_big = ExactMatrix.identity(big, order=order)
-    identity_small = ExactMatrix.identity(n, order=order)
+    order = math.lcm(t.order, lam.order)
+    zero = CycNumber.zero(order)
+    one = CycNumber.one(order)
+    identity = ExactMatrix.identity(n, order=order)
 
     spanning: list[list[CycNumber]] = []
-    zero = CycNumber.zero(order)
     for j, m in enumerate(t.matrices):
-        shifted = m.lift(order) - identity_small
-        for v in shifted.kernel_basis():
+        for v in (m.lift(order) - identity).kernel_basis():
             embedded = [zero] * big
             embedded[j * n : (j + 1) * n] = list(v)
             spanning.append(embedded)
 
+    block_rows = _block_rows(t, lam)
     stacked_rows = []
-    for b in generators:
-        diff = b - identity_big
-        stacked_rows.extend(diff.to_lists())
-    fixed = ExactMatrix.from_rows(stacked_rows, order=order)
-    for v in fixed.kernel_basis():
+    for k, block_row in enumerate(block_rows):
+        rows = block_row.to_lists()
+        for i, row in enumerate(rows):
+            row[k * n + i] -= one
+        stacked_rows.extend(rows)
+    for v in ExactMatrix.from_rows(stacked_rows, order=order).kernel_basis():
         spanning.append(list(v))
 
     reduced, pivots = ExactMatrix.from_rows(spanning, order=order).rref()
@@ -178,7 +168,6 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
     # quotient basis e_i + (K + L), i not a pivot column, on the non-pivot
     # columns.  Those e_i extend the subspace basis to a basis of the whole.
     def quotient_coords(v):
-        v = list(v)
         for c, row in zip(pivots, subspace):
             f = v[c]
             if f:
@@ -186,11 +175,19 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
         return [v[i] for i in complement]
 
     quotient_mats = []
-    for b in generators:
-        for row in subspace:
-            if any(quotient_coords(b.mul_vector(row))):  # pragma: no cover
+    for k, block_row in enumerate(block_rows):
+        block = slice(k * n, (k + 1) * n)
+        for v in subspace:
+            image = list(v)
+            image[block] = block_row.mul_vector(v)
+            if any(quotient_coords(image)):  # pragma: no cover
                 raise RuntimeError("convolution subspace is not invariant")
-        columns = [quotient_coords(b.column(j)) for j in complement]
+        columns = []
+        for j in complement:
+            column = [zero] * big
+            column[j] = one
+            column[block] = block_row.column(j)
+            columns.append(quotient_coords(column))
         quotient_mats.append(ExactMatrix.from_rows(columns, order=order).transpose())
     return MonodromyTuple(order, t.punctures, quotient_mats)
 
@@ -219,12 +216,19 @@ def build_F(i: int) -> MonodromyTuple:
     return tensor_rank_one(convolved, twist)
 
 
-def _eigenvalue_with_max_eigenspace(matrix: ExactMatrix, order: int) -> CycNumber:
-    # The eigenspace of zeta_N^t has dimension n - r_1 from its rank
-    # sequence, and 0 when zeta_N^t is no eigenvalue; ties break toward the
-    # smallest power of zeta_N.
-    dims = {t: matrix.rows - ranks[1] for t, ranks in _rank_sequences(matrix, order).items()}
-    return CycNumber.zeta(order, max(range(order), key=lambda t: (dims.get(t, 0), -t)))
+def _dominant_exponent(matrix: ExactMatrix, order: int, shift: int = 0) -> int:
+    # The t in range(order) maximizing the eigenspace of zeta_order^t for
+    # zeta_order^shift * matrix, i.e. n - r_1 of zeta_order^(t - shift) for
+    # the matrix; ties go to the smallest t.  For a tuple's matrices the
+    # sequences over mu_lcm(2, N) are those centralizer_dim left on them.
+    big = math.lcm(2, matrix.order, order)
+    step = big // order
+    dims = {
+        u // step: matrix.rows - ranks[1]
+        for u, ranks in _rank_sequences(matrix, big).items()
+        if u % step == 0
+    }
+    return max(range(order), key=lambda t: (dims.get((t - shift) % order, 0), -t))
 
 
 def katz_reduce_step(t: MonodromyTuple):
@@ -237,6 +241,11 @@ def katz_reduce_step(t: MonodromyTuple):
     eigenspace of the infinity monodromy at the parameter, so any other
     choice shrinks the quotient less and can fail to reduce the rank.
 
+    With dominant eigenvalues zeta_N^(a_k) the twisted monodromy at
+    infinity is zeta_N^e times the parent's, e = sum of a_k, so both
+    choices read the rank sequences the rigidity check left on the parent's
+    matrices, and the twisted tuple's infinity monodromy is never formed.
+
     Returns (twist, lam, result) where result = MC_lam(twist applied to t).
     """
     if t.rank == 1:
@@ -246,13 +255,10 @@ def katz_reduce_step(t: MonodromyTuple):
     index = rigidity_index(t)
     if index != 2:
         raise NotRigid(f"rigidity index is {index}, not 2")
-    alphas = [
-        _eigenvalue_with_max_eigenspace(m, t.order) for m in t.matrices
-    ]
-    twist = RankOneData.of([a.inverse() for a in alphas], t.order)
-    twisted = tensor_rank_one(t, twist)
-    lam = _eigenvalue_with_max_eigenspace(twisted.at_infinity, t.order)
-    result = middle_convolution(twisted, lam)
+    exponents = [_dominant_exponent(m, t.order) for m in t.matrices]
+    twist = RankOneData.of([CycNumber.zeta(t.order, -a) for a in exponents], t.order)
+    lam = CycNumber.zeta(t.order, _dominant_exponent(t.at_infinity, t.order, sum(exponents)))
+    result = middle_convolution(tensor_rank_one(t, twist), lam)
     return twist, lam, result
 
 

@@ -18,9 +18,13 @@ Entry = CycNumber | int | Fraction
 
 
 class ExactMatrix:
-    """A dense matrix over Q(zeta_N)."""
+    """A dense matrix over Q(zeta_N).
 
-    __slots__ = ("rows", "cols", "order", "entries")
+    ``_sequences`` is the memo of ``monodromy._rank_sequences``, filled on
+    first use; it takes no part in equality, hashing or display.
+    """
+
+    __slots__ = ("rows", "cols", "order", "entries", "_sequences")
 
     def __init__(self, rows: int, cols: int, entries, order: int | None = None):
         if rows < 0 or cols < 0:
@@ -37,6 +41,7 @@ class ExactMatrix:
         self.cols = cols
         self.order = common
         self.entries = tuple(v.lift(common) for v in values)
+        self._sequences = None
 
     # -- constructors -----------------------------------------------------
 

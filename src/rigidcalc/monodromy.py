@@ -291,7 +291,16 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     proves full rank over K (see _full_rank_mod_p), so zeta is skipped as
     no eigenvalue.  When p divides a denominator of the matrix, or the rank
     mod p is short, the exact ranks decide.
+
+    The sequences are kept on the matrix, per order, so the Jordan type, the
+    centralizer and Katz's eigenvalue choice of one matrix share one
+    computation.  Callers must not mutate the returned dict.
     """
+    memo = matrix._sequences
+    if memo is None:
+        memo = matrix._sequences = {}
+    if order in memo:
+        return memo[order]
     n = matrix.rows
     big = math.lcm(matrix.order, order)
     matrix = matrix.lift(big)
@@ -319,6 +328,7 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
             ranks.append(power.rank())
         if ranks[1] < n:
             sequences[t] = ranks
+    memo[order] = sequences
     return sequences
 
 

@@ -292,3 +292,20 @@ class TestInputHandling:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("callee, command, exc", [
+        ("middle_convolution", ["mc", "--lambda", "-1"],
+         RuntimeError("convolution subspace is not invariant")),
+        ("rigidity_index", ["rigidity"], ZeroDivisionError("division by zero")),
+    ])
+    def test_one_line_and_exit_one(self, capsys, monkeypatch, f0_path, callee, command, exc):
+        def fault(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"rigidcalc.cli.{callee}", fault)
+        code, out, err = run(capsys, command[0], f0_path, *command[1:])
+        assert code == 1 and out == ""
+        assert err == f"internal error: {exc}\n"
+        assert "Traceback" not in err

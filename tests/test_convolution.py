@@ -7,6 +7,7 @@ from rigidcalc import (
     JordanType,
     RankOneData,
     build_F,
+    hypergeometric_tuple,
     is_absolutely_irreducible,
     is_quasi_unipotent,
     jordan_type,
@@ -18,7 +19,7 @@ from rigidcalc import (
     rigidity_index,
     tensor_rank_one,
 )
-from rigidcalc.convolution import _convolution_generators
+from rigidcalc.convolution import _block_rows
 from rigidcalc.errors import (
     AlreadyRankOne,
     NegativeIndex,
@@ -36,6 +37,31 @@ def mat(rows, order=None):
 
 def local_types(t):
     return {str(p): t.jordan_at(p) for p in ("0", "1", "inf")}
+
+
+def infinity_by_inverse(matrices):
+    # (A_1 ... A_r)^-1 formed here, not through MonodromyTuple.at_infinity
+    product = matrices[0]
+    for m in matrices[1:]:
+        product = product * m
+    return product.inverse()
+
+
+def rank_of_shift(m, value):
+    # rank(m - value I) by one exact elimination
+    return (m - ExactMatrix.identity(m.rows, order=m.order) * value).rank()
+
+
+def seeded_hypergeometric(rng, order, min_rank=1):
+    """A hypergeometric tuple over Q(zeta_order) with disjoint parameter
+    sets, so it is irreducible and rigid (Beukers-Heckman)."""
+    exponents = list(range(order))
+    rng.shuffle(exponents)
+    cut = rng.randint(1, order - 1)
+    n = rng.randint(min_rank, 4)
+    a = [CycNumber.zeta(order, rng.choice(exponents[:cut])) for _ in range(n)]
+    b = [CycNumber.zeta(order, rng.choice(exponents[cut:])) for _ in range(n)]
+    return hypergeometric_tuple(a, b, order)
 
 
 class TestRankOne:
@@ -93,7 +119,11 @@ class TestTensor:
 
 class TestMiddleConvolution:
     def test_generators_hand_computation(self):
-        gens = _convolution_generators(build_F(0), CycNumber.from_rational(-1))
+        rows = _block_rows(build_F(0), CycNumber.from_rational(-1))
+        assert rows == [mat([[1, 2]]), mat([[-2, 1]])]
+        # B_k is the identity outside its block row k
+        gens = [mat([rows[k].row(0) if i == k else [int(i == j) for j in range(2)] for i in range(2)])
+                for k in range(2)]
         assert gens[0] == mat([[1, 2], [0, 1]])
         assert gens[1] == mat([[1, 0], [-2, 1]])
         product = gens[0] * gens[1]
@@ -225,3 +255,79 @@ class TestKatzReduce:
         t = hypergeometric_tuple([1, 1, 1, 1], [z, z ** 5, -1, z ** 2], 6)
         trace = katz_reduce(t)
         assert trace.steps[-1].rank == 1
+
+
+class TestDettweilerReiterDimension:
+    """For lambda != 1 and an irreducible tuple, Dettweiler-Reiter give
+    rank MC_lambda = sum_k rk(A_k - I) + rk(A_inf - lambda I) - n."""
+
+    @staticmethod
+    def expected_rank(t, lam):
+        shifts = [rank_of_shift(m, 1) for m in t.matrices]
+        return sum(shifts) + rank_of_shift(infinity_by_inverse(t.matrices), lam) - t.rank
+
+    def check(self, t, lam):
+        expected = self.expected_rank(t, lam)
+        assert expected >= 0
+        if expected == 0:
+            with pytest.raises(ValueError):
+                middle_convolution(t, lam)
+            return 0
+        out = middle_convolution(t, lam)
+        assert out.rank == expected
+        product = out.matrices[0]
+        for m in out.matrices[1:]:
+            product = product * m
+        assert product * out.at_infinity == ExactMatrix.identity(out.rank, order=out.order)
+        return expected
+
+    def test_family_at_minus_one(self):
+        for i in range(7):
+            # MC_(-1)(F_i), twisted, is F_(i+1) of rank i + 2
+            assert self.check(build_F(i), CycNumber.from_rational(-1)) == i + 2
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 8, 12])
+    def test_hypergeometric_every_lambda(self, rng, order):
+        # the rank-one tuple with A_0 = 1 collapses at lambda = A_inf = zeta
+        tuples = [seeded_hypergeometric(rng, order) for _ in range(2)]
+        tuples.append(hypergeometric_tuple([CycNumber.zeta(order)], [1], order))
+        ranks = [self.check(t, CycNumber.zeta(order, k)) for t in tuples for k in range(1, order)]
+        assert 0 in ranks
+
+
+class TestKatzChoiceOracle:
+    """Katz's twist and lambda against n - rank(A - zeta I) over mu_N, taken
+    by direct eliminations, ties to the smallest exponent."""
+
+    @staticmethod
+    def oracle(t):
+        order = t.order
+
+        def dominant(m):
+            return max(range(order),
+                       key=lambda a: (m.rows - rank_of_shift(m, CycNumber.zeta(order, a)), -a))
+
+        exponents = [dominant(m) for m in t.matrices]
+        scalars = [CycNumber.zeta(order, -a) for a in exponents]
+        twisted = [m * s for m, s in zip(t.matrices, scalars)]
+        return scalars, CycNumber.zeta(order, dominant(infinity_by_inverse(twisted)))
+
+    def check_chain(self, t):
+        while t.rank > 1:
+            scalars, lam = self.oracle(t)
+            twist, got_lam, result = katz_reduce_step(t)
+            assert list(twist.scalars) == scalars
+            assert got_lam == lam
+            t = result
+
+    @pytest.mark.parametrize("order", [3, 5, 4, 8, 12])
+    def test_seeded_hypergeometric(self, rng, order):
+        for _ in range(3):
+            self.check_chain(seeded_hypergeometric(rng, order, min_rank=2))
+
+    def test_family_and_ties(self):
+        # build_F(2) has A_0 ~ diag(1, -1, -1), where -1 wins; b = (1, -1)
+        # gives A_0 ~ diag(1, -1), a tie that goes to 1
+        for i in (1, 2, 5):
+            self.check_chain(build_F(i))
+        self.check_chain(hypergeometric_tuple([CycNumber.zeta(4), CycNumber.zeta(4, 3)], [1, -1], 4))

@@ -1,8 +1,10 @@
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
+from rigidcalc import serialization as ser
 from rigidcalc import (
     INFINITY,
     CycNumber,
@@ -27,7 +29,7 @@ from rigidcalc.errors import (
     UnknownPuncture,
 )
 
-from rigidcalc.convolution import _eigenvalue_with_max_eigenspace
+from rigidcalc.convolution import _dominant_exponent
 from rigidcalc.cyclotomic import residue_prime
 from rigidcalc.hypergeometric import from_multiplicity_function
 from rigidcalc.monodromy import (
@@ -377,10 +379,62 @@ class TestRankSequences:
             assert centralizer_dim(m) == _commutation_nullity_sympy(m)
 
     def test_katz_eigenvalue_tie_break(self):
-        assert _eigenvalue_with_max_eigenspace(ExactMatrix.diagonal([1, -1]), 2) == 1
-        assert _eigenvalue_with_max_eigenspace(ExactMatrix.diagonal([-1, -1, 1]), 2) == -1
+        # exponents t of zeta_2^t: 0 for the eigenvalue 1, 1 for -1
+        assert _dominant_exponent(ExactMatrix.diagonal([1, -1]), 2) == 0
+        assert _dominant_exponent(ExactMatrix.diagonal([-1, -1, 1]), 2) == 1
         # no eigenvalue in mu_2: every eigenspace is 0, and zeta^0 = 1 wins
-        assert _eigenvalue_with_max_eigenspace(ExactMatrix.diagonal([2, 3]), 2) == 1
+        assert _dominant_exponent(ExactMatrix.diagonal([2, 3]), 2) == 0
+        # scaled by zeta_2^1 = -1 the eigenvalues swap: -1 of diag(1, -1) wins
+        assert _dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), 2, shift=1) == 1
+
+
+class TestRankSequenceMemo:
+    """The rank sequences live on the matrix object: shared by the local
+    data of one tuple, recomputed for an equal but distinct one, and
+    invisible to equality, hashing, display and JSON."""
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        exact_rank = ExactMatrix.rank
+
+        def counting(self):
+            calls.append(self)
+            return exact_rank(self)
+
+        monkeypatch.setattr(ExactMatrix, "rank", counting)
+        return calls
+
+    @staticmethod
+    def reparsed(t):
+        return ser.tuple_from_json(json.loads(ser.canonical_dumps(ser.tuple_to_json(t))))
+
+    def test_shared_within_one_tuple(self, rank_calls):
+        t = self.reparsed(build_F(5))
+        for point in ("0", "1", "inf"):
+            t.jordan_at(point)
+        seen = len(rank_calls)
+        assert seen > 0
+        assert rigidity_index(t) == 2
+        assert certify_regular(t).is_regular_via_lemma
+        assert len(rank_calls) == seen
+
+    def test_equal_tuple_recomputes(self, rank_calls):
+        t = build_F(5)
+        t.jordan_at("inf")
+        copy = self.reparsed(t)
+        assert copy == t and copy.matrices[0] is not t.matrices[0]
+        seen = len(rank_calls)
+        assert copy.jordan_at("inf") == t.jordan_at("inf")
+        assert len(rank_calls) > seen
+
+    def test_invisible(self):
+        m, twin = (mat([[1, 1, 0], [0, 1, 0], [0, 0, -1]]) for _ in range(2))
+        shown = (repr(m), hash(m), ser.canonical_dumps(ser.matrix_to_json(m)))
+        assert jordan_type(m, 2) == JordanType.from_blocks([(1, 2), (-1, 1)])
+        assert m._sequences and twin._sequences is None
+        assert (repr(m), hash(m), ser.canonical_dumps(ser.matrix_to_json(m))) == shown
+        assert m == twin and hash(m) == hash(twin)
 
 
 class TestRigidityIndex:
