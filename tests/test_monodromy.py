@@ -384,7 +384,7 @@ class TestRankSequences:
         assert _dominant_exponent(ExactMatrix.diagonal([-1, -1, 1]), 2) == 1
         # no eigenvalue in mu_2: every eigenspace is 0, and zeta^0 = 1 wins
         assert _dominant_exponent(ExactMatrix.diagonal([2, 3]), 2) == 0
-        # scaled by zeta_2^1 = -1 the eigenvalues swap: -1 of diag(1, -1) wins
+        # shift 1 scales by zeta_2 = -1: diag(1, -1, -1), where -1 wins
         assert _dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), 2, shift=1) == 1
 
 
