@@ -1,8 +1,9 @@
 """Replay recorded CLI invocations; exit code and stdout must match byte for byte.
 
-``tests/golden/cli.json`` holds the tuple inputs (F0-F6 and four tuples made
-by ``hypergeom``) and, for each invocation, its argv, exit code and stdout.
-An argv item ``@name`` stands for the path of input ``name``.  The file pins
+``tests/golden/cli.json`` holds the inputs (F0-F6, four tuples made by
+``hypergeom``, a non-rigid tuple, a multiplicity function and a Weil
+polynomial) and, for each invocation, its argv, exit code and stdout.  An
+argv item ``@name`` stands for the path of input ``name``.  The file pins
 the behaviour contract: a change that moves one byte of CLI output fails here.
 
 Regenerate it only at a commit whose outputs are known to be right:
@@ -50,6 +51,38 @@ WEIL = (
     ["--poly", "X^2+3", "--q", "3", "--w", "1"],
 )
 
+MULTIPLICITY = '{"N":3,"m":[{"zeta":"zeta3","mult":2},{"zeta":"zeta3^2","mult":1}]}'
+WEIL_JSON = (
+    '{"coeffs":[{"N":1,"coeffs":[["2","1"]]},{"N":1,"coeffs":[["-3","1"]]},'
+    '{"N":1,"coeffs":[["1","1"]]}]}'
+)
+
+# Recorded after the runs above, each under --format text and json, so the
+# older entries stay a prefix of the file.
+EXTRA = (
+    ["rigidity", "@F3"],
+    ["rigidity", "@H8"],
+    ["rigidity", "@NR"],
+    ["rigidity", "@NR", "--expect-rigid"],  # irreducible, index 0: exit 1
+    ["hypergeom", *HYPERGEOM["H3"]],
+    ["hypergeom", *HYPERGEOM["H12"]],
+    ["hypergeom", *HYPERGEOM["H3"], "--order", "6"],
+    ["hypergeom", *HYPERGEOM["H3"], "--order", "0"],
+    ["hypergeom", "--a", "1,1"],
+    ["hypergeom", "--multiplicity", MULTIPLICITY],
+    ["hypergeom", "--multiplicity", MULTIPLICITY, "--order", "6"],
+    ["hypergeom", "--multiplicity", "@M3"],
+    ["hypergeom", "--multiplicity", "@M3", "--order", "12"],
+    ["weil", "--poly", WEIL_JSON, "--q", "2", "--w", "1"],
+    ["weil", "--poly", "@W2", "--q", "2", "--w", "1"],
+    ["jordan", "@F0", "--point", "9"],
+    ["jordan", "@F0", "--point", "1/0"],
+    ["hypergeom", "--a", "1", "--b", "zeta1001"],
+    ["weil", "--poly", "X^2-3X+2", "--q", "6", "--w", "1"],
+    ["weil", "--poly", "X^2-3X+2", "--q", "2", "--w", "1", "--tol", "0"],
+    ["table1", "--max-i", "13"],
+)
+
 
 def _invoke(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
@@ -60,6 +93,14 @@ def _invoke(argv: list[str]) -> tuple[int, str]:
 
 def _resolve(argv: list[str], paths: dict[str, str]) -> list[str]:
     return [paths[a[1:]] if a.startswith("@") else a for a in argv]
+
+
+def _non_rigid_input() -> str:
+    from rigidcalc import ExactMatrix, make_tuple, serialization as ser
+
+    rows = ([[0, 1], [1, 0]], [[1, 1], [0, 1]], [[-1, 0], [1, -1]])
+    t = make_tuple(1, ["0", "1", "2"], [ExactMatrix.from_rows(r) for r in rows])
+    return ser.canonical_dumps(ser.tuple_to_json(t)) + "\n"
 
 
 def _record() -> dict:
@@ -79,18 +120,23 @@ def _record() -> dict:
         code, stdout = run(["hypergeom", *params])
         assert code == 0, name
         inputs[name] = stdout
+    tuples = list(inputs)
+    inputs.update(NR=_non_rigid_input(), M3=MULTIPLICITY + "\n", W2=WEIL_JSON + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in inputs.items():
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(text, encoding="utf-8")
-        for name in inputs:
+        for name in tuples:
             for command in TUPLE_COMMANDS:
                 for fmt in ("text", "json"):
                     run([command[0], f"@{name}", *command[1:], "--format", fmt], paths)
-    for params in WEIL:
-        for fmt in ("text", "json"):
-            run(["weil", *params, "--format", fmt])
+        for params in WEIL:
+            for fmt in ("text", "json"):
+                run(["weil", *params, "--format", fmt])
+        for argv in EXTRA:
+            for fmt in ("text", "json"):
+                run([*argv, "--format", fmt], paths)
     return {"inputs": inputs, "runs": runs}
 
 
@@ -131,8 +177,11 @@ def test_hypergeom_inputs_are_reproduced(golden):
 def test_golden_covers_every_tuple_and_command():
     document = _load()
     argvs = [e["argv"] for e in document["runs"]]
-    assert len(argvs) == 2 + len(HYPERGEOM) + 11 * len(TUPLE_COMMANDS) * 2 + 2 * len(WEIL)
-    assert {a[1][1:] for a in argvs if a[1].startswith("@")} == set(document["inputs"])
+    tuples = 7 + len(HYPERGEOM)
+    assert len(argvs) == (
+        2 + len(HYPERGEOM) + tuples * len(TUPLE_COMMANDS) * 2 + 2 * len(WEIL) + 2 * len(EXTRA)
+    )
+    assert {a[1:] for argv in argvs for a in argv if a.startswith("@")} == set(document["inputs"])
 
 
 if __name__ == "__main__":
