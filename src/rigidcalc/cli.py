@@ -4,15 +4,18 @@ Exit codes: 0 for success or a passing verdict, 1 for a well-formed input
 whose check fails (weil failure, rigidity != 2 under --expect-rigid, table
 mismatch) or for an internal error, 2 for malformed input.
 
-Tuple-producing commands (mc, twist, hypergeom) always emit one canonical
-tuple JSON document; report commands honor --format text|json.
+One output path: each subcommand's handler returns (document, text, code),
+the JSON-ready result, a zero-argument renderer of its text form and the
+exit code.  text is None for the tuple-producing mc, twist and hypergeom,
+which always emit the canonical tuple JSON.  Only main writes to stdout:
+under --format text it prints text() when there is a renderer, otherwise the
+canonical JSON document, so text is rendered only when it is printed.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -20,11 +23,7 @@ from . import serialization as ser
 from .convolution import RankOneData, katz_reduce, middle_convolution, tensor_rank_one
 from .errors import RigidCalcError, SchemaError
 from .hypergeometric import from_multiplicity_function, hypergeometric_tuple
-from .monodromy import (
-    certify_regular,
-    is_absolutely_irreducible,
-    rigidity_index,
-)
+from .monodromy import certify_regular, is_absolutely_irreducible, rigidity_index
 from .purity import WeilPolynomial, WeilVerdict, weil_check
 from .table1 import run_table1
 
@@ -36,6 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    tuple_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    tuple_input.add_argument("input", help="tuple JSON file, or - for stdin")
 
     parser = argparse.ArgumentParser(
         prog="rigidcalc",
@@ -43,30 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jordan", parents=[common], help="Jordan type at a puncture")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
+    p = sub.add_parser("jordan", parents=[tuple_input], help="Jordan type at a puncture")
     p.add_argument("--point", required=True, help='puncture label, e.g. 0, 1, 5/2, inf')
 
-    p = sub.add_parser("rigidity", parents=[common], help="rigidity index of a tuple")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
+    p = sub.add_parser("rigidity", parents=[tuple_input], help="rigidity index of a tuple")
     p.add_argument(
         "--expect-rigid",
         action="store_true",
         help="exit 1 unless the rigidity index equals 2",
     )
 
-    p = sub.add_parser("irreducible", parents=[common], help="Burnside irreducibility test")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
+    sub.add_parser("irreducible", parents=[tuple_input], help="Burnside irreducibility test")
+    sub.add_parser("regular", parents=[tuple_input], help="regularity certificate")
 
-    p = sub.add_parser("regular", parents=[common], help="regularity certificate")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
-
-    p = sub.add_parser("mc", parents=[common], help="middle convolution")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
+    p = sub.add_parser("mc", parents=[tuple_input], help="middle convolution")
     p.add_argument("--lambda", dest="lam", required=True, help='scalar, e.g. -1 or zeta3')
 
-    p = sub.add_parser("twist", parents=[common], help="tensor with rank-one data")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
+    p = sub.add_parser("twist", parents=[tuple_input], help="tensor with rank-one data")
     p.add_argument(
         "--scalars", required=True, help='comma list, one per finite puncture, e.g. "1,-1"'
     )
@@ -80,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplicity", help="multiplicity function JSON (inline or path)")
     p.add_argument("--order", type=int, help="cyclotomic order N (default: inferred)")
 
-    p = sub.add_parser("katz-reduce", parents=[common], help="reduce a rigid tuple to rank 1")
-    p.add_argument("input", help="tuple JSON file, or - for stdin")
+    sub.add_parser("katz-reduce", parents=[tuple_input], help="reduce a rigid tuple to rank 1")
 
     p = sub.add_parser("weil", parents=[common], help="Weil-number check")
     p.add_argument("--poly", required=True, help='polynomial: JSON, file, or e.g. "X^2-3X+2"')
@@ -112,101 +105,71 @@ def _load_json(text: str):
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
+def _json_argument(text: str):
+    """An inline JSON object, or the path of one (- for stdin)."""
+    return _load_json(text if text.lstrip().startswith("{") else _read_source(text))
+
+
 def _load_tuple(source: str):
     return ser.tuple_from_json(_load_json(_read_source(source)))
 
 
-def _emit(document, args) -> None:
-    print(ser.canonical_dumps(document))
+def _cmd_jordan(args):
+    jt = _load_tuple(args.input).jordan_at(args.point)
+    return ser.jordan_to_json(jt), jt.notation, 0
 
 
-def _cmd_jordan(args) -> int:
+def _cmd_rigidity(args):
+    index = rigidity_index(_load_tuple(args.input))
+    return {"rigidity_index": index}, lambda: str(index), int(args.expect_rigid and index != 2)
+
+
+def _cmd_irreducible(args):
+    verdict = is_absolutely_irreducible(_load_tuple(args.input))
+    return {"absolutely_irreducible": verdict}, lambda: "true" if verdict else "false", 0
+
+
+def _cmd_regular(args):
+    certificate = certify_regular(_load_tuple(args.input))
+    document = {
+        "verdict": "RegularViaLemma" if certificate.is_regular_via_lemma else "Unknown",
+        "witness": str(certificate.witness) if certificate.witness is not None else None,
+    }
+    return document, lambda: str(certificate), 0
+
+
+def _cmd_mc(args):
     t = _load_tuple(args.input)
-    jt = t.jordan_at(args.point)
-    if args.format == "json":
-        _emit(ser.jordan_to_json(jt), args)
-    else:
-        print(jt.notation())
-    return 0
+    return ser.tuple_to_json(middle_convolution(t, ser.parse_scalar(args.lam))), None, 0
 
 
-def _cmd_rigidity(args) -> int:
-    t = _load_tuple(args.input)
-    index = rigidity_index(t)
-    if args.format == "json":
-        _emit({"rigidity_index": index}, args)
-    else:
-        print(index)
-    if args.expect_rigid and index != 2:
-        return 1
-    return 0
-
-
-def _cmd_irreducible(args) -> int:
-    t = _load_tuple(args.input)
-    verdict = is_absolutely_irreducible(t)
-    if args.format == "json":
-        _emit({"absolutely_irreducible": verdict}, args)
-    else:
-        print("true" if verdict else "false")
-    return 0
-
-
-def _cmd_regular(args) -> int:
-    t = _load_tuple(args.input)
-    certificate = certify_regular(t)
-    if args.format == "json":
-        witness = str(certificate.witness) if certificate.witness is not None else None
-        _emit(
-            {
-                "verdict": "RegularViaLemma" if certificate.is_regular_via_lemma else "Unknown",
-                "witness": witness,
-            },
-            args,
-        )
-    else:
-        print(str(certificate))
-    return 0
-
-
-def _cmd_mc(args) -> int:
-    t = _load_tuple(args.input)
-    lam = ser.parse_scalar(args.lam)
-    result = middle_convolution(t, lam)
-    _emit(ser.tuple_to_json(result), args)
-    return 0
-
-
-def _cmd_twist(args) -> int:
+def _cmd_twist(args):
     t = _load_tuple(args.input)
     scalars = [ser.parse_scalar(s) for s in args.scalars.split(",") if s.strip()]
-    result = tensor_rank_one(t, RankOneData.of(scalars))
-    _emit(ser.tuple_to_json(result), args)
-    return 0
+    return ser.tuple_to_json(tensor_rank_one(t, RankOneData.of(scalars))), None, 0
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args):
     report = run_table1(args.max_i)
-    if args.format == "json":
-        document = {
-            "rows": [
-                {
-                    "i": row.i,
-                    "rank": row.rank,
-                    "jordan_at_0": ser.jordan_to_json(row.jordan_at_0),
-                    "jordan_at_1": ser.jordan_to_json(row.jordan_at_1),
-                    "jordan_at_inf": ser.jordan_to_json(row.jordan_at_inf),
-                    "rigidity_index": row.rigidity_index,
-                    "irreducible": row.irreducible,
-                    "regular": str(row.regular_certificate),
-                    "matches_table": row.matches_table,
-                }
-                for row in report.rows
-            ],
-            "all_match": report.all_match,
-        }
-        _emit(document, args)
-    else:
+    document = {
+        "rows": [
+            {
+                "i": row.i,
+                "rank": row.rank,
+                "jordan_at_0": ser.jordan_to_json(row.jordan_at_0),
+                "jordan_at_1": ser.jordan_to_json(row.jordan_at_1),
+                "jordan_at_inf": ser.jordan_to_json(row.jordan_at_inf),
+                "rigidity_index": row.rigidity_index,
+                "irreducible": row.irreducible,
+                "regular": str(row.regular_certificate),
+                "matches_table": row.matches_table,
+            }
+            for row in report.rows
+        ],
+        "all_match": report.all_match,
+    }
+
+    def text() -> str:
         header = ("i", "rank", "at 0", "at 1", "at inf", "index", "irred", "regular", "match")
         cells = [header]
         for row in report.rows:
@@ -224,53 +187,49 @@ def _cmd_table1(args) -> int:
                 )
             )
         widths = [max(len(line[k]) for line in cells) for k in range(len(header))]
-        for line in cells:
-            print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
-    return 0 if report.all_match else 1
+        return "\n".join(
+            "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+            for line in cells
+        )
+
+    return document, text, 0 if report.all_match else 1
 
 
-def _cmd_hypergeom(args) -> int:
+def _roots(text: str) -> list:
+    return [ser.parse_root_of_unity(s) for s in text.split(",") if s.strip()]
+
+
+def _cmd_hypergeom(args):
     if args.multiplicity is not None:
-        text = args.multiplicity
-        if not text.lstrip().startswith("{"):
-            text = _read_source(text)
-        m, order = ser.multiplicity_from_json(_load_json(text))
+        m, order = ser.multiplicity_from_json(_json_argument(args.multiplicity))
         result = from_multiplicity_function(m, args.order or order)
+    elif args.a and args.b:
+        # hypergeometric_tuple takes the lcm of the order with the parameters' orders
+        order = 1 if args.order is None else args.order
+        result = hypergeometric_tuple(_roots(args.a), _roots(args.b), order)
     else:
-        if not args.a or not args.b:
-            raise SchemaError("hypergeom needs either --multiplicity or both --a and --b")
-        a_params = [ser.parse_root_of_unity(s) for s in args.a.split(",") if s.strip()]
-        b_params = [ser.parse_root_of_unity(s) for s in args.b.split(",") if s.strip()]
-        order = args.order
-        if order is None:
-            order = 1
-            for value in a_params + b_params:
-                order = math.lcm(order, value.order)
-        result = hypergeometric_tuple(a_params, b_params, order)
-    _emit(ser.tuple_to_json(result), args)
-    return 0
+        raise SchemaError("hypergeom needs either --multiplicity or both --a and --b")
+    return ser.tuple_to_json(result), None, 0
 
 
-def _cmd_katz_reduce(args) -> int:
-    t = _load_tuple(args.input)
-    trace = katz_reduce(t)
-    if args.format == "json":
-        _emit(ser.trace_to_json(trace), args)
-    else:
-        if not trace.steps:
-            print("already rank 1")
-        for k, step in enumerate(trace.steps, start=1):
-            twist = ",".join(str(s) for s in step.twist.scalars)
-            print(f"step {k}: twist=({twist}) lambda={step.lam} rank={step.rank}")
-    return 0
+def _cmd_katz_reduce(args):
+    trace = katz_reduce(_load_tuple(args.input))
+
+    def text() -> str:
+        lines = [
+            f"step {k}: twist=({','.join(str(s) for s in step.twist.scalars)}) "
+            f"lambda={step.lam} rank={step.rank}"
+            for k, step in enumerate(trace.steps, start=1)
+        ]
+        return "\n".join(lines) or "already rank 1"
+
+    return ser.trace_to_json(trace), text, 0
 
 
 def _parse_weil_poly(args) -> WeilPolynomial:
     text = args.poly.strip()
-    if text.startswith("{"):
-        coeffs = ser.weil_coeffs_from_json(_load_json(text))
-    elif text == "-" or os.path.exists(text):
-        coeffs = ser.weil_coeffs_from_json(_load_json(_read_source(text)))
+    if text.startswith("{") or text == "-" or os.path.exists(text):
+        coeffs = ser.weil_coeffs_from_json(_json_argument(text))
     else:
         coeffs = ser.parse_integer_polynomial(text)
     try:
@@ -279,16 +238,11 @@ def _parse_weil_poly(args) -> WeilPolynomial:
         raise SchemaError(str(exc)) from None
 
 
-def _cmd_weil(args) -> int:
+def _cmd_weil(args):
     if args.tol <= 0:
         raise SchemaError("tolerance must be positive")
-    poly = _parse_weil_poly(args)
-    verdict = weil_check(poly, args.tol)
-    if args.format == "json":
-        _emit({"verdict": str(verdict)}, args)
-    else:
-        print(str(verdict))
-    return 0 if verdict is WeilVerdict.PASS else 1
+    verdict = weil_check(_parse_weil_poly(args), args.tol)
+    return {"verdict": str(verdict)}, lambda: str(verdict), 0 if verdict is WeilVerdict.PASS else 1
 
 
 _HANDLERS = {
@@ -306,11 +260,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        document, text, code = _HANDLERS[args.command](args)
+        if text is not None and args.format == "text":
+            print(text())
+        else:
+            print(ser.canonical_dumps(document))
+        return code
     except (SchemaError, RigidCalcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,10 +47,6 @@ class Puncture:
             raise ValueError(f"puncture label {value!r} has a zero denominator") from None
 
     @classmethod
-    def infinity(cls) -> "Puncture":
-        return INFINITY
-
-    @classmethod
     def parse(cls, text: str) -> "Puncture":
         text = text.strip()
         if text in ("inf", "infinity", "oo"):
@@ -210,9 +206,6 @@ class MonodromyTuple:
                 product = product * m
             self._at_infinity = product.inverse()
         return self._at_infinity
-
-    def all_punctures(self) -> tuple[Puncture, ...]:
-        return self.punctures + (INFINITY,)
 
     def monodromy_at(self, point) -> ExactMatrix:
         if isinstance(point, str):

@@ -127,8 +127,18 @@ def functional_equation_check(p: WeilPolynomial) -> bool:
     if p.coeffs[0].is_zero():  # unreachable through the constructor
         raise ZeroConstantTerm("Q(0) = 0 is not allowed")
     n = p.degree
-    scale = Fraction(p.q) ** p.w
     c0 = p.coeffs[0]
+    # k = 0 reads conj(c_0) c_0 = q^(wn), and q^|wn| has more than
+    # |wn| (bits(q) - 1) bits: a smaller c_0 fails on sizes alone, before
+    # q^w, which a large |w| makes huge, is built.
+    norm = c0.conjugate() * c0
+    if not norm.is_rational():
+        return False
+    r = norm.as_rational()
+    part = r.numerator if p.w >= 0 else r.denominator  # where q^|wn| must sit
+    if part.bit_length() <= abs(p.w * n) * (p.q.bit_length() - 1):
+        return False
+    scale = Fraction(p.q) ** p.w
     for k in range(n + 1):
         left = p.coeffs[k].conjugate() * c0
         right = p.coeffs[n - k] * (scale ** (n - k))

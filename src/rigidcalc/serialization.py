@@ -16,7 +16,6 @@ from .errors import RigidCalcError, SchemaError
 from .hypergeometric import MultiplicityFunction
 from .linalg import ExactMatrix
 from .monodromy import JordanType, MonodromyTuple
-from .purity import WeilPolynomial
 
 
 def canonical_dumps(document) -> str:
@@ -47,15 +46,9 @@ def parse_root_of_unity(text: str) -> CycNumber:
 
 def format_root_of_unity(value: CycNumber) -> str:
     """Inverse of parse_root_of_unity on roots of unity."""
-    exponent = value.root_of_unity_exponent()
-    if exponent is None:
+    if value.root_of_unity_exponent() is None:
         raise ValueError(f"{value} is not a root of unity")
-    k, j = exponent
-    if k == 1:
-        return "1"
-    if k == 2:
-        return "-1"
-    return f"zeta{k}" if j == 1 else f"zeta{k}^{j}"
+    return str(value)
 
 
 def parse_scalar(text: str) -> CycNumber:
@@ -209,10 +202,6 @@ def trace_to_json(trace: ReductionTrace) -> dict:
 
 
 # -- Weil polynomial -------------------------------------------------------------------
-
-def weil_poly_to_json(p: WeilPolynomial) -> dict:
-    return {"N": p.order, "coeffs": [cyc_to_json(c) for c in p.coeffs]}
-
 
 def weil_coeffs_from_json(document) -> list[CycNumber]:
     _require(isinstance(document, dict), "polynomial must be an object")

@@ -145,6 +145,26 @@ class TestFunctionalEquation:
         # at weight 1 the partner would be 5 / conj(5z) = z, so it fails
         assert not functional_equation_check(poly([-5 * z, CycNumber.one(4)], 5, 1))
 
+    @pytest.mark.parametrize("w", [10**9, -(10**9)])
+    def test_huge_weight_fails_on_sizes(self, capsys, w):
+        # q^(wn) would have about 3.2e9 bits; the size of c_0 decides first
+        start = time.perf_counter()
+        assert main(["weil", "--poly", "X^2-3X+2", "--q", "3", "--w", str(w)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == "FailFunctionalEquation\n"
+
+    @pytest.mark.parametrize("q, w, c", [
+        (3, 800, 3**400),
+        (3, -800, Fraction(1, 3**400)),
+        (4, 300, 2**300),  # 4^300 has 601 bits, one past the bound 300 * 2
+        (4, -300, Fraction(1, 2**300)),
+        (5, 0, 1),
+    ])
+    def test_size_check_keeps_exact_constant_terms(self, q, w, c):
+        # X - c with conj(c) c = q^w passes, and c + 1 fails by comparison
+        assert functional_equation_check(poly([-c, 1], q, w))
+        assert not functional_equation_check(poly([-c - 1, 1], q, w))
+
     def test_transform_fixes_passing_polynomials(self, rng):
         # X^n conj(Q)(q^w / X) / conj(Q)(0) maps a passing Q to itself
         for _ in range(20):
