@@ -134,12 +134,14 @@ def functional_equation_check(p: WeilPolynomial) -> bool:
     norm = c0.conjugate() * c0
     if not norm.is_rational():
         return False
-    r = norm.as_rational()
-    part = r.numerator if p.w >= 0 else r.denominator  # where q^|wn| must sit
+    norm = norm.as_rational()
+    part = norm.numerator if p.w >= 0 else norm.denominator  # where q^|wn| must sit
     if part.bit_length() <= abs(p.w * n) * (p.q.bit_length() - 1):
         return False
     scale = Fraction(p.q) ** p.w
-    for k in range(n + 1):
+    if norm != scale ** n:
+        return False
+    for k in range(1, n + 1):
         left = p.coeffs[k].conjugate() * c0
         right = p.coeffs[n - k] * (scale ** (n - k))
         if left != right:
