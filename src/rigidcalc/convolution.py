@@ -6,7 +6,10 @@ block row k, and block row k holds (A_j - I) for j < k, lambda*A_k at j = k,
 and lambda*(A_j - I) for j > k.  Two canonical subspaces are invariant under
 every B_k: the direct sum of ker(A_j - I) embedded slotwise, and the common
 fixed space of all B_k.  The output is the induced action on the quotient by
-their sum.
+their sum.  The B_k are never formed: each differs from the identity only
+in the n x rn block row D_k of B_k - I, the fixed space comes from an n-row
+system, and the quotient action is I + C_k D_k on the complement columns
+(see middle_convolution).
 
 The recursive family build_F follows rank-one twists alternating with
 MC_(-1), starting from the rank-one system with local scalars (-1, -1) at
@@ -119,42 +122,100 @@ def _block_rows(t: MonodromyTuple, lam: CycNumber) -> list[ExactMatrix]:
     ]
 
 
+def _shifts(shifted: list[ExactMatrix], lam: CycNumber) -> list[ExactMatrix]:
+    # D_k, the block row k of B_k - I, for each k: the n x rn matrix
+    # [A_1 - I, ..., A_(k-1) - I, lam*A_k - I, lam*(A_(k+1) - I), ...].
+    # lam*A_k - I is lam*(A_k - I) plus lam - 1 on the diagonal.
+    n = shifted[0].rows
+    scaled = [s * lam for s in shifted]
+    step = lam - 1
+    shifts = []
+    for k in range(len(shifted)):
+        blocks = shifted[:k] + scaled[k:]
+        rows = [[e for b in blocks for e in b.row(i)] for i in range(n)]
+        for i in range(n):
+            rows[i][k * n + i] += step
+        shifts.append(ExactMatrix.from_rows(rows, lam.order))
+    return shifts
+
+
+def _fixed_space(mats: list[ExactMatrix], shifts: list[ExactMatrix], lam: CycNumber):
+    # A basis of L, the common kernel of the D_k (see middle_convolution),
+    # each vector checked against every D_k.
+    if lam.is_one():
+        fixed = [list(w) for w in shifts[0].kernel_basis()]
+    else:
+        product = mats[0]
+        for a in mats[1:]:
+            product = a * product
+        identity = ExactMatrix.identity(product.rows, order=product.order)
+        fixed = []
+        for v in (product * lam - identity).kernel_basis():
+            w = list(v)
+            for a in mats[:-1]:
+                v = a.mul_vector(v)
+                w.extend(v)
+            fixed.append(w)
+    for shift in shifts:
+        for w in fixed:
+            if any(shift.mul_vector(w)):  # pragma: no cover
+                raise RuntimeError("convolution fixed vector is not fixed")
+    return fixed
+
+
 def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
     """MC_lambda of a tuple, on the same punctures.
 
     Output rank is rn - dim(K + L) where K is the slotwise sum of
-    ker(A_j - I) and L the common fixed space of the block generators.
-    Each generator B_k is held as its block row k alone: B_k v equals v
-    outside block k, and L is the kernel of the rn x rn stack of the block
-    rows of B_k - I.
+    ker(A_j - I) and L the common fixed space of the generators B_k.  Each
+    step works at the size of its answer, and two checks guard it.
+
+    L from an n-row system.  B_k - I is zero outside block row k, where it
+    is D_k = [A_1 - I, ..., A_(k-1) - I, lam*A_k - I, lam*(A_(k+1) - I),
+    ..., lam*(A_r - I)], so L is the common kernel of the D_k.  For
+    w = (v_1, ..., v_r), D_k w - D_(k+1) w = (lam - 1)(A_k v_k - v_(k+1)).
+    - lam != 1: then v_(k+1) = A_k v_k, so v_k = P_(k-1) v_1 with P_0 = I
+      and P_k = A_k ... A_1.  As (A_j - I) P_(j-1) = P_j - P_(j-1), the sum
+      in D_1 w telescopes to (lam*P_r - I) v_1, and every D_k w is equal.
+      So L is the image of ker(lam*A_r ... A_1 - I), an n x n kernel, under
+      v -> (v, A_1 v, A_2 A_1 v, ..., A_(r-1) ... A_1 v).
+    - lam = 1: every D_k is [A_1 - I, ..., A_r - I], and L is its kernel.
+    The branch depends on the value of lam alone, and every vector of L is
+    checked against D_k w = 0 for every k.
+
+    The quotient action.  Let S be the reduced-echelon basis of K + L.  The
+    e_c with c off its pivot columns give a basis of the quotient.  At a
+    pivot c, e_c is congruent to e_c minus the reduced row of c, which
+    vanishes on the pivots.  So the quotient coordinates of e_c are the
+    unit vector of c off the pivots, and minus that reduced row on the
+    complement at a pivot; C_k is the m x n matrix of those coordinates for
+    the columns of block k.  As B_k e = e + iota_k(D_k e), with iota_k the
+    inclusion of block k, the quotient action is
+    Q_k = I + C_k D_k[:, complement], and K + L is invariant under B_k iff
+    C_k (D_k S^T) = 0, checked for every k.  The reduced-echelon form
+    depends on the subspace alone, so neither the pivots nor the Q_k depend
+    on the basis found for L.
     """
     lam = CycNumber.coerce(lam)
     if lam.is_zero():
         raise ZeroLambda("middle convolution requires lambda != 0")
-    r = len(t.matrices)
     n = t.rank
-    big = r * n
+    big = len(t.matrices) * n
     order = math.lcm(t.order, lam.order)
+    lam = lam.lift(order)
     zero = CycNumber.zero(order)
-    one = CycNumber.one(order)
+    mats = [a.lift(order) for a in t.matrices]
     identity = ExactMatrix.identity(n, order=order)
+    shifted = [a - identity for a in mats]
+    shifts = _shifts(shifted, lam)
 
     spanning: list[list[CycNumber]] = []
-    for j, m in enumerate(t.matrices):
-        for v in (m.lift(order) - identity).kernel_basis():
+    for j, s in enumerate(shifted):
+        for v in s.kernel_basis():
             embedded = [zero] * big
-            embedded[j * n : (j + 1) * n] = list(v)
+            embedded[j * n : (j + 1) * n] = v
             spanning.append(embedded)
-
-    block_rows = _block_rows(t, lam)
-    stacked_rows = []
-    for k, block_row in enumerate(block_rows):
-        rows = block_row.to_lists()
-        for i, row in enumerate(rows):
-            row[k * n + i] -= one
-        stacked_rows.extend(rows)
-    for v in ExactMatrix.from_rows(stacked_rows, order=order).kernel_basis():
-        spanning.append(list(v))
+    spanning.extend(_fixed_space(mats, shifts, lam))
 
     reduced, pivots = ExactMatrix.from_rows(spanning, order=order).rref()
     subspace = [reduced.row(i) for i in range(len(pivots))]
@@ -163,32 +224,24 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
     if not complement:
         raise ValueError("middle convolution collapsed to rank 0")
 
-    # Each reduced row is 1 at its own pivot and 0 at every other pivot, so
-    # subtracting v[pivot] times each row leaves v's coordinates in the
-    # quotient basis e_i + (K + L), i not a pivot column, on the non-pivot
-    # columns.  Those e_i extend the subspace basis to a basis of the whole.
-    def quotient_coords(v):
-        for c, row in zip(pivots, subspace):
-            f = v[c]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return [v[i] for i in complement]
-
+    m = len(complement)
+    quotient_identity = ExactMatrix.identity(m, order=order)
+    position = {c: a for a, c in enumerate(complement)}
+    by_pivot = dict(zip(pivots, subspace))
+    coords = [
+        quotient_identity.row(position[c]) if c in position
+        else [-by_pivot[c][j] for j in complement]
+        for c in range(big)
+    ]
+    basis_t = ExactMatrix(len(subspace), big, [e for v in subspace for e in v], order).transpose()
     quotient_mats = []
-    for k, block_row in enumerate(block_rows):
-        block = slice(k * n, (k + 1) * n)
-        for v in subspace:
-            image = list(v)
-            image[block] = block_row.mul_vector(v)
-            if any(quotient_coords(image)):  # pragma: no cover
-                raise RuntimeError("convolution subspace is not invariant")
-        columns = []
-        for j in complement:
-            column = [zero] * big
-            column[j] = one
-            column[block] = block_row.column(j)
-            columns.append(quotient_coords(column))
-        quotient_mats.append(ExactMatrix.from_rows(columns, order=order).transpose())
+    for k, shift in enumerate(shifts):
+        block = coords[k * n : (k + 1) * n]
+        c_k = ExactMatrix(m, n, [column[a] for a in range(m) for column in block], order)
+        if not (c_k * (shift * basis_t)).is_zero():  # pragma: no cover
+            raise RuntimeError("convolution subspace is not invariant")
+        restricted = ExactMatrix(n, m, [shift[i, c] for i in range(n) for c in complement], order)
+        quotient_mats.append(quotient_identity + c_k * restricted)
     return MonodromyTuple(order, t.punctures, quotient_mats)
 
 

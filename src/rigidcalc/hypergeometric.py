@@ -68,11 +68,14 @@ def hypergeometric_tuple(a_params, b_params, order: int) -> MonodromyTuple:
     common = order
     for value in a_list + b_list:
         common = math.lcm(common, value.order)
+    # A root of unity of Q(zeta_N) can have order 2N (-1 lies in Q), so a
+    # parameter the field orders do not cover adds its own order.
     for value in a_list + b_list:
         if not (value ** common).is_one():
-            raise NotRootOfUnity(
-                f"{value} is not a root of unity of order dividing {common}"
-            )
+            exponent = value.multiplicative_order()
+            if exponent is None:
+                raise NotRootOfUnity(f"{value} is not a root of unity")
+            common = math.lcm(common, exponent)
     a_poly = poly.from_roots([v.lift(common) for v in a_list])
     b_poly = poly.from_roots([v.lift(common) for v in b_list])
     a_mat = ExactMatrix.companion(a_poly, order=common)

@@ -17,6 +17,14 @@ from .hypergeometric import MultiplicityFunction
 from .linalg import ExactMatrix
 from .monodromy import JordanType, MonodromyTuple
 
+#: largest total multiplicity of a multiplicity function: its tuple has that
+#: rank, and a few bytes of input could otherwise ask for any size of matrix
+MAX_MULTIPLICITY = 64
+
+#: largest degree of a text polynomial, which lists every coefficient up to
+#: its degree, so "X^1000000000" could otherwise ask for 10^9 of them
+MAX_DEGREE = 1024
+
 
 def canonical_dumps(document) -> str:
     """One canonical JSON document per call."""
@@ -243,6 +251,8 @@ def parse_integer_polynomial(text: str) -> list[Fraction]:
         degree = 0
         if var is not None:
             degree = int(power) if power is not None else 1
+            _require(degree <= MAX_DEGREE,
+                     f"degree {degree} is above the supported maximum {MAX_DEGREE}")
         coeffs[degree] = coeffs.get(degree, Fraction(0)) + value
         position = match.end()
         first = False
@@ -261,6 +271,7 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
     entries = document["m"]
     _require(isinstance(entries, list), "m must be a list")
     pairs = []
+    total = 0
     for item in entries:
         _require(
             isinstance(item, dict) and "zeta" in item and "mult" in item,
@@ -269,6 +280,11 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
         key = parse_root_of_unity(str(item["zeta"]))
         mult = item["mult"]
         _require(_is_integer(mult) and mult > 0, f"bad multiplicity {mult!r}")
+        total += mult
+        _require(
+            total <= MAX_MULTIPLICITY,
+            f"total multiplicity is above the supported maximum {MAX_MULTIPLICITY}",
+        )
         pairs.append((key, mult))
     try:
         return MultiplicityFunction.of(pairs), order

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+import time
 
 import pytest
 
@@ -131,6 +134,17 @@ class TestConstructors:
     def test_hypergeom_missing_arguments(self, capsys):
         code, _, err = run(capsys, "hypergeom", "--a", "1,1")
         assert code == 2 and "error" in err
+
+    def test_hypergeom_order_of_rational_minus_one(self, capsys):
+        # -1 lies in Q but has order 2; the inferred order must cover it
+        inferred = run(capsys, "hypergeom", "--a", "-1", "--b", "1")
+        explicit = run(capsys, "hypergeom", "--a", "-1", "--b", "1", "--order", "2")
+        assert inferred == explicit
+        assert inferred[0] == 0 and json.loads(inferred[1])["N"] == 2
+
+    def test_hypergeom_non_root_of_unity_exits_two(self, capsys):
+        code, out, err = run(capsys, "hypergeom", "--a", "2", "--b", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestTable1:
@@ -284,6 +298,20 @@ class TestInputHandling:
         code, out, err = run(capsys, "hypergeom", "--a", "1", "--b", "zeta1001")
         assert code == 2 and out == "" and "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["hypergeom", "--multiplicity", '{"N": 2, "m": [{"zeta": "-1", "mult": 100000}]}'],
+        ["hypergeom", "--multiplicity",
+         '{"N": 3, "m": [{"zeta": "zeta3", "mult": 40}, {"zeta": "zeta3^2", "mult": 40}]}'],
+        ["weil", "--poly", "X^1000000000+2", "--q", "2", "--w", "1"],
+        ["weil", "--poly", "X^1025+2", "--q", "2", "--w", "1"],
+    ])
+    def test_sizes_above_cap_exit_two_at_once(self, capsys, argv):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "above the supported maximum" in err
+
     def test_zero_denominator_point_exits_two(self, capsys, f6_path):
         code, out, err = run(capsys, "jordan", f6_path, "--point", "1/0")
         assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:")
@@ -309,3 +337,13 @@ class TestInternalErrors:
         assert code == 1 and out == ""
         assert err == f"internal error: {exc}\n"
         assert "Traceback" not in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["rigidcalc", "hypergeom", "--a", "1,1", "--b", "zeta3,zeta3^2"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("rigidcalc", run_name="__main__")
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert out == run(capsys, "hypergeom", "--a", "1,1", "--b", "zeta3,zeta3^2")[1]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rigidcalc import (
@@ -19,6 +21,7 @@ from rigidcalc import (
     rigidity_index,
     tensor_rank_one,
 )
+from rigidcalc import serialization
 from rigidcalc.convolution import _block_rows
 from rigidcalc.errors import (
     AlreadyRankOne,
@@ -62,6 +65,51 @@ def seeded_hypergeometric(rng, order, min_rank=1):
     a = [CycNumber.zeta(order, rng.choice(exponents[:cut])) for _ in range(n)]
     b = [CycNumber.zeta(order, rng.choice(exponents[cut:])) for _ in range(n)]
     return hypergeometric_tuple(a, b, order)
+
+
+def direct_sum(s, t):
+    mats = []
+    for a, b in zip(s.matrices, t.matrices):
+        rows = [list(a.row(i)) + [0] * b.rows for i in range(a.rows)]
+        rows += [[0] * a.rows + list(b.row(i)) for i in range(b.rows)]
+        mats.append(mat(rows, order=math.lcm(a.order, b.order)))
+    return make_tuple(math.lcm(s.order, t.order), s.punctures, mats)
+
+
+def reference_middle_convolution(t, lam):
+    """MC_lambda by its definition, at size rn throughout: the full rn x rn
+    generators B_k, L as the kernel of the stacked B_k - I, and the action
+    on the quotient read off T^-1 B_k T in the basis T of the reduced
+    rows of K + L followed by the unit vectors off their pivots."""
+    lam = CycNumber.coerce(lam)
+    order = math.lcm(t.order, lam.order)
+    n = t.rank
+    big = len(t.matrices) * n
+    identity = ExactMatrix.identity(big, order=order)
+    generators = []
+    for k, block_row in enumerate(_block_rows(t, lam)):
+        rows = identity.to_lists()
+        rows[k * n : (k + 1) * n] = block_row.to_lists()
+        generators.append(mat(rows, order))
+    stacked = [row for b in generators for row in (b - identity).to_lists()]
+    spanning = [list(v) for v in mat(stacked, order).kernel_basis()]
+    for j, a in enumerate(t.matrices):
+        for v in (a.lift(order) - ExactMatrix.identity(n, order=order)).kernel_basis():
+            spanning.append([0] * (j * n) + list(v) + [0] * (big - (j + 1) * n))
+    reduced, pivots = mat(spanning, order).rref()
+    d = len(pivots)
+    complement = [c for c in range(big) if c not in pivots]
+    if not complement:
+        raise ValueError("rank 0")
+    columns = [reduced.row(i) for i in range(d)] + [identity.row(c) for c in complement]
+    basis = mat(columns, order).transpose()
+    inverse = basis.inverse()
+    quotients = []
+    for b in generators:
+        moved = inverse * b * basis
+        assert all(moved[i, j].is_zero() for i in range(d, big) for j in range(d))
+        quotients.append(mat([[moved[i, j] for j in range(d, big)] for i in range(d, big)], order))
+    return make_tuple(order, t.punctures, quotients)
 
 
 class TestRankOne:
@@ -172,6 +220,43 @@ class TestMiddleConvolution:
             assert back.rank == t.rank
             for point in ("0", "1", "inf"):
                 assert back.jordan_at(point) == t.jordan_at(point)
+
+
+class TestReferenceMiddleConvolution:
+    """middle_convolution against the definition, byte for byte in the
+    canonical JSON, and on the rank-0 collapses."""
+
+    @staticmethod
+    def canonical(function, t, lam):
+        try:
+            out = function(t, lam)
+        except ValueError:
+            return None
+        return serialization.canonical_dumps(serialization.tuple_to_json(out))
+
+    def calls(self, rng):
+        for i in range(7):
+            for lam in (1, -1, CycNumber.zeta(3), CycNumber.zeta(4)):
+                yield build_F(i), lam
+        for order in (3, 4, 5, 6, 8, 12):
+            tuples = [seeded_hypergeometric(rng, order) for _ in range(3)]
+            tuples.append(hypergeometric_tuple([CycNumber.zeta(order)], [1], order))
+            for t in tuples:
+                for k in range(order):
+                    yield t, CycNumber.zeta(order, k)
+        trivial = make_tuple(1, ["0", "1"], [mat([[1]]), mat([[1]])])
+        for t in (direct_sum(build_F(1), build_F(0)), direct_sum(build_F(1), trivial)):
+            for lam in (1, -1):
+                yield t, lam
+
+    def test_matches_definition(self, rng):
+        outcomes = []
+        for t, lam in self.calls(rng):
+            expected = self.canonical(reference_middle_convolution, t, lam)
+            assert self.canonical(middle_convolution, t, lam) == expected, (t, lam)
+            outcomes.append(expected)
+        assert len(outcomes) == 184
+        assert None in outcomes
 
 
 class TestBuildF:

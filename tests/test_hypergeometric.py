@@ -74,6 +74,16 @@ class TestHypergeometricTuple:
     def test_not_root_of_unity(self):
         with pytest.raises(NotRootOfUnity):
             hypergeometric_tuple([2], [-1], 2)
+        with pytest.raises(NotRootOfUnity):
+            hypergeometric_tuple([2], [1], 1)
+
+    def test_order_covers_each_parameter(self):
+        # -1 and -zeta3 have orders 2 and 6, twice their field orders
+        assert hypergeometric_tuple([-1], [1], 1) == hypergeometric_tuple([-1], [1], 2)
+        minus_zeta3 = -CycNumber.zeta(3)
+        t = hypergeometric_tuple([minus_zeta3], [1], 3)
+        assert t.order == 6
+        assert t == hypergeometric_tuple([minus_zeta3], [1], 6)
 
 
 class TestMultiplicityFunction:

@@ -175,6 +175,13 @@ class TestPolynomialGrammar:
             with pytest.raises(SchemaError):
                 ser.parse_integer_polynomial(bad)
 
+    def test_degree_cap(self):
+        top = ser.MAX_DEGREE
+        assert len(ser.parse_integer_polynomial(f"X^{top}+1")) == top + 1
+        for bad in (f"X^{top + 1}+1", f"1+X^{top}-X^{top + 1}"):
+            with pytest.raises(SchemaError, match="above the supported maximum"):
+                ser.parse_integer_polynomial(bad)
+
 
 class TestMultiplicityJson:
     def test_round_trip(self):
@@ -192,6 +199,14 @@ class TestMultiplicityJson:
             ser.multiplicity_from_json({"N": 6, "m": [{"zeta": "zeta3", "mult": 0}]})
         with pytest.raises(SchemaError):
             ser.multiplicity_from_json({"N": 6})
+
+    def test_total_multiplicity_cap(self):
+        top = ser.MAX_MULTIPLICITY
+        split = {"N": 3, "m": [{"zeta": "zeta3", "mult": top - 1}, {"zeta": "zeta3^2", "mult": 1}]}
+        assert ser.multiplicity_from_json(split)[0].rank == top
+        split["m"][1]["mult"] = 2
+        with pytest.raises(SchemaError, match="above the supported maximum"):
+            ser.multiplicity_from_json(split)
 
 
 def _set(document, path, value):
