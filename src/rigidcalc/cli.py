@@ -196,7 +196,13 @@ def _cmd_table1(args):
 
 
 def _roots(text: str) -> list:
-    return [ser.parse_root_of_unity(s) for s in text.split(",") if s.strip()]
+    # The list length is the rank, so it has the bound of the --multiplicity form.
+    items = [s for s in text.split(",") if s.strip()]
+    if len(items) > ser.MAX_MULTIPLICITY:
+        raise SchemaError(
+            f"{len(items)} parameters are above the supported maximum {ser.MAX_MULTIPLICITY}"
+        )
+    return [ser.parse_root_of_unity(s) for s in items]
 
 
 def _cmd_hypergeom(args):

@@ -196,6 +196,68 @@ def _reduce_raw(raw, n: int) -> list[int]:
     return out
 
 
+def _convolve_into(raw: list, xs, ys, scale: int = 1) -> None:
+    # raw[k] += scale * sum_{i+j=k} xs[i] * ys[j]: the one integer product
+    # of the package, used by dot and by the extended Euclid of inverse.
+    # Zeros of xs and trailing zeros of ys are skipped, so a product with a
+    # rational factor costs len(xs) or len(ys) steps, not their product.
+    m = len(ys)
+    while m > 1 and not ys[m - 1]:
+        m -= 1
+    ys = ys[:m]
+    i = 0
+    for a in xs:
+        if a:
+            a *= scale
+            k = i
+            for b in ys:
+                raw[k] += a * b
+                k += 1
+        i += 1
+
+
+def dot(xs, ys, order: int) -> "CycNumber":
+    """sum x * y over the pairs of CycNumbers xs, ys, all at ``order``.
+
+    One normalization per result: pairs with a zero factor are skipped, the
+    other numerator convolutions are added over a running common
+    denominator (the lcm of the products' denominators), and the sum is
+    folded mod Phi_order by one _reduce_raw and reduced once by CycNumber.
+    The operands must already be at ``order``; nothing is lifted here.
+    """
+    phi = euler_phi(order)
+    den = 1
+    if phi == 1:
+        num = 0
+        for x, y in zip(xs, ys):
+            a, b = x.nums[0], y.nums[0]
+            if a and b:
+                d = x.den * y.den
+                if d == den:
+                    num += a * b
+                else:
+                    g = math.gcd(den, d)
+                    num = num * (d // g) + a * b * (den // g)
+                    den = den // g * d
+        return CycNumber(order, (num,), den)
+    raw = [0] * (2 * phi - 1)
+    for x, y in zip(xs, ys):
+        xn, yn = x.nums, y.nums
+        if not (any(xn) and any(yn)):
+            continue
+        d = x.den * y.den
+        scale = 1
+        if d != den:
+            g = math.gcd(den, d)
+            if d != g:
+                up = d // g
+                raw = [c * up for c in raw]
+            scale = den // g
+            den = den // g * d
+        _convolve_into(raw, xn, yn, scale)
+    return CycNumber(order, _reduce_raw(raw, order), den)
+
+
 class CycNumber:
     """An element of Q(zeta_N) in the reduced power basis mod Phi_N.
 
@@ -356,7 +418,7 @@ class CycNumber:
                 p = self.nums[0]
                 return CycNumber(other.order, tuple(c * p for c in other.nums), self.den * other.den)
             a, b, n = self._common(other)
-            return CycNumber(n, _reduce_raw(poly.mul(a.nums, b.nums), n), a.den * b.den)
+            return dot((a,), (b,), n)
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             return CycNumber(self.order, tuple(c * p for c in self.nums), self.den * other.denominator)
@@ -405,7 +467,9 @@ class CycNumber:
         r1, s1 = poly.trim(self.nums), [1]
         while len(r1) > 1:
             scale, q, r = poly.pseudo_divmod(r0, r1)
-            s = poly.sub([scale * t for t in s0], poly.mul(q, s1))
+            qs1 = [0] * (len(q) + len(s1) - 1)
+            _convolve_into(qs1, q, s1)
+            s = poly.sub([scale * t for t in s0], qs1)
             g = math.gcd(*r, *s)
             r0, s0, r1, s1 = r1, s1, [t // g for t in r], [t // g for t in s]
         return CycNumber(n, _reduce_raw([self.den * t for t in s1], n), r1[0])

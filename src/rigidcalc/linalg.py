@@ -4,14 +4,16 @@ Matrices are immutable, row-major, and keep every entry at one common
 cyclotomic order.  Rank and kernel go through fraction-free (Bareiss-style)
 forward elimination with exact division, followed by a single normalization
 pass to reduced row echelon form; pivots are always the first nonzero entry
-scanning rows top to bottom, so results are deterministic.
+scanning rows top to bottom, so results are deterministic.  Every product
+entry and every elimination update is one call of the dot-product kernel
+``cyclotomic.dot``, so each computed entry is normalized once.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, dot
 from .errors import DimensionMismatch, SingularMatrix
 
 Entry = CycNumber | int | Fraction
@@ -29,18 +31,34 @@ class ExactMatrix:
     def __init__(self, rows: int, cols: int, entries, order: int | None = None):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
-        common = order if order is not None else 1
-        values = [CycNumber.coerce(e, common) for e in entries]
+        values = tuple(entries)
+        if order is not None:
+            common = order
+        elif values and values[0].__class__ is CycNumber:
+            common = values[0].order
+        else:
+            common = 1
+        # Entries already CycNumbers at the common order are kept as they
+        # are; only when some entry is not is the common order widened to
+        # every entry's order and the rest coerced and lifted.
+        for e in values:
+            if e.__class__ is not CycNumber or e.order != common:
+                for v in values:
+                    if isinstance(v, CycNumber) and common % v.order:
+                        common = math.lcm(common, v.order)
+                values = tuple(
+                    [v if v.__class__ is CycNumber and v.order == common
+                     else CycNumber.coerce(v, common) for v in values]
+                )
+                break
         if len(values) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(values)}"
             )
-        for v in values:
-            common = math.lcm(common, v.order)
         self.rows = rows
         self.cols = cols
         self.order = common
-        self.entries = tuple(v.lift(common) for v in values)
+        self.entries = values
         self._sequences = None
 
     # -- constructors -----------------------------------------------------
@@ -56,11 +74,12 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, order: int = 1) -> "ExactMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)], order=order)
+        one, zero = CycNumber.one(order), CycNumber.zero(order)
+        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)], order=order)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, order: int = 1) -> "ExactMatrix":
-        return cls(rows, cols, [0] * (rows * cols), order=order)
+        return cls(rows, cols, [CycNumber.zero(order)] * (rows * cols), order=order)
 
     @classmethod
     def diagonal(cls, values, order: int | None = None) -> "ExactMatrix":
@@ -172,18 +191,10 @@ class ExactMatrix:
         if a.order != b.order:
             n = math.lcm(a.order, b.order)
             a, b = a.lift(n), b.lift(n)
-        zero = CycNumber.zero(a.order)
-        out = []
+        n = a.order
         b_cols = [b.column(j) for j in range(b.cols)]
-        for i in range(a.rows):
-            arow = a.row(i)
-            for bc in b_cols:
-                acc = zero
-                for x, y in zip(arow, bc):
-                    if not (x.is_zero() or y.is_zero()):
-                        acc = acc + x * y
-                out.append(acc)
-        return ExactMatrix(a.rows, b.cols, out, order=a.order)
+        out = [dot(a.row(i), bc, n) for i in range(a.rows) for bc in b_cols]
+        return ExactMatrix(a.rows, b.cols, out, order=n)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
@@ -208,17 +219,13 @@ class ExactMatrix:
         return result
 
     def mul_vector(self, vector) -> tuple[CycNumber, ...]:
-        vec = [CycNumber.coerce(v) for v in vector]
+        vec = [CycNumber.coerce(v, self.order) for v in vector]
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = CycNumber.zero(self.order)
-            for x, y in zip(self.row(i), vec):
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            out.append(acc)
-        return tuple(out)
+        n = math.lcm(self.order, *(v.order for v in vec))
+        m = self.lift(n)
+        vec = [v.lift(n) for v in vec]
+        return tuple(dot(m.row(i), vec, n) for i in range(self.rows))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -262,7 +269,10 @@ class ExactMatrix:
         # sign) a minor of the input, which keeps coefficient growth
         # polynomial.  The division by the previous pivot is exact, so its
         # inverse is taken once per pivot; before the first pivot it is the
-        # plain int 1.
+        # plain int 1.  The update (p * x - f * y) / prev of a cell is the
+        # dot product of (u, v) = (p / prev, -f / prev) with (x, y): the same
+        # value, built with one normalization.
+        n = self.order
         data = self.to_lists()
         prev = prev_inv = 1
         pivots: list[int] = []
@@ -278,16 +288,19 @@ class ExactMatrix:
             p = data[r][c]
             top = data[r]
             zero = p * 0
+            u = p * prev_inv
+            neg_inv = -prev_inv
             for i in range(r + 1, self.rows):
                 row_i = data[i]
                 f = row_i[c]
                 if f:
+                    uv = (u, f * neg_inv)
                     for j in range(c + 1, self.cols):
-                        row_i[j] = (p * row_i[j] - f * top[j]) * prev_inv
+                        row_i[j] = dot(uv, (row_i[j], top[j]), n)
                 elif p != prev:
                     for j in range(c + 1, self.cols):
                         if row_i[j]:
-                            row_i[j] = p * row_i[j] * prev_inv
+                            row_i[j] = row_i[j] * u
                 row_i[c] = zero
             pivots.append(c)
             r += 1
@@ -299,14 +312,17 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form and its pivot columns."""
         data, pivots, _ = self._forward_eliminate()
+        n = self.order
+        one = CycNumber.one(n)
         for r in range(len(pivots) - 1, -1, -1):
             c = pivots[r]
             inv = data[r][c].inverse()
-            data[r] = [e * inv for e in data[r]]
+            top = data[r] = [e * inv if e else e for e in data[r]]
             for i in range(r):
                 f = data[i][c]
                 if f:
-                    data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+                    coeffs = (one, -f)
+                    data[i] = [dot(coeffs, (a, b), n) if b else a for a, b in zip(data[i], top)]
         flat = [e for row in data for e in row]
         return ExactMatrix(self.rows, self.cols, flat, order=self.order), pivots
 

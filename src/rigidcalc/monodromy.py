@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNumber, residue_prime
+from .cyclotomic import CycNumber, dot, residue_prime
 from .errors import (
     DimensionMismatch,
     DuplicatePuncture,
@@ -412,11 +412,16 @@ class _SpanBasis:
         self.pivots: list[int] = []
 
     def insert(self, word: ExactMatrix) -> bool:
+        # Every word of one closure is at the same order, so each update
+        # a - f * b is one dot product of (1, -f) with (a, b).
+        n = word.order
+        one = CycNumber.one(n)
         v = list(word.entries)
         for pivot, row in zip(self.pivots, self.rows):
-            if not v[pivot].is_zero():
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
+            f = v[pivot]
+            if f:
+                coeffs = (one, -f)
+                v = [dot(coeffs, (a, b), n) if b else a for a, b in zip(v, row)]
         lead = next((i for i, a in enumerate(v) if not a.is_zero()), None)
         if lead is None:
             return False

@@ -7,6 +7,7 @@ byte-identical.  Parsers raise SchemaError on malformed documents.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -108,7 +109,7 @@ def cyc_from_json(document) -> CycNumber:
     coeffs = document["coeffs"]
     _require(_is_integer(order) and order >= 1, f"bad cyclotomic order {order!r}")
     _require(isinstance(coeffs, list) and coeffs, "coeffs must be a nonempty list")
-    parsed = []
+    pairs = []
     for pair in coeffs:
         _require(
             isinstance(pair, list) and len(pair) == 2,
@@ -116,9 +117,12 @@ def cyc_from_json(document) -> CycNumber:
         )
         num, den = _json_int(pair[0], pair), _json_int(pair[1], pair)
         _require(den > 0, f"denominator must be positive in {pair!r}")
-        parsed.append(Fraction(num, den))
+        pairs.append((num, den))
+    # Integer numerators over the lcm of the denominators; CycNumber reduces
+    # the whole vector once, so unreduced pairs like ["2","4"] parse too.
+    common = math.lcm(*(den for _, den in pairs))
     try:
-        return CycNumber(order, parsed)
+        return CycNumber(order, [num * (common // den) for num, den in pairs], common)
     except (RigidCalcError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 
