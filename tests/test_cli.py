@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rigidcalc import build_F, serialization as ser
+from rigidcalc import ExactMatrix, build_F, serialization as ser
 from rigidcalc.cli import main
 
 
@@ -311,6 +311,25 @@ class TestInputHandling:
         assert time.process_time() - start < 1
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "above the supported maximum" in err
+
+    def test_hypergeom_list_length_capped_at_max_multiplicity(self, capsys, monkeypatch):
+        # The list length is the rank: MAX_MULTIPLICITY bounds it as it
+        # bounds the rank of the --multiplicity form.
+        top = ser.MAX_MULTIPLICITY
+        code, out, err = run(capsys, "hypergeom", "--a", ",".join(["1"] * top),
+                             "--b", ",".join(["zeta3"] * top))
+        assert code == 0 and err == ""
+        assert ser.tuple_from_json(json.loads(out)).rank == top
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(ExactMatrix, "__init__", no_matrix)
+        for a, b in ((top + 1, top + 1), (top + 1, top), (top, top + 1)):
+            code, out, err = run(capsys, "hypergeom", "--a", ",".join(["1"] * a),
+                                 "--b", ",".join(["zeta3"] * b))
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert err.startswith("error:") and "above the supported maximum" in err
 
     def test_zero_denominator_point_exits_two(self, capsys, f6_path):
         code, out, err = run(capsys, "jordan", f6_path, "--point", "1/0")

@@ -6,10 +6,10 @@ import mpmath
 import pytest
 
 from rigidcalc import CycNumber, cyclotomic_polynomial, euler_phi
-from rigidcalc.cyclotomic import _is_prime, residue_prime
+from rigidcalc.cyclotomic import _is_prime, dot, residue_prime
 from rigidcalc.errors import InvalidOrder, NotAnEmbedding
 
-from helpers import random_cyc
+from helpers import random_cyc, random_rational
 
 ORDERS = [1, 2, 3, 4, 6, 12]
 
@@ -180,6 +180,43 @@ class TestFieldAxioms:
             for _ in range(100):
                 a, b, c = (random_cyc(rng, order) for _ in range(3))
                 assert (a * b) * c == a * (b * c)
+
+
+def schoolbook_dot(xs, ys, order):
+    # Products of the Fraction coefficients, reduced once by from_raw.
+    raw = [Fraction(0)] * (2 * euler_phi(order) - 1)
+    for x, y in zip(xs, ys):
+        for i, a in enumerate(x.coeffs):
+            for j, b in enumerate(y.coeffs):
+                raw[i + j] += a * b
+    return CycNumber.from_raw(raw, order)
+
+
+class TestDot:
+    @pytest.mark.parametrize("order", [1, 2, 5, 7, 8, 12])
+    def test_matches_schoolbook_sum(self, rng, order):
+        # zeros, rationals and general values, over unequal denominators
+        def operand():
+            kind = rng.randrange(3)
+            if kind == 0:
+                return CycNumber.zero(order)
+            if kind == 1:
+                return CycNumber.from_rational(random_rational(rng, 9), order)
+            return random_cyc(rng, order, span=9)
+
+        for _ in range(150):
+            k = rng.randint(0, 5)
+            xs = [operand() for _ in range(k)]
+            ys = [operand() for _ in range(k)]
+            value = dot(xs, ys, order)
+            assert value.order == order
+            assert value == schoolbook_dot(xs, ys, order)
+
+    def test_general_product_is_a_one_pair_dot(self, rng):
+        for order in (5, 12):
+            for _ in range(50):
+                x, y = random_cyc(rng, order), random_cyc(rng, order)
+                assert x * y == dot((x,), (y,), order) == schoolbook_dot((x,), (y,), order)
 
 
 class TestOrderMixing:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rigidcalc import (
@@ -153,3 +155,14 @@ class TestRandomCorpus:
             assert is_absolutely_irreducible(t)
             assert rigidity_index(t) == 2
             assert pseudo_reflection_rank(t) <= 1
+
+    def test_shared_parameter_reducible(self, rng):
+        # Beukers-Heckman, Invent. Math. 95 (1989), Prop. 3.3: the group is
+        # irreducible iff a_i != b_j for all i, j.  Only the exact Burnside
+        # closure can answer False, so every case here runs it.
+        for order, n, _ in itertools.product(range(3, 13), (2, 3, 4), range(3)):
+            a_params = [CycNumber.zeta(order, rng.randrange(order)) for _ in range(n)]
+            b_params = [CycNumber.zeta(order, rng.randrange(order)) for _ in range(n)]
+            b_params[rng.randrange(n)] = a_params[rng.randrange(n)]
+            t = hypergeometric_tuple(a_params, b_params, order)
+            assert not is_absolutely_irreducible(t), (order, a_params, b_params)

@@ -175,3 +175,28 @@ class TestStructure:
         m = mat([[CycNumber.zeta(3), CycNumber.zeta(4)]])
         assert m.order == 12
         assert all(e.order == 12 for e in m.entries)
+
+    def test_entries_at_the_order_are_not_coerced(self, monkeypatch, rng):
+        calls = []
+        coerce = CycNumber.coerce
+
+        def counting(value, order=1):
+            calls.append(value)
+            return coerce(value, order)
+
+        monkeypatch.setattr(CycNumber, "coerce", staticmethod(counting))
+        entries = [random_cyc(rng, 12) for _ in range(9)]
+        a = ExactMatrix(3, 3, entries, order=12)
+        b = ExactMatrix(3, 3, entries)
+        assert a == b and a.order == b.order == 12
+        assert a.entries == tuple(entries)
+        a * b
+        assert calls == []
+        # mixed ints, Fractions and lower orders still lift to the lcm
+        half, z3, z4 = Fraction(1, 2), CycNumber.zeta(3), CycNumber.zeta(4)
+        for order in (None, 3, 6):
+            m = ExactMatrix(2, 2, [1, half, z3, z4], order=order)
+            assert m.order == 12 and all(e.order == 12 for e in m.entries)
+            assert list(m.entries) == [1, half, z3, z4]
+            assert m.entries[2].nums == CycNumber.zeta(12, 4).nums
+        assert calls

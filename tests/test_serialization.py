@@ -41,6 +41,19 @@ class TestCycJson:
                 ser.cyc_from_json({"N": 1, "coeffs": [pair]})
         assert ser.cyc_from_json({"N": 1, "coeffs": [[-1, "2"]]}) == Fraction(-1, 2)
 
+    def test_unreduced_pairs_parse_to_reduced_forms(self):
+        assert ser.cyc_from_json({"N": 1, "coeffs": [["2", "4"]]}) == Fraction(1, 2)
+        assert ser.cyc_from_json({"N": 1, "coeffs": [["-3", "6"]]}) == Fraction(-1, 2)
+        unreduced = {"N": 4, "coeffs": [["2", "4"], ["-3", "6"]]}
+        reduced = {"N": 4, "coeffs": [["1", "2"], ["-1", "2"]]}
+        x = ser.cyc_from_json(unreduced)
+        assert x == ser.cyc_from_json(reduced) == CycNumber(4, [Fraction(1, 2), Fraction(-1, 2)])
+        assert ser.cyc_to_json(x) == reduced
+        # over unequal denominators, and a zero with any positive denominator
+        y = ser.cyc_from_json({"N": 3, "coeffs": [["4", "6"], ["0", "9"]]})
+        assert (y.nums, y.den) == ((2, 0), 3)
+        assert ser.cyc_to_json(y) == {"N": 3, "coeffs": [["2", "3"], ["0", "1"]]}
+
     def test_order_above_cap(self):
         coeffs = [["1", "1"]] + [["0", "1"]] * 719  # phi(1001) = 720
         with pytest.raises(SchemaError):
