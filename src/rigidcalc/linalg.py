@@ -16,8 +16,6 @@ from fractions import Fraction
 from .cyclotomic import CycNumber, dot
 from .errors import DimensionMismatch, SingularMatrix
 
-Entry = CycNumber | int | Fraction
-
 
 class ExactMatrix:
     """A dense matrix over Q(zeta_N).
@@ -94,16 +92,18 @@ class ExactMatrix:
 
         Ones on the subdiagonal, negated coefficients in the last column.
         """
-        coeffs = list(monic_coeffs)
-        if not coeffs or CycNumber.coerce(coeffs[-1]) != 1:
+        coeffs = [CycNumber.coerce(c) for c in monic_coeffs]
+        if not coeffs or coeffs[-1] != 1:
             raise ValueError("companion matrix needs a monic polynomial")
+        common = math.lcm(order or 1, *(c.order for c in coeffs))
         n = len(coeffs) - 1
-        entries: list[Entry] = [0] * (n * n)
+        one, zero = CycNumber.one(common), CycNumber.zero(common)
+        entries = [zero] * (n * n)
         for i in range(1, n):
-            entries[i * n + (i - 1)] = 1
+            entries[i * n + (i - 1)] = one
         for i in range(n):
-            entries[i * n + (n - 1)] = -CycNumber.coerce(coeffs[i])
-        return cls(n, n, entries, order=order)
+            entries[i * n + (n - 1)] = -coeffs[i].lift(common)
+        return cls(n, n, entries, order=common)
 
     @classmethod
     def from_blocks(cls, grid) -> "ExactMatrix":
@@ -219,7 +219,8 @@ class ExactMatrix:
         return result
 
     def mul_vector(self, vector) -> tuple[CycNumber, ...]:
-        vec = [CycNumber.coerce(v, self.order) for v in vector]
+        vec = [v if v.__class__ is CycNumber and v.order == self.order
+               else CycNumber.coerce(v, self.order) for v in vector]
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         n = math.lcm(self.order, *(v.order for v in vec))
@@ -357,9 +358,9 @@ class ExactMatrix:
         if not self.is_square:
             raise DimensionMismatch("inverse requires a square matrix")
         n = self.rows
-        aug_rows = []
-        for i in range(n):
-            aug_rows.append(list(self.row(i)) + [1 if i == j else 0 for j in range(n)])
+        one, zero = CycNumber.one(self.order), CycNumber.zero(self.order)
+        aug_rows = [list(self.row(i)) + [one if i == j else zero for j in range(n)]
+                    for i in range(n)]
         reduced, pivots = ExactMatrix.from_rows(aug_rows, order=self.order).rref()
         if tuple(pivots) != tuple(range(n)):
             raise SingularMatrix("matrix is singular")

@@ -7,11 +7,13 @@ punctures is the identity.
 
 The module also provides the conjugation-invariant local data: Jordan types
 of quasi-unipotent matrices, centralizer dimensions, the rigidity index
-(2 - r')n^2 + sum of centralizer dimensions, absolute irreducibility via the
-Burnside span criterion, and the somewhere-maximal regularity certificate.
+(2 - r')n^2 + sum of centralizer dimensions, absolute irreducibility via
+Norton's test mod p and the Burnside span criterion, and the somewhere-maximal
+regularity certificate.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -187,7 +189,7 @@ class MonodromyTuple:
         p, _ = residue_prime(common)
         for point, m in zip(punctures, matrices):
             residues = _residue_rows(m)
-            if residues is not None and _full_rank_mod_p(residues, p):
+            if residues is not None and _rank_mod_p(residues, p) == n:
                 continue
             if m.rank() != n:
                 raise SingularMatrix(f"monodromy at {point} is singular")
@@ -260,17 +262,52 @@ def _residue_rows(matrix: ExactMatrix) -> list[list[int]] | None:
     return None if any(None in row for row in rows) else rows
 
 
-def _full_rank_mod_p(rows: list[list[int]], p: int) -> bool:
-    """True when the square matrix of residues ``rows`` is invertible mod p.
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of the matrix of residues ``rows``.
 
-    That proves the exact matrix invertible over K: the residue map of the
-    prime (p, zeta - r) is a ring homomorphism on Z_(p)[zeta], so the
-    residue of the exact determinant is the determinant of the residues,
-    and a determinant that is nonzero mod the prime is nonzero.  False says
-    nothing over K.
+    It is a lower bound for the rank over K of the exact matrix: the residue
+    map of the prime (p, zeta - r) is a ring homomorphism on Z_(p)[zeta], so
+    each minor of the residues is the residue of the exact minor, and a
+    minor that is nonzero mod the prime is nonzero.  In particular full rank
+    mod p proves the exact matrix invertible; a short rank says nothing.
     """
     basis = _ModularSpanBasis(p)
-    return all(basis.insert(row) for row in rows)
+    return sum(basis.insert(row) for row in rows)
+
+
+def _mul_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(map(operator.mul, row, column)) % p for column in columns] for row in a]
+
+
+def _shift_mod_p(rows: list[list[int]], z: int, p: int) -> list[list[int]]:
+    # M - zI mod p
+    return [[(a - z) % p if i == j else a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _charpoly_mod_p(rows: list[list[int]], p: int) -> list[int]:
+    # det(xI - M) mod p, leading coefficient first, by Faddeev-LeVerrier:
+    # with M_k = M M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(M M_k) / k, and
+    # k <= n < p is invertible mod p.
+    n = len(rows)
+    coeffs = [1]
+    product = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        product = _mul_mod_p(rows, _shift_mod_p(product, -coeffs[-1], p), p)
+        coeffs.append(-sum(product[i][i] for i in range(n)) * pow(k, -1, p) % p)
+    return coeffs
+
+
+def _left_kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
+    # A basis of {w : w^T M = 0 mod p} for M = rows: the identity halves of
+    # the echelon rows of [M | I] whose pivot lies in that half.  Rows with
+    # distinct leading positions are independent, so the M halves of the
+    # other rows span the row space of M and these are n - rank(M) many.
+    width = len(rows[0])
+    basis = _ModularSpanBasis(p)
+    for i, row in enumerate(rows):
+        basis.insert(row + [int(i == k) for k in range(len(rows))])
+    return [row[width:] for row, pivot in zip(basis.rows, basis.pivots) if pivot >= width]
 
 
 def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
@@ -278,12 +315,14 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     zeta = zeta_order^t is an eigenvalue, with r_j = rank((matrix - zeta I)^j)
     and r_k the stable rank: the first repeat, or 0.
 
-    Each candidate is screened first: with big = lcm(matrix.order, order)
+    Each exact rank is screened first: with big = lcm(matrix.order, order)
     and (p, r) = residue_prime(big), matrix - zeta I reduces to the residues
-    of matrix minus r^(t big / order) on the diagonal.  Full rank there
-    proves full rank over K (see _full_rank_mod_p), so zeta is skipped as
-    no eigenvalue.  When p divides a denominator of the matrix, or the rank
-    mod p is short, the exact ranks decide.
+    of matrix minus r^(t big / order) on the diagonal, and its j-th power to
+    the j-th power of those residues.  Since rank mod p <= r_j <= r_(j-1)
+    (see _rank_mod_p), a residue power of rank r_(j-1) proves r_j = r_(j-1),
+    the stable rank, with no exact elimination; at j = 1 (r_0 = n) this
+    skips zeta as no eigenvalue.  When p divides a denominator of the
+    matrix, or the rank mod p is short, the exact rank decides.
 
     The sequences are kept on the matrix, per order, so the Jordan type, the
     centralizer and Katz's eigenvalue choice of one matrix share one
@@ -302,23 +341,28 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     sequences = {}
     for t in range(order):
         exponent = t * (big // order)
+        ranks = [n]
+        shifted_rows = shifted = None
         if residues is not None:
-            shifted_rows = [row[:] for row in residues]
-            z = pow(r, exponent, p)
-            for i in range(n):
-                shifted_rows[i][i] = (shifted_rows[i][i] - z) % p
-            if _full_rank_mod_p(shifted_rows, p):
-                continue
-        entries = list(matrix.entries)
-        zeta = CycNumber.zeta(big, exponent)
-        for i in range(n):
-            entries[i * n + i] = entries[i * n + i] - zeta
-        shifted = ExactMatrix(n, n, entries, order=big)
-        ranks = [n, shifted.rank()]
-        power = shifted
-        while 0 < ranks[-1] < ranks[-2]:
-            power = power * shifted
+            shifted_rows = _shift_mod_p(residues, pow(r, exponent, p), p)
+        while True:
+            if shifted_rows is not None:
+                power_rows = (shifted_rows if shifted is None
+                              else _mul_mod_p(power_rows, shifted_rows, p))
+                if _rank_mod_p(power_rows, p) == ranks[-1]:
+                    ranks.append(ranks[-1])
+                    break
+            if shifted is None:
+                entries = list(matrix.entries)
+                zeta = CycNumber.zeta(big, exponent)
+                for i in range(n):
+                    entries[i * n + i] = entries[i * n + i] - zeta
+                power = shifted = ExactMatrix(n, n, entries, order=big)
+            else:
+                power = power * shifted
             ranks.append(power.rank())
+            if not 0 < ranks[-1] < ranks[-2]:
+                break
         if ranks[1] < n:
             sequences[t] = ranks
     memo[order] = sequences
@@ -436,7 +480,8 @@ class _SpanBasis:
 
 
 class _ModularSpanBasis:
-    # The same echelon basis over F_p, on flattened matrices of plain ints.
+    # The same echelon basis over F_p, on vectors of plain ints: flattened
+    # matrices, matrix rows, spun vectors.
 
     def __init__(self, p: int):
         self.p = p
@@ -462,13 +507,14 @@ class _ModularSpanBasis:
         return len(self.rows)
 
 
-def _spans_all_matrices(n: int, identity, generators, multiply, basis) -> bool:
-    # Close the span of the words under left multiplication by the
-    # generators, starting from the identity.  The dimension strictly
-    # increases each productive round, so at most n^2 rounds are needed.
-    target = n * n
-    basis.insert(identity)
-    frontier = [identity]
+def _spans_all_matrices(target: int, start, generators, multiply, basis) -> bool:
+    # Close the span of ``start`` under left multiplication by the
+    # generators: words times the identity span the matrix algebra (target
+    # n^2), words times a vector its spin (target n).  The dimension
+    # strictly increases each productive round, so at most target rounds
+    # are needed.
+    basis.insert(start)
+    frontier = [start]
     rounds = 0
     while frontier and len(basis) < target and rounds <= target:
         new_frontier = []
@@ -484,6 +530,18 @@ def _spans_all_matrices(n: int, identity, generators, multiply, basis) -> bool:
     return len(basis) == target
 
 
+def _residue_generators(t: MonodromyTuple) -> list[list[list[int]]] | None:
+    # The residue rows of every generator, or None when p divides a
+    # denominator of some entry (the reduction is undefined).
+    generators = []
+    for m in t.matrices:
+        rows = _residue_rows(m)
+        if rows is None:
+            return None
+        generators.append(rows)
+    return generators
+
+
 def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     """The Burnside closure on the generators reduced mod p, over F_p.
 
@@ -493,41 +551,112 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     """
     n = t.rank
     p, _ = residue_prime(t.order)
-    generators = []
-    for m in t.matrices:
-        rows = _residue_rows(m)
-        if rows is None:
-            return False
-        generators.append(rows)
+    generators = _residue_generators(t)
+    if generators is None:
+        return False
 
     def multiply(rows, word):  # generator as rows, word and product flattened
         columns = [word[j::n] for j in range(n)]
         return [sum(map(operator.mul, row, column)) % p for row in rows for column in columns]
 
     identity = [int(i == j) for i in range(n) for j in range(n)]
-    return _spans_all_matrices(n, identity, generators, multiply, _ModularSpanBasis(p))
+    return _spans_all_matrices(n * n, identity, generators, multiply, _ModularSpanBasis(p))
+
+
+def _norton_mod_p(t: MonodromyTuple) -> bool | None:
+    """Norton's irreducibility test on the generators reduced mod p.
+
+    (p, r) = residue_prime(t.order).  theta runs over A_k - zI and P - zI,
+    P = A_1 ... A_r mod p, for z over the residues +-r^e of mu_lcm(2, N) in
+    turn, and the first theta of nullity exactly 1 mod p is taken, with
+    ker theta = F_p v and ker theta^T = F_p w.  Every theta lies in the
+    algebra A generated by the reduced generators.  True when v spins to
+    F_p^n under A and w under A^T; False when a spin is short, which proves
+    the reduction reducible; None when p divides a denominator or no theta
+    has nullity 1.  See is_absolutely_irreducible for what True proves.
+
+    The first n values of z are tried by elimination; after them each
+    matrix's characteristic polynomial screens out the z where det(theta)
+    is nonzero, so a large conductor costs O(N n) per matrix, not O(N n^3).
+    """
+    n = t.rank
+    p, r = residue_prime(t.order)
+    generators = _residue_generators(t)
+    if generators is None:
+        return None
+    product = generators[0]
+    for rows in generators[1:]:
+        product = _mul_mod_p(product, rows, p)
+    matrices = generators + [product]
+
+    def shifts():  # -1 is a power of r when N is even
+        power = 1
+        for _ in range(t.order):
+            yield power
+            if t.order % 2:
+                yield p - power
+            power = power * r % p
+
+    def apply(rows, vector):
+        return [sum(map(operator.mul, row, vector)) % p for row in rows]
+
+    charpolys = None
+    for count, z in enumerate(shifts()):
+        if count == n:
+            charpolys = [_charpoly_mod_p(rows, p) for rows in matrices]
+        for k, rows in enumerate(matrices):
+            if charpolys and functools.reduce(lambda acc, c: (acc * z + c) % p, charpolys[k]):
+                continue  # det(theta) = charpoly(z) is nonzero
+            theta = _shift_mod_p(rows, z, p)
+            cokernel = _left_kernel_mod_p(theta, p)  # ker theta^T
+            if len(cokernel) != 1:
+                continue
+            (v,) = _left_kernel_mod_p([list(column) for column in zip(*theta)], p)
+            (w,) = cokernel
+            transposed = [[list(column) for column in zip(*g)] for g in generators]
+            return _spans_all_matrices(
+                n, v, generators, apply, _ModularSpanBasis(p)
+            ) and _spans_all_matrices(n, w, transposed, apply, _ModularSpanBasis(p))
+    return None
 
 
 def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
     """Burnside criterion: the generated matrix algebra spans all of n x n.
 
-    The span of words in the generators is closed under left multiplication
-    starting from the identity.  The closure runs first over F_p, with (p, r)
-    from residue_prime(t.order), and a full span there returns True.  That is
-    sound: reduction zeta -> r mod p is a ring homomorphism from Z_(p)[zeta]
-    to F_p, so the words reduced mod p are the reductions of the exact words.
-    If n^2 of them are independent mod p, the n^2 x n^2 determinant of the
-    corresponding exact words lies in Z_(p)[zeta] and is nonzero mod the
-    prime (p, zeta - r), hence nonzero, and those words span M_n(K).
+    Three stages, over (p, r) = residue_prime(t.order); only the last can
+    return False.
 
-    Otherwise (p divides a denominator, or the span mod p is short, which
-    can also happen for an irreducible tuple) the closure runs again over
-    K = Q(zeta_N), and only that exact closure returns False.
+    1. Norton's test mod p (_norton_mod_p; Parker, "The computer
+       calculation of modular characters (the MeatAxe)", 1984, in the form
+       Holt and Rees give for absolute irreducibility, "Testing modules for
+       irreducibility", J. Austral. Math. Soc. A 57 (1994)).  When both
+       spins are full, V = F_p^n is irreducible under the reduced algebra A
+       (Norton's lemma: a proper submodule U either meets ker theta, and
+       then contains v, or theta is singular on V/U, and then the
+       annihilator of U is a proper A^T-submodule meeting ker theta^T, so
+       it contains w).  Every endomorphism phi of the module commutes with
+       theta, so phi(v) = cv for some c, and phi - c kills the cyclic vector
+       v, hence all of V: End_A(V) = F_p, so V is absolutely irreducible
+       and, by Burnside over F_p, the reduced words span M_n(F_p).  Stage
+       2's argument carries that up to K.  A short spin proves the
+       reduction reducible, so stage 2 cannot succeed and is skipped.
+    2. The closure of the words under left multiplication, from the
+       identity, over F_p (_spans_all_matrices_mod_p); a full span returns
+       True.  That is sound: reduction zeta -> r mod p is a ring
+       homomorphism from Z_(p)[zeta] to F_p, so the words reduced mod p are
+       the reductions of the exact words.  If n^2 of them are independent
+       mod p, the n^2 x n^2 determinant of the corresponding exact words
+       lies in Z_(p)[zeta] and is nonzero mod the prime (p, zeta - r),
+       hence nonzero, and those words span M_n(K).
+    3. Otherwise (p divides a denominator, or the reduction is not
+       absolutely irreducible, which can also happen for an irreducible
+       tuple) the closure runs over K = Q(zeta_N), and its verdict is exact.
     """
-    if _spans_all_matrices_mod_p(t):
+    verdict = _norton_mod_p(t)
+    if verdict or (verdict is None and _spans_all_matrices_mod_p(t)):
         return True
     identity = ExactMatrix.identity(t.rank, order=t.order)
-    return _spans_all_matrices(t.rank, identity, t.matrices, operator.mul, _SpanBasis())
+    return _spans_all_matrices(t.rank ** 2, identity, t.matrices, operator.mul, _SpanBasis())
 
 
 def is_somewhere_maximal(t: MonodromyTuple) -> Puncture | None:

@@ -191,7 +191,13 @@ class TestStructure:
         assert a == b and a.order == b.order == 12
         assert a.entries == tuple(entries)
         a * b
-        assert calls == []
+        a.mul_vector(entries[:3])
+        # the augmented identity of an inverse and the ones of a companion
+        # matrix are built at the order, not coerced from ints
+        a.inverse()
+        ExactMatrix.companion(entries[:3] + [CycNumber.one(12)])
+        assert calls == entries[:3] + [CycNumber.one(12)]
+        calls.clear()
         # mixed ints, Fractions and lower orders still lift to the lcm
         half, z3, z4 = Fraction(1, 2), CycNumber.zeta(3), CycNumber.zeta(4)
         for order in (None, 3, 6):

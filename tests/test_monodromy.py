@@ -1,9 +1,11 @@
+import itertools
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
+from rigidcalc import monodromy
 from rigidcalc import serialization as ser
 from rigidcalc import (
     INFINITY,
@@ -31,10 +33,12 @@ from rigidcalc.errors import (
 
 from rigidcalc.convolution import _dominant_exponent
 from rigidcalc.cyclotomic import residue_prime
-from rigidcalc.hypergeometric import from_multiplicity_function
+from rigidcalc.hypergeometric import from_multiplicity_function, hypergeometric_tuple
 from rigidcalc.monodromy import (
     _commutation_nullity,
-    _full_rank_mod_p,
+    _norton_mod_p,
+    _rank_mod_p,
+    _rank_sequences,
     _residue_rows,
     _spans_all_matrices_mod_p,
 )
@@ -321,7 +325,7 @@ class TestRankSequences:
         # decide zeta = 1 and the exact ranks find U(2).
         p, _ = residue_prime(order)
         m = mat([[1, p], [0, 1]], order=order)
-        assert not _full_rank_mod_p(_residue_rows(m - ExactMatrix.identity(2, order=order)), p)
+        assert _rank_mod_p(_residue_rows(m - ExactMatrix.identity(2, order=order)), p) == 0
         assert jordan_type(m, order) == JordanType.from_blocks([(1, 2)])
         assert centralizer_dim(m) == 2
 
@@ -377,6 +381,21 @@ class TestRankSequences:
             p = random_invertible(rng, n)
             m = p * ExactMatrix.from_blocks(grid) * p.inverse()
             assert centralizer_dim(m) == _commutation_nullity_sympy(m)
+
+    def test_stable_rank_read_mod_p(self, rng, monkeypatch):
+        # A residue power whose rank mod p equals the previous exact rank
+        # proves the repeat, so a semisimple eigenvalue costs one exact
+        # rank; a single block U(3) still needs r_1, r_2 and r_3 = 0.
+        calls = []
+        exact_rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
+        p = random_invertible(rng, 3)
+        semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
+        assert _rank_sequences(semisimple, 2) == {0: [3, 1, 1], 1: [3, 2, 2]}
+        assert len(calls) == 2
+        block = p * _jordan_matrix([(1, 3)], 2) * p.inverse()
+        assert _rank_sequences(block, 2) == {0: [3, 2, 1, 0]}
+        assert len(calls) == 5
 
     def test_katz_eigenvalue_tie_break(self):
         # exponents t of zeta_2^t: 0 for the eigenvalue 1, 1 for -1
@@ -623,3 +642,90 @@ class TestJordanNotation:
     def test_zeta_block(self):
         z = CycNumber.zeta(3)
         assert JordanType.from_blocks([(z, 2)]).notation() == "(zeta3) (x) U(2)"
+
+
+def _beukers_heckman_reducible(rng):
+    # The 90 tuples of test_hypergeometric's shared-parameter test: a_i = b_j
+    # for some i, j, so the group is reducible (Beukers-Heckman, Prop. 3.3).
+    for order, n, _ in itertools.product(range(3, 13), (2, 3, 4), range(3)):
+        a_params = [CycNumber.zeta(order, rng.randrange(order)) for _ in range(n)]
+        b_params = [CycNumber.zeta(order, rng.randrange(order)) for _ in range(n)]
+        b_params[rng.randrange(n)] = a_params[rng.randrange(n)]
+        yield hypergeometric_tuple(a_params, b_params, order)
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """Calls of the mod-p closure and of the exact closure, by name."""
+    calls = []
+    modular = monodromy._spans_all_matrices_mod_p
+
+    def counting_modular(t):
+        calls.append("mod p")
+        return modular(t)
+
+    class CountingSpanBasis(monodromy._SpanBasis):
+        def __init__(self):
+            calls.append("exact")
+            super().__init__()
+
+    monkeypatch.setattr(monodromy, "_spans_all_matrices_mod_p", counting_modular)
+    monkeypatch.setattr(monodromy, "_SpanBasis", CountingSpanBasis)
+    return calls
+
+
+class TestNortonCertificate:
+    def test_certifies_family_and_hypergeometric(self, rng):
+        for i in range(9):
+            assert _norton_mod_p(build_F(i)) is True, i
+        for _ in range(20):  # the seeded tuples of acceptance criterion 4
+            m, order = random_multiplicity(rng, max_rank=6)
+            assert _norton_mod_p(from_multiplicity_function(m, order)) is True
+
+    @pytest.mark.parametrize("order", [1, 3, 4, 12])
+    def test_never_true_on_block_triangular(self, rng, order):
+        for n, k in ((2, 1), (3, 1), (3, 2), (4, 2)):
+            assert _norton_mod_p(_block_triangular_tuple(rng, n, k, order)) is not True
+
+    def test_never_true_on_shared_hypergeometric_parameters(self, rng):
+        tuples = list(_beukers_heckman_reducible(rng))
+        assert len(tuples) == 90
+        for t in tuples:
+            assert _norton_mod_p(t) is not True
+
+    def test_no_nullity_one_theta_reaches_the_modular_closure(self, closure_calls):
+        # No eigenvalue of A, B or AB is +-1, over Q or mod p, so every
+        # theta is invertible.  The pair is irreducible; A with itself spans
+        # only the 2-dimensional algebra Q[A].
+        a, b = mat([[1, 1], [1, 2]]), mat([[2, 1], [1, 1]])
+        for t, expected in (
+            (make_tuple(1, ["0", "1"], [a, b]), True),
+            (make_tuple(1, ["0", "1"], [a, a]), False),
+        ):
+            closure_calls.clear()
+            assert _norton_mod_p(t) is None
+            assert is_absolutely_irreducible(t) is expected
+            assert brute_force_irreducible(t) is expected
+            assert closure_calls[0] == "mod p"
+
+    def test_only_the_transposed_spin_catches_this_reduction(self, closure_calls):
+        # span(e_1) is the only invariant line: it is invariant under both,
+        # and B moves e_2, the other eigenvector of A.  The singular thetas
+        # are A - I, B - I and AB - I, each with kernel outside span(e_1),
+        # so every forward spin is the whole plane (a spin meeting span(e_1)
+        # only in 0 would be a second invariant line).  Their transposes
+        # have kernels in span(e_2), the annihilator of span(e_1), which the
+        # transposed generators keep.
+        a, b = ExactMatrix.diagonal([2, 1]), mat([[3, 1], [0, 1]])
+        t = make_tuple(1, ["0", "1"], [a, b])
+        identity = ExactMatrix.identity(2)
+        for theta in (a - identity, b - identity, a * b - identity):
+            (kernel,) = theta.kernel_basis()
+            assert kernel[1] != 0
+        assert _norton_mod_p(t) is False
+        assert not is_absolutely_irreducible(t) and not brute_force_irreducible(t)
+        assert closure_calls == ["exact"]  # a short spin skips the mod-p closure
+
+    def test_rank_thirteen_reaches_neither_closure(self, closure_calls):
+        assert is_absolutely_irreducible(build_F(12))
+        assert closure_calls == []
