@@ -13,7 +13,6 @@ regularity certificate.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -275,27 +274,17 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return sum(basis.insert(row) for row in rows)
 
 
-def _mul_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    columns = list(zip(*b))
-    return [[sum(map(operator.mul, row, column)) % p for column in columns] for row in a]
+def _mul_mod_p(rows, columns, p: int) -> list[list[int]]:
+    # The F_p product whose entry (i, j) is rows[i] . columns[j]: a matrix
+    # product A B is _mul_mod_p(A, zip(*B)), a vector B v is
+    # _mul_mod_p([v], B)[0].
+    columns = list(columns)
+    return [[sum(map(operator.mul, row, column)) % p for column in columns] for row in rows]
 
 
 def _shift_mod_p(rows: list[list[int]], z: int, p: int) -> list[list[int]]:
     # M - zI mod p
     return [[(a - z) % p if i == j else a for j, a in enumerate(row)] for i, row in enumerate(rows)]
-
-
-def _charpoly_mod_p(rows: list[list[int]], p: int) -> list[int]:
-    # det(xI - M) mod p, leading coefficient first, by Faddeev-LeVerrier:
-    # with M_k = M M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(M M_k) / k, and
-    # k <= n < p is invertible mod p.
-    n = len(rows)
-    coeffs = [1]
-    product = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        product = _mul_mod_p(rows, _shift_mod_p(product, -coeffs[-1], p), p)
-        coeffs.append(-sum(product[i][i] for i in range(n)) * pow(k, -1, p) % p)
-    return coeffs
 
 
 def _left_kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -348,7 +337,7 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
         while True:
             if shifted_rows is not None:
                 power_rows = (shifted_rows if shifted is None
-                              else _mul_mod_p(power_rows, shifted_rows, p))
+                              else _mul_mod_p(power_rows, zip(*shifted_rows), p))
                 if _rank_mod_p(power_rows, p) == ranks[-1]:
                     ranks.append(ranks[-1])
                     break
@@ -557,7 +546,7 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
 
     def multiply(rows, word):  # generator as rows, word and product flattened
         columns = [word[j::n] for j in range(n)]
-        return [sum(map(operator.mul, row, column)) % p for row in rows for column in columns]
+        return [entry for row in _mul_mod_p(rows, columns, p) for entry in row]
 
     identity = [int(i == j) for i in range(n) for j in range(n)]
     return _spans_all_matrices(n * n, identity, generators, multiply, _ModularSpanBasis(p))
@@ -575,9 +564,8 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     the reduction reducible; None when p divides a denominator or no theta
     has nullity 1.  See is_absolutely_irreducible for what True proves.
 
-    The first n values of z are tried by elimination; after them each
-    matrix's characteristic polynomial screens out the z where det(theta)
-    is nonzero, so a large conductor costs O(N n) per matrix, not O(N n^3).
+    Only the first n values of z are tried, so a large conductor costs no
+    more than n rounds of eliminations before it falls back to the closures.
     """
     n = t.rank
     p, r = residue_prime(t.order)
@@ -586,7 +574,7 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
         return None
     product = generators[0]
     for rows in generators[1:]:
-        product = _mul_mod_p(product, rows, p)
+        product = _mul_mod_p(product, zip(*rows), p)
     matrices = generators + [product]
 
     def shifts():  # -1 is a power of r when N is even
@@ -598,15 +586,10 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
             power = power * r % p
 
     def apply(rows, vector):
-        return [sum(map(operator.mul, row, vector)) % p for row in rows]
+        return _mul_mod_p([vector], rows, p)[0]
 
-    charpolys = None
-    for count, z in enumerate(shifts()):
-        if count == n:
-            charpolys = [_charpoly_mod_p(rows, p) for rows in matrices]
-        for k, rows in enumerate(matrices):
-            if charpolys and functools.reduce(lambda acc, c: (acc * z + c) % p, charpolys[k]):
-                continue  # det(theta) = charpoly(z) is nonzero
+    for z in itertools.islice(shifts(), n):
+        for rows in matrices:
             theta = _shift_mod_p(rows, z, p)
             cokernel = _left_kernel_mod_p(theta, p)  # ker theta^T
             if len(cokernel) != 1:

@@ -708,6 +708,26 @@ class TestNortonCertificate:
             assert brute_force_irreducible(t) is expected
             assert closure_calls[0] == "mod p"
 
+    def test_tries_only_the_first_n_roots_of_unity(self, monkeypatch, closure_calls):
+        # The pair above at order 12: no 12th root of unity z has
+        # z + 1/z = 3 or 6 mod p, so every theta is invertible.  The search
+        # stops after z = 1 and z = r (n = 2 values, each on A, B and AB)
+        # and the mod-p closure decides.
+        shifts = []
+        shift = monodromy._shift_mod_p
+
+        def counting_shift(rows, z, p):
+            shifts.append(z)
+            return shift(rows, z, p)
+
+        monkeypatch.setattr(monodromy, "_shift_mod_p", counting_shift)
+        a, b = mat([[1, 1], [1, 2]]), mat([[2, 1], [1, 1]])
+        t = make_tuple(12, ["0", "1"], [a, b])
+        assert _norton_mod_p(t) is None
+        assert len(shifts) == 6 and len(set(shifts)) == 2
+        assert is_absolutely_irreducible(t)
+        assert closure_calls == ["mod p"]
+
     def test_only_the_transposed_spin_catches_this_reduction(self, closure_calls):
         # span(e_1) is the only invariant line: it is invariant under both,
         # and B moves e_2, the other eigenvector of A.  The singular thetas
