@@ -208,7 +208,7 @@ def _roots(text: str) -> list:
 def _cmd_hypergeom(args):
     if args.multiplicity is not None:
         m, order = ser.multiplicity_from_json(_json_argument(args.multiplicity))
-        result = from_multiplicity_function(m, args.order or order)
+        result = from_multiplicity_function(m, order if args.order is None else args.order)
     elif args.a and args.b:
         # hypergeometric_tuple takes the lcm of the order with the parameters' orders
         order = 1 if args.order is None else args.order

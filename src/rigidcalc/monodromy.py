@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import modp
 from .cyclotomic import CycNumber, dot, residue_prime
 from .errors import (
     DimensionMismatch,
@@ -187,8 +188,8 @@ class MonodromyTuple:
         matrices = tuple(m.lift(common) for m in matrices)
         p, _ = residue_prime(common)
         for point, m in zip(punctures, matrices):
-            residues = _residue_rows(m)
-            if residues is not None and _rank_mod_p(residues, p) == n:
+            residues = modp.rows(m)
+            if residues is not None and modp.rank(residues, p) == n:
                 continue
             if m.rank() != n:
                 raise SingularMatrix(f"monodromy at {point} is singular")
@@ -254,51 +255,6 @@ def is_quasi_unipotent(matrix: ExactMatrix, order: int) -> bool:
     return (power ** n).is_zero()
 
 
-def _residue_rows(matrix: ExactMatrix) -> list[list[int]] | None:
-    # The entries mapped to F_p by CycNumber.residue, with (p, r) =
-    # residue_prime(matrix.order); None when p divides a denominator.
-    rows = [[e.residue() for e in matrix.row(i)] for i in range(matrix.rows)]
-    return None if any(None in row for row in rows) else rows
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of the matrix of residues ``rows``.
-
-    It is a lower bound for the rank over K of the exact matrix: the residue
-    map of the prime (p, zeta - r) is a ring homomorphism on Z_(p)[zeta], so
-    each minor of the residues is the residue of the exact minor, and a
-    minor that is nonzero mod the prime is nonzero.  In particular full rank
-    mod p proves the exact matrix invertible; a short rank says nothing.
-    """
-    basis = _ModularSpanBasis(p)
-    return sum(basis.insert(row) for row in rows)
-
-
-def _mul_mod_p(rows, columns, p: int) -> list[list[int]]:
-    # The F_p product whose entry (i, j) is rows[i] . columns[j]: a matrix
-    # product A B is _mul_mod_p(A, zip(*B)), a vector B v is
-    # _mul_mod_p([v], B)[0].
-    columns = list(columns)
-    return [[sum(map(operator.mul, row, column)) % p for column in columns] for row in rows]
-
-
-def _shift_mod_p(rows: list[list[int]], z: int, p: int) -> list[list[int]]:
-    # M - zI mod p
-    return [[(a - z) % p if i == j else a for j, a in enumerate(row)] for i, row in enumerate(rows)]
-
-
-def _left_kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    # A basis of {w : w^T M = 0 mod p} for M = rows: the identity halves of
-    # the echelon rows of [M | I] whose pivot lies in that half.  Rows with
-    # distinct leading positions are independent, so the M halves of the
-    # other rows span the row space of M and these are n - rank(M) many.
-    width = len(rows[0])
-    basis = _ModularSpanBasis(p)
-    for i, row in enumerate(rows):
-        basis.insert(row + [int(i == k) for k in range(len(rows))])
-    return [row[width:] for row, pivot in zip(basis.rows, basis.pivots) if pivot >= width]
-
-
 def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     """{t: [n, r_1, ..., r_k]} for each t in range(order) such that
     zeta = zeta_order^t is an eigenvalue, with r_j = rank((matrix - zeta I)^j)
@@ -308,7 +264,7 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     and (p, r) = residue_prime(big), matrix - zeta I reduces to the residues
     of matrix minus r^(t big / order) on the diagonal, and its j-th power to
     the j-th power of those residues.  Since rank mod p <= r_j <= r_(j-1)
-    (see _rank_mod_p), a residue power of rank r_(j-1) proves r_j = r_(j-1),
+    (see modp), a residue power of rank r_(j-1) proves r_j = r_(j-1),
     the stable rank, with no exact elimination; at j = 1 (r_0 = n) this
     skips zeta as no eigenvalue.  When p divides a denominator of the
     matrix, or the rank mod p is short, the exact rank decides.
@@ -326,19 +282,19 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     big = math.lcm(matrix.order, order)
     matrix = matrix.lift(big)
     p, r = residue_prime(big)
-    residues = _residue_rows(matrix)
+    residues = modp.rows(matrix)
     sequences = {}
     for t in range(order):
         exponent = t * (big // order)
         ranks = [n]
         shifted_rows = shifted = None
         if residues is not None:
-            shifted_rows = _shift_mod_p(residues, pow(r, exponent, p), p)
+            shifted_rows = modp.shift(residues, pow(r, exponent, p), p)
         while True:
             if shifted_rows is not None:
                 power_rows = (shifted_rows if shifted is None
-                              else _mul_mod_p(power_rows, zip(*shifted_rows), p))
-                if _rank_mod_p(power_rows, p) == ranks[-1]:
+                              else modp.mul(power_rows, zip(*shifted_rows), p))
+                if modp.rank(power_rows, p) == ranks[-1]:
                     ranks.append(ranks[-1])
                     break
             if shifted is None:
@@ -468,34 +424,6 @@ class _SpanBasis:
         return len(self.rows)
 
 
-class _ModularSpanBasis:
-    # The same echelon basis over F_p, on vectors of plain ints: flattened
-    # matrices, matrix rows, spun vectors.
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def insert(self, word: list[int]) -> bool:
-        p = self.p
-        v = word
-        for pivot, row in zip(self.pivots, self.rows):
-            f = v[pivot]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
-            return False
-        inv = pow(v[lead], -1, p)
-        self.rows.append([a * inv % p for a in v])
-        self.pivots.append(lead)
-        return True
-
-    def __len__(self):
-        return len(self.rows)
-
-
 def _spans_all_matrices(target: int, start, generators, multiply, basis) -> bool:
     # Close the span of ``start`` under left multiplication by the
     # generators: words times the identity span the matrix algebra (target
@@ -519,18 +447,6 @@ def _spans_all_matrices(target: int, start, generators, multiply, basis) -> bool
     return len(basis) == target
 
 
-def _residue_generators(t: MonodromyTuple) -> list[list[list[int]]] | None:
-    # The residue rows of every generator, or None when p divides a
-    # denominator of some entry (the reduction is undefined).
-    generators = []
-    for m in t.matrices:
-        rows = _residue_rows(m)
-        if rows is None:
-            return None
-        generators.append(rows)
-    return generators
-
-
 def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     """The Burnside closure on the generators reduced mod p, over F_p.
 
@@ -540,16 +456,16 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     """
     n = t.rank
     p, _ = residue_prime(t.order)
-    generators = _residue_generators(t)
-    if generators is None:
+    generators = [modp.rows(m) for m in t.matrices]
+    if None in generators:
         return False
 
     def multiply(rows, word):  # generator as rows, word and product flattened
         columns = [word[j::n] for j in range(n)]
-        return [entry for row in _mul_mod_p(rows, columns, p) for entry in row]
+        return [entry for row in modp.mul(rows, columns, p) for entry in row]
 
     identity = [int(i == j) for i in range(n) for j in range(n)]
-    return _spans_all_matrices(n * n, identity, generators, multiply, _ModularSpanBasis(p))
+    return _spans_all_matrices(n * n, identity, generators, multiply, modp.EchelonBasis(p))
 
 
 def _norton_mod_p(t: MonodromyTuple) -> bool | None:
@@ -569,12 +485,12 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     """
     n = t.rank
     p, r = residue_prime(t.order)
-    generators = _residue_generators(t)
-    if generators is None:
+    generators = [modp.rows(m) for m in t.matrices]
+    if None in generators:
         return None
     product = generators[0]
     for rows in generators[1:]:
-        product = _mul_mod_p(product, zip(*rows), p)
+        product = modp.mul(product, zip(*rows), p)
     matrices = generators + [product]
 
     def shifts():  # -1 is a power of r when N is even
@@ -586,20 +502,20 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
             power = power * r % p
 
     def apply(rows, vector):
-        return _mul_mod_p([vector], rows, p)[0]
+        return modp.mul([vector], rows, p)[0]
 
     for z in itertools.islice(shifts(), n):
         for rows in matrices:
-            theta = _shift_mod_p(rows, z, p)
-            cokernel = _left_kernel_mod_p(theta, p)  # ker theta^T
+            theta = modp.shift(rows, z, p)
+            cokernel = modp.left_kernel(theta, p)  # ker theta^T
             if len(cokernel) != 1:
                 continue
-            (v,) = _left_kernel_mod_p([list(column) for column in zip(*theta)], p)
+            (v,) = modp.left_kernel([list(column) for column in zip(*theta)], p)
             (w,) = cokernel
             transposed = [[list(column) for column in zip(*g)] for g in generators]
             return _spans_all_matrices(
-                n, v, generators, apply, _ModularSpanBasis(p)
-            ) and _spans_all_matrices(n, w, transposed, apply, _ModularSpanBasis(p))
+                n, v, generators, apply, modp.EchelonBasis(p)
+            ) and _spans_all_matrices(n, w, transposed, apply, modp.EchelonBasis(p))
     return None
 
 
@@ -625,12 +541,8 @@ def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
        reduction reducible, so stage 2 cannot succeed and is skipped.
     2. The closure of the words under left multiplication, from the
        identity, over F_p (_spans_all_matrices_mod_p); a full span returns
-       True.  That is sound: reduction zeta -> r mod p is a ring
-       homomorphism from Z_(p)[zeta] to F_p, so the words reduced mod p are
-       the reductions of the exact words.  If n^2 of them are independent
-       mod p, the n^2 x n^2 determinant of the corresponding exact words
-       lies in Z_(p)[zeta] and is nonzero mod the prime (p, zeta - r),
-       hence nonzero, and those words span M_n(K).
+       True, since the reduced words are the residues of the exact words,
+       and n^2 of them independent mod p are independent over K (see modp).
     3. Otherwise (p divides a denominator, or the reduction is not
        absolutely irreducible, which can also happen for an irreducible
        tuple) the closure runs over K = Q(zeta_N), and its verdict is exact.

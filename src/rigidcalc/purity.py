@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import poly
+from . import modp, poly
 from .cyclotomic import CycNumber, _is_prime, residue_prime
 from .errors import RootFindingFailure, ZeroConstantTerm
 
@@ -169,30 +169,17 @@ def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
 
 
 def _squarefree_mod_p(f) -> bool:
-    """True when the residues of the monic f (see CycNumber.residue) form a
-    squarefree polynomial over F_p.
+    """True when the residues of the monic f form a squarefree polynomial
+    over F_p (modp.is_squarefree).
 
     That proves f squarefree over K.  The discriminant of a monic polynomial
     of degree n is an integer polynomial in its coefficients, and the
-    residue map is a ring homomorphism on Z_(p)[zeta] that keeps the leading
-    1, so it sends disc(f) to the discriminant of the residues.  That one is
-    nonzero, since the residues have no common factor with their derivative
-    over the perfect field F_p; so disc(f) is nonzero.  False says nothing
-    over K.
+    residue map keeps the leading 1, so it sends disc(f) to the discriminant
+    of the residues (see modp), which is nonzero; so disc(f) is nonzero.
+    False says nothing over K.
     """
-    p, _ = residue_prime(f[0].order)
-    a = [c.residue() for c in f]
-    if None in a:
-        return False
-    b = poly.trim([k * c % p for k, c in enumerate(a)][1:])
-    while b:
-        inv, deg = pow(b[-1], -1, p), len(b) - 1
-        for k in range(len(a) - 1, deg - 1, -1):
-            c = a[k] * inv % p
-            for j, t in enumerate(b):
-                a[k - deg + j] = (a[k - deg + j] - c * t) % p
-        a, b = b, poly.trim(a[:deg])
-    return len(a) == 1
+    a = modp.residues(f)
+    return a is not None and modp.is_squarefree(a, residue_prime(f[0].order)[0])
 
 
 def _conjugate_pair_representatives(n: int) -> list[int]:

@@ -146,6 +146,17 @@ class TestConstructors:
         code, out, err = run(capsys, "hypergeom", "--a", "2", "--b", "1")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("form", [
+        ["--a", "-1", "--b", "1"],
+        ["--multiplicity", '{"N": 2, "m": [{"zeta": "-1", "mult": 1}]}'],
+    ], ids=["parameters", "multiplicity"])
+    def test_hypergeom_order_zero_exits_two(self, capsys, form):
+        # An explicit --order 0 is an error in both forms; the JSON's N
+        # replaces only an absent --order.
+        code, out, err = run(capsys, "hypergeom", *form, "--order", "0")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error:")
+
 
 class TestTable1:
     def test_exit_zero_and_text(self, capsys):

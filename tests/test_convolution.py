@@ -380,6 +380,24 @@ class TestDettweilerReiterDimension:
         assert 0 in ranks
 
 
+class TestMiddleConvolutionInverse:
+    """MC_(lambda^-1)(MC_lambda(T)) = T for irreducible T of rank >= 2 and
+    lambda != 1 (Dettweiler-Reiter, J. Symb. Comput. 30 (2000), section 3):
+    checked on T's rank and its Jordan types at 0, 1 and infinity."""
+
+    @pytest.mark.parametrize("order", range(3, 13))
+    def test_seeded_hypergeometric_every_lambda(self, rng, order):
+        for _ in range(2):
+            t = seeded_hypergeometric(rng, order, min_rank=2)
+            assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
+            types = local_types(t)
+            for k in range(1, order):
+                lam = CycNumber.zeta(order, k)
+                back = middle_convolution(middle_convolution(t, lam), lam.inverse())
+                assert back.rank == t.rank, (t, k)
+                assert local_types(back) == types, (t, k)
+
+
 class TestKatzChoiceOracle:
     """Katz's twist and lambda against n - rank(A - zeta I) over mu_N, taken
     by direct eliminations, ties to the smallest exponent."""

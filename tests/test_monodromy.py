@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidcalc import monodromy
+from rigidcalc import modp, monodromy
 from rigidcalc import serialization as ser
 from rigidcalc import (
     INFINITY,
@@ -37,9 +37,7 @@ from rigidcalc.hypergeometric import from_multiplicity_function, hypergeometric_
 from rigidcalc.monodromy import (
     _commutation_nullity,
     _norton_mod_p,
-    _rank_mod_p,
     _rank_sequences,
-    _residue_rows,
     _spans_all_matrices_mod_p,
 )
 
@@ -325,7 +323,7 @@ class TestRankSequences:
         # decide zeta = 1 and the exact ranks find U(2).
         p, _ = residue_prime(order)
         m = mat([[1, p], [0, 1]], order=order)
-        assert _rank_mod_p(_residue_rows(m - ExactMatrix.identity(2, order=order)), p) == 0
+        assert modp.rank(modp.rows(m - ExactMatrix.identity(2, order=order)), p) == 0
         assert jordan_type(m, order) == JordanType.from_blocks([(1, 2)])
         assert centralizer_dim(m) == 2
 
@@ -342,7 +340,7 @@ class TestRankSequences:
         p, _ = residue_prime(1)
         shear = mat([[1, Fraction(1, p)], [0, 1]])
         split = mat([[-1, Fraction(1, p)], [0, 1]])
-        assert _residue_rows(shear) is None
+        assert modp.rows(shear) is None
         assert jordan_type(shear, 1) == JordanType.from_blocks([(1, 2)])
         assert centralizer_dim(shear) == 2
         assert jordan_type(split, 2) == JordanType.from_blocks([(1, 1), (-1, 1)])
@@ -714,13 +712,13 @@ class TestNortonCertificate:
         # stops after z = 1 and z = r (n = 2 values, each on A, B and AB)
         # and the mod-p closure decides.
         shifts = []
-        shift = monodromy._shift_mod_p
+        shift = modp.shift
 
         def counting_shift(rows, z, p):
             shifts.append(z)
             return shift(rows, z, p)
 
-        monkeypatch.setattr(monodromy, "_shift_mod_p", counting_shift)
+        monkeypatch.setattr(modp, "shift", counting_shift)
         a, b = mat([[1, 1], [1, 2]]), mat([[2, 1], [1, 1]])
         t = make_tuple(12, ["0", "1"], [a, b])
         assert _norton_mod_p(t) is None
