@@ -106,22 +106,6 @@ def tensor_rank_one(t: MonodromyTuple, data: RankOneData) -> MonodromyTuple:
     return MonodromyTuple(t.order, t.punctures, matrices)
 
 
-def _block_rows(t: MonodromyTuple, lam: CycNumber) -> list[ExactMatrix]:
-    # Block row k of each generator B_k of the convolution, an n x rn
-    # matrix: (A_j - I) for j < k, lam*A_k at j = k, lam*(A_j - I) for
-    # j > k.  Outside block row k, B_k is the identity.
-    order = math.lcm(t.order, lam.order)
-    lam = lam.lift(order)
-    mats = [m.lift(order) for m in t.matrices]
-    identity = ExactMatrix.identity(t.rank, order=order)
-    shifted = [m - identity for m in mats]
-    scaled = [s * lam for s in shifted]
-    return [
-        ExactMatrix.from_blocks([shifted[:k] + [m * lam] + scaled[k + 1 :]])
-        for k, m in enumerate(mats)
-    ]
-
-
 def _shifts(shifted: list[ExactMatrix], lam: CycNumber) -> list[ExactMatrix]:
     # D_k, the block row k of B_k - I, for each k: the n x rn matrix
     # [A_1 - I, ..., A_(k-1) - I, lam*A_k - I, lam*(A_(k+1) - I), ...].

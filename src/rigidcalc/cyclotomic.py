@@ -539,26 +539,29 @@ class CycNumber:
         """(k, j) with self = zeta_k^j, gcd(j, k) = 1, or None.
 
         k is the multiplicative order, so the pair is unique with 0 <= j < k.
-        By Kronecker's theorem self is a root of unity iff it is an algebraic
-        integer (denominator 1: the power basis spans Z[zeta_N]) with
-        |sigma(self)| = 1 for every embedding, i.e. self * conj(self) = 1, as
-        conjugation commutes with every embedding of this abelian field.  It
-        is then a power of zeta_m, m = lcm(N, 2).  The exponent is read off
-        one complex embedding and confirmed exactly; only when that check
-        fails are all m powers of zeta_m compared.
+        With N = self.order, m = lcm(N, 2) and (p, r) = residue_prime(N):
+        1. the roots of unity of K = Q(zeta_N) are mu_m;
+        2. they are algebraic integers, and the power basis spans Z[zeta_N],
+           so den != 1 rules self out;
+        3. zeta_m = s * zeta_N^e, with (s, e) = (1, 1) for even N and
+           (-1, (N + 1) / 2) for odd N, has the residue g = s * r^e, of order
+           m in F_p as p = 1 (mod N) is odd; the residue map is a ring map
+           (see modp), so it is injective on mu_m;
+        4. so a residue outside <g> proves self no root of unity; otherwise
+           self is one iff self = zeta_m^j for the one j < m with g^j equal
+           to its residue, which is compared exactly at order N.
         """
         if self.den != 1:
             return None
-        if not (self * self.conjugate()).is_one():
+        n = self.order
+        m, s, e = (n, 1, 1) if n % 2 == 0 else (2 * n, -1, (n + 1) // 2)
+        p, r = residue_prime(n)
+        g, target = s * pow(r, e, p) % p, self.residue()
+        j = next((j for j in range(m) if pow(g, j, p) == target), None)
+        if j is None or self != s**j * CycNumber.zeta(n, e * j):
             return None
-        m = self.order if self.order % 2 == 0 else 2 * self.order
-        with mpmath.workprec(DEFAULT_EMBED_PRECISION):
-            turns = mpmath.arg(self.embed()) / (2 * mpmath.pi)
-            j = int(mpmath.nint(m * turns)) % m
-        if self != CycNumber.zeta(m, j):
-            j = next(i for i in range(m) if self == CycNumber.zeta(m, i))
-        g = math.gcd(j, m)
-        return (m // g, j // g)
+        d = math.gcd(j, m)
+        return (m // d, j // d)
 
     # -- embeddings ----------------------------------------------------------
 

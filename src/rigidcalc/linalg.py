@@ -332,22 +332,25 @@ class ExactMatrix:
         return len(pivots)
 
     def kernel_basis(self) -> tuple[tuple[CycNumber, ...], ...]:
-        """Reduced-echelon basis of the right kernel; deterministic."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        if not free_cols:
-            return ()
+        """Reduced-echelon basis of the right kernel; deterministic.
+
+        One RREF, of the matrix with its columns reversed: there the kernel
+        vector of a free column f is 1 at f and 0 at the other free columns
+        and at the pivots right of f.  Reversed back and sorted by f, these
+        vectors are in RREF, and the RREF of a subspace is unique.
+        """
+        n, zero, one = self.cols, CycNumber.zero(self.order), CycNumber.one(self.order)
+        flipped = [e for i in range(self.rows) for e in self.row(i)[::-1]]
+        reduced, pivots = ExactMatrix(self.rows, n, flipped, self.order).rref()
         vectors = []
-        for f in free_cols:
-            v = [CycNumber.zero(self.order) for _ in range(self.cols)]
-            v[f] = CycNumber.one(self.order)
-            for r, c in enumerate(pivots):
-                v[c] = -reduced[r, f]
-            vectors.append(v)
-        stacked = ExactMatrix.from_rows(vectors)
-        normalized, _ = stacked.rref()
-        return tuple(normalized.row(i) for i in range(normalized.rows))
+        for f in reversed(range(n)):
+            if f not in pivots:
+                v = [zero] * n
+                v[f] = one
+                for r, c in enumerate(pivots):
+                    v[c] = -reduced[r, f]
+                vectors.append(tuple(v[::-1]))
+        return tuple(vectors)
 
     def rank_kernel(self):
         """(rank, kernel basis); rank + len(basis) = cols."""

@@ -22,7 +22,6 @@ from rigidcalc import (
     tensor_rank_one,
 )
 from rigidcalc import serialization
-from rigidcalc.convolution import _block_rows
 from rigidcalc.errors import (
     AlreadyRankOne,
     NegativeIndex,
@@ -76,6 +75,22 @@ def direct_sum(s, t):
     return make_tuple(math.lcm(s.order, t.order), s.punctures, mats)
 
 
+def block_rows(t, lam):
+    """Block row k of each generator B_k of MC_lambda, an n x rn matrix:
+    A_j - I for j < k, lam*A_k at j = k, lam*(A_j - I) for j > k.  Outside
+    block row k, B_k is the identity (Dettweiler-Reiter's definition)."""
+    order = math.lcm(t.order, lam.order)
+    lam = lam.lift(order)
+    mats = [m.lift(order) for m in t.matrices]
+    identity = ExactMatrix.identity(t.rank, order=order)
+    shifted = [m - identity for m in mats]
+    scaled = [s * lam for s in shifted]
+    return [
+        ExactMatrix.from_blocks([shifted[:k] + [m * lam] + scaled[k + 1 :]])
+        for k, m in enumerate(mats)
+    ]
+
+
 def reference_middle_convolution(t, lam):
     """MC_lambda by its definition, at size rn throughout: the full rn x rn
     generators B_k, L as the kernel of the stacked B_k - I, and the action
@@ -87,7 +102,7 @@ def reference_middle_convolution(t, lam):
     big = len(t.matrices) * n
     identity = ExactMatrix.identity(big, order=order)
     generators = []
-    for k, block_row in enumerate(_block_rows(t, lam)):
+    for k, block_row in enumerate(block_rows(t, lam)):
         rows = identity.to_lists()
         rows[k * n : (k + 1) * n] = block_row.to_lists()
         generators.append(mat(rows, order))
@@ -167,7 +182,7 @@ class TestTensor:
 
 class TestMiddleConvolution:
     def test_generators_hand_computation(self):
-        rows = _block_rows(build_F(0), CycNumber.from_rational(-1))
+        rows = block_rows(build_F(0), CycNumber.from_rational(-1))
         assert rows == [mat([[1, 2]]), mat([[-2, 1]])]
         # B_k is the identity outside its block row k
         gens = [mat([rows[k].row(0) if i == k else [int(i == j) for j in range(2)] for i in range(2)])
@@ -396,6 +411,45 @@ class TestMiddleConvolutionInverse:
                 back = middle_convolution(middle_convolution(t, lam), lam.inverse())
                 assert back.rank == t.rank, (t, k)
                 assert local_types(back) == types, (t, k)
+
+
+class TestMiddleConvolutionComposition:
+    """MC_mu(MC_lambda(T)) = MC_(lambda*mu)(T) for irreducible T of rank >= 2
+    with MC_lambda(T) irreducible of rank >= 2, lambda, mu != 1 and
+    lambda*mu != 1 (Dettweiler-Reiter, J. Symb. Comput. 30 (2000), section
+    3): checked on the rank and the Jordan types at 0, 1 and infinity, on a
+    seeded sample of the pairs (lambda, mu)."""
+
+    PAIRS_PER_TUPLE = 5
+
+    @staticmethod
+    def convolve(t, lam):
+        # MC of rank 0 raises; both sides of the property then must
+        try:
+            return middle_convolution(t, lam)
+        except ValueError:
+            return None
+
+    @pytest.mark.parametrize("order", range(3, 13))
+    def test_seeded_hypergeometric_sampled_pairs(self, rng, order):
+        pairs = [(j, k) for j in range(1, order) for k in range(1, order) if (j + k) % order]
+        checked = 0
+        for _ in range(2):
+            t = seeded_hypergeometric(rng, order, min_rank=2)
+            assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
+            for j, k in rng.sample(pairs, min(len(pairs), self.PAIRS_PER_TUPLE)):
+                lam, mu = CycNumber.zeta(order, j), CycNumber.zeta(order, k)
+                inner = self.convolve(t, lam)
+                if inner is None or inner.rank < 2 or not is_absolutely_irreducible(inner):
+                    continue
+                twice = self.convolve(inner, mu)
+                once = self.convolve(t, lam * mu)
+                assert (twice is None) == (once is None), (t, j, k)
+                if once is not None:
+                    assert twice.rank == once.rank, (t, j, k)
+                    assert local_types(twice) == local_types(once), (t, j, k)
+                checked += 1
+        assert checked, "no pair met the hypotheses"
 
 
 class TestKatzChoiceOracle:

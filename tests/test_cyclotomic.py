@@ -264,8 +264,8 @@ class TestRootsOfUnity:
         assert CycNumber(4, [Fraction(3, 5), Fraction(4, 5)]).root_of_unity_exponent() is None
 
     def test_exponent_matches_power_walk(self):
-        # The exponent by walking the powers of zeta_k, as the order and
-        # exponent were found before the embedding shortcut.
+        # The exponent by walking the powers of x until one is 1, then the
+        # powers of zeta_k until one is x: an oracle by repeated products.
         def walked(x):
             power = x
             for k in range(1, 2 * x.order + 1):
@@ -288,6 +288,36 @@ class TestRootsOfUnity:
             for j in range(k):
                 for x in (1 + CycNumber.zeta(k, j), CycNumber.zeta(k, j) - CycNumber.zeta(k)):
                     assert x.root_of_unity_exponent() == walked(x), (k, j)
+
+    def test_residue_collision_is_refused_exactly(self):
+        # zeta12^5 + p has the residue of zeta12^5 but is no root of unity:
+        # only the exact comparison tells them apart.
+        p = residue_prime(12)[0]
+        x = CycNumber.zeta(12, 5) + p
+        assert x.residue() == CycNumber.zeta(12, 5).residue()
+        assert x.root_of_unity_exponent() is None
+        assert x.multiplicative_order() is None
+
+    def test_no_complex_embedding_is_used(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("root_of_unity_exponent evaluated an embedding")
+
+        monkeypatch.setattr(CycNumber, "embed", refuse)
+        for k in range(1, 25):
+            for j in range(k):
+                g = math.gcd(j, k)
+                assert CycNumber.zeta(k, j).root_of_unity_exponent() == (k // g, j // g)
+                # -zeta_k^j = zeta_2k^(2j + k)
+                e = (2 * j + k) % (2 * k)
+                h = math.gcd(e, 2 * k)
+                assert (-CycNumber.zeta(k, j)).root_of_unity_exponent() == (2 * k // h, e // h)
+                assert (2 * CycNumber.zeta(k, j)).root_of_unity_exponent() is None
+
+    def test_dense_large_order_root(self):
+        # zeta997^996 = -(1 + zeta + ... + zeta^995) in the power basis
+        x = CycNumber.zeta(997, 996)
+        assert all(c == -1 for c in x.nums)
+        assert x.root_of_unity_exponent() == (997, 996)
 
     def test_large_order_exponent_is_fast(self):
         start = time.perf_counter()

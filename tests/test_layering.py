@@ -1,9 +1,11 @@
 """The import graph of the package, read from the source with ``ast``.
 
-Only top-level imports count: those a module runs when it is loaded.  An
-import inside a function body runs at call time and cannot form a load-time
-cycle, so it is not an edge here; ``cyclotomic._compute_canonical`` imports
-``linalg`` that way, and this check does not see it.
+Every ``import`` statement counts, wherever it stands.  One at the top of a
+module, or in a class body, runs when the module is loaded; those edges
+must form no cycle.  One inside a function runs at call time: the package
+has exactly one such edge, ``cyclotomic._compute_canonical`` importing
+``linalg`` (which imports ``cyclotomic`` at load time), and any other is a
+failure.
 """
 from __future__ import annotations
 
@@ -12,29 +14,59 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rigidcalc"
 
+#: (importer, imported, function) for each import allowed inside a function
+FUNCTION_LEVEL_EDGES = {("cyclotomic", "linalg", "_compute_canonical")}
 
-def top_level_imports(path: Path) -> set[str]:
-    """Absolute names imported by the module body (relative ones resolved)."""
-    names = set()
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = ("rigidcalc." if node.level else "") + (node.module or "")
-            if node.module is None:  # from . import a, b
-                names.update(module + alias.name for alias in node.names)
-            else:
-                names.add(module)
-    return names
+
+def imported_names(node: ast.AST) -> set[str]:
+    """Absolute names an import statement imports (relative ones resolved)."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        module = ("rigidcalc." if node.level else "") + (node.module or "")
+        if node.module is None:  # from . import a, b
+            return {module + alias.name for alias in node.names}
+        return {module}
+    return set()
+
+
+def imports(tree: ast.AST) -> set[tuple[str, str | None]]:
+    """(name, function) for every import in a parsed module; function is
+    None for an import that runs at load time."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            found.update((name, scope) for name in imported_names(child))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(tree, None)
+    return found
+
+
+def module_imports(path: Path) -> set[tuple[str, str | None]]:
+    return imports(ast.parse(path.read_text()))
+
+
+def package_edges() -> set[tuple[str, str, str | None]]:
+    """(importer, imported, function) for each import of a package module."""
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    edges = set()
+    for name, path in modules.items():
+        for imported, scope in module_imports(path):
+            parts = imported.split(".")
+            if parts[0] == "rigidcalc" and len(parts) > 1 and parts[1] in modules:
+                edges.add((name, parts[1], scope))
+    return edges
 
 
 def package_graph() -> dict[str, set[str]]:
-    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
-    graph = {}
-    for name, path in modules.items():
-        imported = top_level_imports(path)
-        graph[name] = {m.split(".")[1] for m in imported
-                       if m.startswith("rigidcalc.") and m.split(".")[1] in modules}
+    """The load-time edges, module by module."""
+    graph = {path.stem: set() for path in PACKAGE.glob("*.py")}
+    for importer, imported, scope in package_edges():
+        if scope is None:
+            graph[importer].add(imported)
     return graph
 
 
@@ -42,6 +74,16 @@ def test_the_package_is_found():
     graph = package_graph()
     assert {"modp", "monodromy", "purity", "cyclotomic", "linalg"} <= graph.keys()
     assert "modp" in graph["monodromy"] and "modp" in graph["purity"]
+
+
+def test_imports_inside_functions_are_seen():
+    tree = ast.parse("import a\nclass C:\n    import b\n    def f(self):\n        from . import c\n")
+    assert imports(tree) == {("a", None), ("b", None), ("rigidcalc.c", "f")}
+
+
+def test_only_the_allowed_function_level_edge():
+    edges = {edge for edge in package_edges() if edge[2] is not None}
+    assert edges == FUNCTION_LEVEL_EDGES
 
 
 def test_no_import_cycle():
@@ -60,9 +102,9 @@ def test_no_import_cycle():
 
 
 def test_modp_imports_only_poly_from_the_package():
-    assert package_graph()["modp"] <= {"poly"}
+    assert {imported for importer, imported, _ in package_edges() if importer == "modp"} <= {"poly"}
 
 
 def test_nothing_imports_the_benchmark():
     for path in PACKAGE.glob("*.py"):
-        assert not any(name.split(".")[0] == "perfbench" for name in top_level_imports(path)), path
+        assert not any(name.split(".")[0] == "perfbench" for name, _ in module_imports(path)), path

@@ -37,6 +37,28 @@ class TestRankKernel:
             for v in basis:
                 assert all(x.is_zero() for x in m.mul_vector(v))
 
+    @pytest.mark.parametrize("order", [1, 3, 4, 5, 12])
+    def test_kernel_basis_is_the_reduced_echelon_kernel(self, rng, order):
+        # In RREF, annihilated by M, and cols - rank rows: these determine
+        # the basis, as the RREF of a subspace is unique.
+        for _ in range(12):
+            rows, cols, r = rng.randint(1, 5), rng.randint(1, 6), rng.randint(0, 4)
+            left = [[random_cyc(rng, order, span=2) for _ in range(r)] for _ in range(rows)]
+            right = [[random_cyc(rng, order, span=2) for _ in range(cols)] for _ in range(r)]
+            m = mat(left, order) * mat(right, order) if r else ExactMatrix.zeros(rows, cols, order)
+            basis = m.kernel_basis()
+            assert len(basis) == cols - m.rank()
+            leads = []
+            for v in basis:
+                assert len(v) == cols
+                assert all(x.is_zero() for x in m.mul_vector(v))
+                lead = next(i for i, x in enumerate(v) if not x.is_zero())
+                assert v[lead].is_one()
+                leads.append(lead)
+            assert leads == sorted(set(leads))
+            for lead, v in zip(leads, basis):
+                assert all(w[lead].is_zero() for w in basis if w is not v)
+
     def test_rank_invariant_under_permutations(self, rng):
         for _ in range(10):
             rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
