@@ -269,7 +269,7 @@ class CycNumber:
     of the orders.
     """
 
-    __slots__ = ("order", "nums", "den", "_canonical")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs, den: int = 1):
         nums = tuple(coeffs)
@@ -291,7 +291,6 @@ class CycNumber:
         self.order = order
         self.nums = nums
         self.den = den
-        self._canonical = None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -502,28 +501,39 @@ class CycNumber:
     # -- canonical form ----------------------------------------------------
 
     def canonical(self) -> "CycNumber":
-        """The same value written at its conductor (minimal order)."""
-        if self._canonical is None:
-            self._canonical = self._compute_canonical()
-        return self._canonical
+        """The same value written at its conductor (minimal order).
 
-    def _compute_canonical(self) -> "CycNumber":
-        n = self.order
-        if n == 1:
-            return self
+        Descends one prime q | N at a time, from order n to m = n / q, and
+        keeps the candidate y in Q(zeta_m) only if y lifts back to the value:
+        1. the orders d | N with the value in Q(zeta_d) are closed under gcd,
+           as Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)); so greedy
+           descent reaches the least of them, and a prime whose descent
+           fails never succeeds later;
+        2. if q | m, Phi_n(X) = Phi_m(X^q) and y keeps every q-th numerator;
+           else zeta_n^k = zeta_m^(ku) * zeta_q^(kv) for u = 1/q mod m and
+           v = 1/m mod q, and y is the trace to Q(zeta_m) over q - 1, which
+           sends zeta_q^b to 1 when q | b and to -1/(q - 1) otherwise;
+        3. each map is Q(zeta_m)-linear and fixes Q(zeta_m), so the value
+           lies in Q(zeta_m) iff y lifts back to it;
+        4. the least such order is never 2 (mod 4), so it is the conductor.
+        """
         if self.is_rational():
             return CycNumber(1, self.nums[:1], self.den)
-        from .linalg import ExactMatrix  # linalg imports this module
-
-        for d in divisors(n)[1:-1]:
-            # Solve nums = sum_i x_i * (zeta_d^i lifted to order n) over Q.
-            m = euler_phi(d)
-            basis = [CycNumber.zeta(d, i).lift(n).nums for i in range(m)]
-            rows = [[v[k] for v in basis] + [c] for k, c in enumerate(self.nums)]
-            reduced, pivots = ExactMatrix.from_rows(rows).rref()
-            if m not in pivots:
-                return CycNumber(d, [reduced[i, m].as_rational() for i in range(m)], self.den)
-        return self
+        x = self
+        for q in filter(_is_prime, divisors(self.order)):
+            while x.order % q == 0:
+                m = x.order // q
+                if m % q == 0:
+                    y = CycNumber(m, x.nums[::q], x.den)
+                else:
+                    u, raw = pow(q, -1, m), [0] * m
+                    for k, c in enumerate(x.nums):
+                        raw[k * u % m] += c * (q - 1) if k % q == 0 else -c
+                    y = CycNumber(m, _reduce_raw(raw, m), x.den * (q - 1))
+                if y.lift(x.order) != x:
+                    break
+                x = y
+        return x
 
     def sort_key(self):
         """A deterministic total-order key, stable across ambient orders."""
@@ -602,8 +612,8 @@ class CycNumber:
         return NotImplemented
 
     def __hash__(self):
-        c = self.canonical()
-        return hash((c.order, c.nums, c.den))
+        c = self.canonical()  # a rational hashes as the equal Fraction and int
+        return hash(Fraction(c.nums[0], c.den) if c.order == 1 else (c.order, c.nums, c.den))
 
     def __bool__(self):
         return not self.is_zero()

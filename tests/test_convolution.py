@@ -452,6 +452,39 @@ class TestMiddleConvolutionComposition:
         assert checked, "no pair met the hypotheses"
 
 
+class TestInvariants:
+    """MC_lambda for lambda in mu_N minus 1, when its output has rank > 0, and
+    rank-one twists by scalars in mu_N preserve the rigidity index and
+    absolute irreducibility (Katz, Rigid Local Systems (1996), ch. 5;
+    Dettweiler-Reiter, J. Symb. Comput. 30 (2000), section 3): checked on a
+    seeded sample of lambdas and twists per tuple."""
+
+    SAMPLES_PER_TUPLE = 3
+
+    @staticmethod
+    def check(index, image, label):
+        assert rigidity_index(image) == index, label
+        assert is_absolutely_irreducible(image), label
+
+    @pytest.mark.parametrize("order", range(3, 13))
+    def test_seeded_hypergeometric(self, rng, order):
+        convolved = 0
+        for _ in range(2):
+            t = seeded_hypergeometric(rng, order, min_rank=2)
+            assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
+            index = rigidity_index(t)
+            for k in rng.sample(range(1, order), min(order - 1, self.SAMPLES_PER_TUPLE)):
+                try:
+                    image = middle_convolution(t, CycNumber.zeta(order, k))
+                except ValueError:  # rank 0: nothing to compare
+                    continue
+                self.check(index, image, (t, "mc", k))
+                convolved += 1
+            twist = [CycNumber.zeta(order, rng.randrange(order)) for _ in t.punctures]
+            self.check(index, tensor_rank_one(t, RankOneData.of(twist)), (t, "twist", twist))
+        assert convolved, "no convolution of rank > 0"
+
+
 class TestKatzChoiceOracle:
     """Katz's twist and lambda against n - rank(A - zeta I) over mu_N, taken
     by direct eliminations, ties to the smallest exponent."""

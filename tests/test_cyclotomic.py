@@ -5,8 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rigidcalc import CycNumber, cyclotomic_polynomial, euler_phi
-from rigidcalc.cyclotomic import _is_prime, dot, residue_prime
+from rigidcalc import CycNumber, ExactMatrix, cyclotomic_polynomial, euler_phi
+from rigidcalc.cyclotomic import _is_prime, divisors, dot, residue_prime
 from rigidcalc.errors import InvalidOrder, NotAnEmbedding
 
 from helpers import random_cyc, random_rational
@@ -243,6 +243,59 @@ class TestOrderMixing:
         assert z6.canonical() == z6
         assert CycNumber.zeta(4).canonical().order == 4
         assert CycNumber.from_rational(7, 12).canonical().order == 1
+
+    def test_rationals_hash_as_ints_and_fractions(self):
+        assert CycNumber.one(4) == 1
+        assert len({CycNumber.one(4), 1}) == 1
+        assert {1: "a"}.get(CycNumber.one(4)) == "a"
+        assert hash(CycNumber.from_rational(Fraction(1, 2), 12)) == hash(Fraction(1, 2))
+
+
+class TestConductor:
+    @staticmethod
+    def galois(x: CycNumber, a: int) -> CycNumber:
+        # sigma_a: zeta -> zeta^a, by permuting the exponents of x's numerators
+        n = x.order
+        raw = [0] * n
+        for i, c in enumerate(x.coeffs):
+            raw[i * a % n] += c
+        return CycNumber.from_raw(raw, n)
+
+    def test_conductor_is_the_least_fixed_field(self, rng):
+        # x lies in Q(zeta_d) iff every sigma_a with a = 1 (mod d) fixes it,
+        # since those form Gal(Q(zeta_n) / Q(zeta_d)).
+        for n in range(1, 61):
+            units = [a for a in range(1, n + 1) if math.gcd(a, n) == 1]
+            for _ in range(3):
+                x = random_cyc(rng, rng.choice(divisors(n))).lift(n)
+                if rng.randrange(2):
+                    x = x + CycNumber.zeta(n, rng.randrange(n))
+                least = next(
+                    d for d in divisors(n) if all(self.galois(x, a) == x for a in units if a % d == 1 % d)
+                )
+                assert x.canonical().order == least, (n, x)
+                assert x.canonical() == x
+
+    @pytest.mark.parametrize("order", [998, 999, 1000])
+    def test_conductor_of_a_root_of_unity(self, order):
+        for j in (1, 3, 7, order - 1, 2, 10, 37):
+            k = order // math.gcd(j, order)
+            x = CycNumber.zeta(order, j)
+            assert x.canonical().order == (k // 2 if k % 4 == 2 else k), j
+            assert x.canonical() == x
+            assert (-x).canonical() == -x
+
+    def test_no_linear_algebra(self, rng, monkeypatch):
+        def refuse(self):
+            raise AssertionError("canonical form by elimination")
+
+        monkeypatch.setattr(ExactMatrix, "rref", refuse)
+        for n in range(1, 25):
+            for d in divisors(n):
+                x = random_cyc(rng, d).lift(n)
+                assert x.canonical() == x and x.canonical().order <= d
+                assert hash(x) == hash(x.canonical())
+                assert x.sort_key() == x.canonical().sort_key()
 
 
 class TestRootsOfUnity:

@@ -2,10 +2,8 @@
 
 Every ``import`` statement counts, wherever it stands.  One at the top of a
 module, or in a class body, runs when the module is loaded; those edges
-must form no cycle.  One inside a function runs at call time: the package
-has exactly one such edge, ``cyclotomic._compute_canonical`` importing
-``linalg`` (which imports ``cyclotomic`` at load time), and any other is a
-failure.
+must form no cycle.  No module of the package imports another inside a
+function, where a call-time import could hide a cycle.
 """
 from __future__ import annotations
 
@@ -13,9 +11,6 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rigidcalc"
-
-#: (importer, imported, function) for each import allowed inside a function
-FUNCTION_LEVEL_EDGES = {("cyclotomic", "linalg", "_compute_canonical")}
 
 
 def imported_names(node: ast.AST) -> set[str]:
@@ -81,9 +76,8 @@ def test_imports_inside_functions_are_seen():
     assert imports(tree) == {("a", None), ("b", None), ("rigidcalc.c", "f")}
 
 
-def test_only_the_allowed_function_level_edge():
-    edges = {edge for edge in package_edges() if edge[2] is not None}
-    assert edges == FUNCTION_LEVEL_EDGES
+def test_no_function_level_package_import():
+    assert {edge for edge in package_edges() if edge[2] is not None} == set()
 
 
 def test_no_import_cycle():
@@ -103,6 +97,11 @@ def test_no_import_cycle():
 
 def test_modp_imports_only_poly_from_the_package():
     assert {imported for importer, imported, _ in package_edges() if importer == "modp"} <= {"poly"}
+
+
+def test_cyclotomic_imports_only_poly_and_errors_from_the_package():
+    imported = {edge[1] for edge in package_edges() if edge[0] == "cyclotomic"}
+    assert imported == {"poly", "errors"}
 
 
 def test_nothing_imports_the_benchmark():
