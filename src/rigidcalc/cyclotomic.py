@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -381,26 +382,25 @@ class CycNumber:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, op=operator.add):
+        # self + other, or self - other for op = operator.sub: one construction.
         if isinstance(other, CycNumber):
             a, b, n = self._common(other)
             da, db = a.den, b.den
             if da == db:
-                return CycNumber(n, tuple(x + y for x, y in zip(a.nums, b.nums)), da)
-            return CycNumber(n, tuple(x * db + y * da for x, y in zip(a.nums, b.nums)), da * db)
+                return CycNumber(n, tuple(map(op, a.nums, b.nums)), da)
+            return CycNumber(n, tuple(op(x * db, y * da) for x, y in zip(a.nums, b.nums)), da * db)
         if isinstance(other, (int, Fraction)):
             q = other.denominator
             nums = self.nums
-            head = nums[0] * q + other.numerator * self.den
+            head = op(nums[0] * q, other.numerator * self.den)
             return CycNumber(self.order, (head,) + tuple(c * q for c in nums[1:]), self.den * q)
         return NotImplemented
 
-    __radd__ = __add__
+    __add__ = __radd__ = _add
 
     def __sub__(self, other):
-        if isinstance(other, (CycNumber, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        return self._add(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other

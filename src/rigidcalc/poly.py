@@ -3,7 +3,8 @@
 Coefficients may be ints, Fractions or CycNumbers.  Zero tests use
 truthiness and the leading coefficient is inverted as ``1 / lead``, so one
 routine serves every coefficient type.  Division by a non-monic integer
-polynomial would produce floats: use pseudo_divmod, which stays in Z[X].
+polynomial would produce floats: use pseudo_divmod, which stays in Z[X], or
+pseudo_rem, which stays in the ring of the coefficients.
 """
 from __future__ import annotations
 
@@ -78,6 +79,30 @@ def pseudo_divmod(num: list[int], den: list[int]) -> tuple[int, list[int], list[
             for j, t in enumerate(den):
                 rem[k - deg + j] -= c * t
     return scale, quo, trim(rem[:deg])
+
+
+def pseudo_rem(num: list, den: list) -> list:
+    """lead^e * num mod den, trimmed, for lead the leading coefficient of
+    den and e = deg num - deg den + 1 rounded up to even (0 when deg num <
+    deg den).
+
+    No inverse is taken, so the remainder stays in the ring the coefficients
+    generate.  An even e keeps lead^e positive under every real embedding,
+    as Sturm chains need.
+    """
+    den = trim(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead, deg = den[-1], len(den) - 1
+    rem = trim(num)
+    if max(len(rem) - deg, 0) % 2:
+        rem = [lead * c for c in rem]
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = rem[k]
+        rem = [lead * t for t in rem[:k]]
+        for j in range(deg):
+            rem[k - deg + j] -= c * den[j]
+    return trim(rem)
 
 
 def from_roots(roots: list) -> list:

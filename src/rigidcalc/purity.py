@@ -150,11 +150,29 @@ def functional_equation_check(p: WeilPolynomial) -> bool:
 
 
 def _monic_gcd(a, b) -> list:
-    """Monic gcd of two nonzero polynomials over Q(zeta_N), by Euclid."""
-    a, b = poly.trim(a), poly.trim(b)
+    """Monic gcd of two nonzero polynomials over Q(zeta_N), by pseudo-
+    remainders: no inverse while the leading coefficients are rational.
+
+    poly.pseudo_rem(a, b) = lc(b)^e a - q b, so gcd(b, prem) = gcd(a, b) up to
+    a factor in K^x, as is each remainder's _normalized form; the monic gcd
+    is unique.
+    """
+    a, b = (_normalized([CycNumber.coerce(c) for c in poly.trim(f)]) for f in (a, b))
     while b:
-        a, b = b, poly.divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+        a, b = b, _normalized(poly.pseudo_rem(a, b))
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _normalized(f) -> list[CycNumber]:
+    # Rational content alone does not stop the growth of a pseudo-remainder
+    # sequence whose leading coefficients are irrational (their powers stay
+    # in every later term, and heights grow geometrically), so such a term
+    # is made monic by one inverse instead.
+    if not f or f[-1].is_rational():
+        return f and _primitive(f)
+    inv = f[-1].inverse()
+    return [c * inv for c in f]
 
 
 def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
@@ -193,6 +211,8 @@ def _primitive(f) -> list[CycNumber]:
     # integers: no sign under any embedding changes, and heights stay small.
     den = math.lcm(*(c.den for c in f))
     g = math.gcd(*(x * (den // c.den) for c in f for x in c.nums))
+    if den == g:
+        return f
     return [c * Fraction(den, g) for c in f]
 
 
@@ -200,23 +220,14 @@ def _sturm_chain(h) -> list[list[CycNumber]]:
     """The Sturm chain h, h', -rem, ... of a squarefree h over K+, each term
     a positive multiple of the true one under every real embedding.
 
-    The remainders are pseudo-remainders: lc^e * f_{i-1} = quotient * f_i +
-    r with lc = lc(f_i) and e = deg f_{i-1} - deg f_i + 1, raised to the
-    next even e, so lc^e > 0 under every real embedding and no inverse in
-    K+ is needed.  Each term is then made primitive by _primitive.
+    The remainders are poly.pseudo_rem's, whose even power of the leading
+    coefficient is positive under every real embedding, so no inverse in K+
+    is needed.  Each term is then made primitive by _primitive.
     """
     chain = [h, _primitive(poly.derivative(h))]
     while len(chain[-1]) > 1:
-        rem, divisor = list(chain[-2]), chain[-1]
-        lead, deg = divisor[-1], len(divisor) - 1
-        if (len(rem) - deg) % 2:
-            rem = [lead * c for c in rem]
-        for k in range(len(rem) - 1, deg - 1, -1):
-            c = rem[k]
-            rem = [lead * t for t in rem[:k]]
-            for j in range(deg):
-                rem[k - deg + j] -= c * divisor[j]
-        chain.append(_primitive([-c for c in poly.trim(rem)]))
+        rem = poly.pseudo_rem(chain[-2], chain[-1])
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 

@@ -409,6 +409,25 @@ class TestArithmeticDetails:
         assert 2 * z - z == z
         assert (z + Fraction(1, 2)) - Fraction(1, 2) == z
 
+    @pytest.mark.parametrize("order", [1, 3, 4, 12, 60])
+    def test_subtraction_is_adding_the_negative(self, rng, order):
+        # Same order, mixed orders and int/Fraction operands, on both sides;
+        # every difference is stored in lowest terms.
+        for _ in range(15):
+            x = random_cyc(rng, order)
+            others = [
+                random_cyc(rng, order),
+                random_cyc(rng, rng.choice([1, 2, 3, 4, 5, 6])),
+                CycNumber(order, x.nums, rng.randint(1, 9) * x.den),
+                rng.randint(-5, 5),
+                random_rational(rng),
+            ]
+            for y in others:
+                for diff, expected in ((x - y, x + (-y)), (y - x, -x + y)):
+                    assert diff == expected
+                    assert diff.den > 0 and math.gcd(diff.den, *diff.nums) == 1
+            assert (x - x).is_zero()
+
     def test_str_forms(self):
         assert str(CycNumber.from_rational(Fraction(-7, 2))) == "-7/2"
         assert str(CycNumber.zeta(3)) == "zeta3"

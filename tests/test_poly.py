@@ -56,6 +56,34 @@ class TestPseudoDivmod:
             assert [Fraction(c, scale) for c in r] == r_over_q
 
 
+class TestPseudoRem:
+    @staticmethod
+    def exponent(num, den):
+        e = max(len(poly.trim(num)) - len(den) + 1, 0)
+        return e + e % 2
+
+    def test_scaled_field_remainder_over_z(self, rng):
+        # lead^e * num has the remainder pseudo_rem(num, den) over Q, with e
+        # even, and the pseudo-remainder stays in Z[X].
+        for _ in range(40):
+            num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
+            den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-4, -1, 2, 3])]
+            rem = poly.pseudo_rem(num, den)
+            assert all(type(c) is int for c in rem) and len(rem) < len(den)
+            scale = Fraction(den[-1]) ** self.exponent(num, den)
+            expected = poly.divmod([scale * c for c in num], [Fraction(c) for c in den])[1]
+            assert rem == expected
+
+    def test_scaled_field_remainder_over_q_zeta_12(self, rng):
+        for _ in range(10):
+            num = [random_cyc(rng, 12) for _ in range(rng.randint(1, 6))]
+            den = [random_cyc(rng, 12) for _ in range(rng.randint(1, 3))]
+            if not den[-1]:
+                den[-1] = CycNumber.zeta(12)
+            scale = den[-1] ** self.exponent(num, den)
+            assert poly.pseudo_rem(num, den) == poly.divmod([scale * c for c in num], den)[1]
+
+
 class TestSquarefree:
     def test_repeated_roots_appear_once(self, rng):
         for order in (1, 4, 6):

@@ -16,8 +16,10 @@ from rigidcalc import (
     magnitude_check,
     weil_check,
 )
+from rigidcalc import poly as poly_ops
 from rigidcalc.cli import main
 from rigidcalc.errors import RootFindingFailure, ZeroConstantTerm
+from rigidcalc.purity import _monic_gcd
 
 from helpers import count_points_x3_plus_x
 
@@ -418,6 +420,19 @@ class TestExactPurity:
         start = time.perf_counter()
         assert weil_check(p) is WeilVerdict.PASS  # about 0.8 s by root finding
         assert time.perf_counter() - start < 0.1
+
+    def test_long_remainder_sequence_over_q_zeta_12_is_fast(self):
+        # gcd(f, f') of degree 6 for f of degree 18: twelve remainders whose
+        # leading coefficients are irrational.  Pseudo-remainders made
+        # primitive over Q alone take about 3.5 s here, as heights double
+        # at each step; about 0.02 s when such remainders are made monic.
+        z = CycNumber.zeta(12)
+        factors = [twisted_frobenius(z**k, t, 13) for k, t in ((1, 3), (2, -2), (5, 5), (7, 1), (3, 0), (11, -6))]
+        f = expand(factors + factors[:3], 12)
+        start = time.perf_counter()
+        gcd = _monic_gcd(f, poly_ops.derivative(f))
+        assert time.perf_counter() - start < 1
+        assert gcd == expand(factors[:3], 12)
 
     def test_degree_four_over_q_zeta_60_is_fast(self):
         z = CycNumber.zeta(60)
