@@ -339,8 +339,6 @@ class CycNumber:
             x = value
         else:
             x = cls.from_rational(value, order)
-        if order % x.order == 0:
-            return x.lift(order)
         return x.lift(math.lcm(x.order, order))
 
     # -- order handling --------------------------------------------------

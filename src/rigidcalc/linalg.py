@@ -268,14 +268,14 @@ class ExactMatrix:
     def _forward_eliminate(self):
         # Fraction-free (Bareiss) forward pass.  Each produced entry is (up to
         # sign) a minor of the input, which keeps coefficient growth
-        # polynomial.  The division by the previous pivot is exact, so its
-        # inverse is taken once per pivot; before the first pivot it is the
-        # plain int 1.  The update (p * x - f * y) / prev of a cell is the
-        # dot product of (u, v) = (p / prev, -f / prev) with (x, y): the same
-        # value, built with one normalization.
+        # polynomial.  The division by the previous pivot is exact; its
+        # inverse is taken only once the next pivot needs it, and ``rref``
+        # reuses ``inverses``.  The update (p * x - f * y) / prev of a cell
+        # is the dot product of (u, v) = (p / prev, -f / prev) with (x, y):
+        # the same value, built with one normalization.
         n = self.order
         data = self.to_lists()
-        prev = prev_inv = 1
+        inv, inverses = 1, []
         pivots: list[int] = []
         sign = 1
         r = 0
@@ -286,11 +286,14 @@ class ExactMatrix:
             if pivot_row != r:
                 data[r], data[pivot_row] = data[pivot_row], data[r]
                 sign = -sign
+            if pivots:
+                inv = data[r - 1][pivots[-1]].inverse()
+                inverses.append(inv)
             p = data[r][c]
             top = data[r]
             zero = p * 0
-            u = p * prev_inv
-            neg_inv = -prev_inv
+            u = p * inv
+            neg_inv = -inv
             for i in range(r + 1, self.rows):
                 row_i = data[i]
                 f = row_i[c]
@@ -298,7 +301,7 @@ class ExactMatrix:
                     uv = (u, f * neg_inv)
                     for j in range(c + 1, self.cols):
                         row_i[j] = dot(uv, (row_i[j], top[j]), n)
-                elif p != prev:
+                elif not u.is_one():
                     for j in range(c + 1, self.cols):
                         if row_i[j]:
                             row_i[j] = row_i[j] * u
@@ -307,17 +310,16 @@ class ExactMatrix:
             r += 1
             if r == self.rows:
                 break
-            prev, prev_inv = p, p.inverse()
-        return data, tuple(pivots), sign
+        return data, tuple(pivots), sign, inverses
 
     def rref(self):
         """Reduced row echelon form and its pivot columns."""
-        data, pivots, _ = self._forward_eliminate()
+        data, pivots, _, inverses = self._forward_eliminate()
         n = self.order
         one = CycNumber.one(n)
         for r in range(len(pivots) - 1, -1, -1):
             c = pivots[r]
-            inv = data[r][c].inverse()
+            inv = inverses[r] if r < len(inverses) else data[r][c].inverse()
             top = data[r] = [e * inv if e else e for e in data[r]]
             for i in range(r):
                 f = data[i][c]
@@ -328,7 +330,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, flat, order=self.order), pivots
 
     def rank(self) -> int:
-        _, pivots, _ = self._forward_eliminate()
+        _, pivots, _, _ = self._forward_eliminate()
         return len(pivots)
 
     def kernel_basis(self) -> tuple[tuple[CycNumber, ...], ...]:
@@ -375,7 +377,7 @@ class ExactMatrix:
             raise DimensionMismatch("determinant requires a square matrix")
         if self.rows == 0:
             return CycNumber.one()
-        data, pivots, sign = self._forward_eliminate()
+        data, pivots, sign, _ = self._forward_eliminate()
         if len(pivots) < self.rows:
             return CycNumber.zero(self.order)
         d = data[self.rows - 1][pivots[-1]]

@@ -247,12 +247,12 @@ def make_tuple(order: int, punctures, matrices) -> MonodromyTuple:
 
 
 def is_quasi_unipotent(matrix: ExactMatrix, order: int) -> bool:
-    """True iff (matrix^N - I)^n = 0, i.e. all eigenvalues lie in mu_N."""
+    """True iff all eigenvalues lie in mu_N: their multiplicities n - r_k
+    in the rank sequences over mu_N add up to n."""
     if not matrix.is_square:
         raise DimensionMismatch("quasi-unipotence requires a square matrix")
-    n = matrix.rows
-    power = (matrix ** order) - ExactMatrix.identity(n, order=matrix.order)
-    return (power ** n).is_zero()
+    sequences = _rank_sequences(matrix, order).values()
+    return sum(ranks[0] - ranks[-1] for ranks in sequences) == matrix.rows
 
 
 def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
@@ -326,19 +326,17 @@ def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
     number of blocks of size at least j is r_(j-1) - r_j, so the number of
     size exactly j is r_(j-1) - 2 r_j + r_(j+1).
     """
-    if not matrix.is_square:
-        raise DimensionMismatch("jordan type requires a square matrix")
+    if not is_quasi_unipotent(matrix, order):  # also rejects a non-square matrix
+        raise NotQuasiUnipotent(
+            f"eigenvalues are not all roots of unity of order dividing {order}; "
+            "try a larger order"
+        )
     blocks: list[tuple[CycNumber, int]] = []
     for t, ranks in _rank_sequences(matrix, order).items():
         zeta = CycNumber.zeta(order, t)
         at_least = _blocks_at_least(ranks)
         for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
             blocks.extend([(zeta, size)] * (a - b))
-    if sum(size for _, size in blocks) != matrix.rows:
-        raise NotQuasiUnipotent(
-            f"eigenvalues are not all roots of unity of order dividing {order}; "
-            "try a larger order"
-        )
     return JordanType.from_blocks(blocks)
 
 
@@ -354,11 +352,11 @@ def centralizer_dim(matrix: ExactMatrix) -> int:
     """
     if not matrix.is_square:
         raise DimensionMismatch("centralizer requires a square matrix")
-    sequences = _rank_sequences(matrix, math.lcm(2, matrix.order))
-    at_least = [d for ranks in sequences.values() for d in _blocks_at_least(ranks)]
-    if sum(at_least) == matrix.rows:
-        return sum(d * d for d in at_least)
-    return _commutation_nullity(matrix)
+    m = math.lcm(2, matrix.order)
+    if not is_quasi_unipotent(matrix, m):
+        return _commutation_nullity(matrix)
+    sequences = _rank_sequences(matrix, m).values()
+    return sum(d * d for ranks in sequences for d in _blocks_at_least(ranks))
 
 
 def _commutation_nullity(matrix: ExactMatrix) -> int:

@@ -136,6 +136,74 @@ class TestDeterminant:
         assert mat([[0, 1], [1, 0]]).det() == -1
 
 
+def rank_k_matrix(rng, order, rows, cols, k):
+    # (rows x k) times (k x cols), each holding a k x k identity in shuffled
+    # rows or columns and small random entries elsewhere: rank exactly k.
+    left = [[random_cyc(rng, order, 2) for _ in range(k)] for _ in range(rows)]
+    for i, r in enumerate(rng.sample(range(rows), k)):
+        left[r] = [1 if j == i else 0 for j in range(k)]
+    right = [[random_cyc(rng, order, 2) for _ in range(cols)] for _ in range(k)]
+    for i, c in enumerate(rng.sample(range(cols), k)):
+        for j in range(k):
+            right[j][c] = 1 if j == i else 0
+    return mat(left, order) * mat(right, order)
+
+
+class TestPivotInverses:
+    """Each pivot is inverted once: the forward pass inverts pivot i only
+    when it finds pivot i + 1, and rref normalizes with those inverses, so
+    it inverts only the last pivot itself."""
+
+    @pytest.fixture
+    def inverted(self, monkeypatch):
+        calls = []
+        inverse = CycNumber.inverse
+
+        def counting(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(CycNumber, "inverse", counting)
+        return calls
+
+    @pytest.mark.parametrize("order", [1, 4, 12])
+    @pytest.mark.parametrize(
+        "rows, cols, k",
+        [(1, 1, 1), (4, 4, 4), (4, 4, 2), (5, 5, 1), (3, 6, 3), (3, 6, 2), (5, 3, 3), (5, 4, 2)],
+    )
+    def test_one_inverse_per_pivot(self, rng, inverted, order, rows, cols, k):
+        for _ in range(3):
+            m = rank_k_matrix(rng, order, rows, cols, k)
+            data, pivots, *_ = m._forward_eliminate()
+            assert len(pivots) == k
+            pivot_values = [data[r][c] for r, c in enumerate(pivots)]
+            inverted.clear()
+            m.rref()
+            # pivots 0 .. k - 2 in the forward pass, pivot k - 1 in rref
+            assert inverted == pivot_values
+            inverted.clear()
+            assert len(m.kernel_basis()) == cols - k
+            assert len(inverted) == k
+            inverted.clear()
+            assert m.rank() == k
+            assert len(inverted) <= k - 1
+            if rows == cols:
+                inverted.clear()
+                assert m.det().is_zero() == (k < rows)
+                assert len(inverted) <= k - 1
+
+    @pytest.mark.parametrize("order", [1, 4, 12])
+    def test_matrix_inverse_inverts_n_pivots(self, rng, inverted, order):
+        for n in (1, 2, 3, 5):
+            m = random_invertible(rng, n, order) * ExactMatrix.diagonal(
+                [random_cyc(rng, order, 2) + 3 for _ in range(n)], order
+            )
+            inverted.clear()
+            inv = m.inverse()
+            assert len(inverted) == n
+            assert inv * m == ExactMatrix.identity(n, order=m.order)
+
+
 class TestCharpoly:
     def test_identity(self):
         coeffs = ExactMatrix.identity(2).charpoly()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -159,6 +160,58 @@ class TestQuasiUnipotent:
         z = CycNumber.zeta(3)
         assert is_quasi_unipotent(ExactMatrix.diagonal([z, z * z]), 3)
         assert not is_quasi_unipotent(ExactMatrix.diagonal([z, z * z]), 2)
+
+    @staticmethod
+    def by_powers(matrix, order):
+        # Reference: (M^N - I)^n = 0 iff every eigenvalue lies in mu_N.
+        power = matrix ** order - ExactMatrix.identity(matrix.rows, order=matrix.order)
+        return (power ** matrix.rows).is_zero()
+
+    def test_agrees_with_matrix_powers(self, rng):
+        # Conjugated Jordan matrices over Q(zeta_K) with eigenvalues in
+        # mu_lcm(2, K), some with an extra eigenvalue 2, and generic ones,
+        # each compared at every order N = 1..12.
+        rotation = mat([[0, -1], [1, 0]])  # eigenvalues +-i, outside Q
+        assert [is_quasi_unipotent(rotation, n) for n in (1, 2, 4)] == [False, False, True]
+        matrices = [rotation, mat([[2, 1], [0, 1]])]
+        for field in (1, 3, 4, 12):
+            m = math.lcm(2, field)
+            roots = [CycNumber.zeta(m, k) for k in range(m)]
+            for extra in ([], [(2, 1)]):
+                blocks = [(rng.choice(roots), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+                blocks += extra
+                p = _conjugator(rng, sum(size for _, size in blocks), field)
+                matrices.append(p * _jordan_matrix(blocks, field) * p.inverse())
+            matrices.append(mat([[random_cyc(rng, field, 2) for _ in range(3)] for _ in range(3)]))
+        verdicts = []
+        for m in matrices:
+            for order in range(1, 13):
+                expected = self.by_powers(m, order)
+                assert is_quasi_unipotent(m, order) == expected, (m, order)
+                verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
+    def test_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            is_quasi_unipotent(mat([[1, 0, 0], [0, 1, 0]]), 2)
+        with pytest.raises(DimensionMismatch):
+            jordan_type(mat([[1, 0, 0], [0, 1, 0]]), 2)
+
+    def test_jordan_type_reads_the_same_ranks(self, rng, monkeypatch):
+        # No matrix power is formed, and the Jordan type at the same order
+        # reads the rank sequences the test left on the matrix.
+        calls = []
+        exact_rank = ExactMatrix.rank
+        p = _conjugator(rng, 4, 4)
+        blocks = [(CycNumber.zeta(4), 2), (-1, 1), (1, 1)]
+        m = p * _jordan_matrix(blocks, 4) * p.inverse()
+        monkeypatch.setattr(ExactMatrix, "rank", lambda a: calls.append(a) or exact_rank(a))
+        monkeypatch.setattr(ExactMatrix, "__pow__", lambda a, e: pytest.fail("matrix power"))
+        assert is_quasi_unipotent(m, 4)
+        seen = len(calls)
+        assert seen > 0
+        assert jordan_type(m, 4) == JordanType.from_blocks(blocks)
+        assert len(calls) == seen
 
 
 class TestJordanType:
