@@ -335,6 +335,7 @@ class CycNumber:
     @classmethod
     def coerce(cls, value, order: int = 1) -> "CycNumber":
         """Accept a CycNumber, int or Fraction; lift to at least ``order``."""
+        _check_order(order)  # math.lcm below would make a negative order positive
         if isinstance(value, CycNumber):
             x = value
         else:

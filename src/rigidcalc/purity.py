@@ -150,29 +150,41 @@ def functional_equation_check(p: WeilPolynomial) -> bool:
 
 
 def _monic_gcd(a, b) -> list:
-    """Monic gcd of two nonzero polynomials over Q(zeta_N), by pseudo-
-    remainders: no inverse while the leading coefficients are rational.
+    """Monic gcd of two nonzero polynomials over Q(zeta_N): the last term
+    of their _remainder_sequence, made monic by one inverse."""
+    g = _remainder_sequence(*([CycNumber.coerce(c) for c in poly.trim(f)] for f in (a, b)))[-1]
+    inv = g[-1].inverse()
+    return [c * inv for c in g]
 
-    poly.pseudo_rem(a, b) = lc(b)^e a - q b, so gcd(b, prem) = gcd(a, b) up to
-    a factor in K^x, as is each remainder's _normalized form; the monic gcd
-    is unique.
+
+def _remainder_sequence(f, g) -> list[list[CycNumber]]:
+    """f, g, then -poly.pseudo_rem(a, b) / lc(a)^e after the last two terms
+    a, b, for lc(a)^e the even power pseudo_rem gave lc(a) one step before
+    (no division when lc(a) is rational), up to the last nonzero term; each
+    term made primitive.
+
+    1. Each term is a K^x multiple of the Euclidean remainder, so the gcd
+       is unchanged.
+    2. lc(a)^e with e even, and positive rationals, are positive under
+       every real embedding, so over K+ each term is a positive multiple of
+       the classical Sturm term.
+    3. The division is exact, as in Collins' reduced PRS ("Subresultants
+       and reduced polynomial remainder sequences", J. ACM 14, 1967), so
+       heights stay linear in the normal case.
     """
-    a, b = (_normalized([CycNumber.coerce(c) for c in poly.trim(f)]) for f in (a, b))
-    while b:
-        a, b = b, _normalized(poly.pseudo_rem(a, b))
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _normalized(f) -> list[CycNumber]:
-    # Rational content alone does not stop the growth of a pseudo-remainder
-    # sequence whose leading coefficients are irrational (their powers stay
-    # in every later term, and heights grow geometrically), so such a term
-    # is made monic by one inverse instead.
-    if not f or f[-1].is_rational():
-        return f and _primitive(f)
-    inv = f[-1].inverse()
-    return [c * inv for c in f]
+    seq = [_primitive(f), _primitive(g)]
+    e = 0
+    while len(seq[-1]) > 1:  # after a constant, every remainder is 0
+        a, b = seq[-2:]
+        rem = poly.pseudo_rem(a, b)
+        if not rem:
+            break
+        if e and not a[-1].is_rational():
+            scale = a[-1].inverse() ** e
+            rem = [c * scale for c in rem]
+        seq.append(_primitive(rem, -1))
+        e = max(len(a) - len(b) + 2, 0) // 2 * 2  # deg a - deg b + 1, made even
+    return seq
 
 
 def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
@@ -180,10 +192,7 @@ def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
     f = poly.trim(coeffs)
     if _squarefree_mod_p(f):
         return tuple(f)
-    gcd = _monic_gcd(f, poly.derivative(f))
-    if len(gcd) == 1:
-        return tuple(f)
-    return tuple(poly.divmod(f, gcd)[0])
+    return tuple(poly.divmod(f, _monic_gcd(f, poly.derivative(f)))[0])
 
 
 def _squarefree_mod_p(f) -> bool:
@@ -206,29 +215,15 @@ def _conjugate_pair_representatives(n: int) -> list[int]:
     return [a for a in range(1, max(1, n // 2) + 1) if math.gcd(a, n) == 1]
 
 
-def _primitive(f) -> list[CycNumber]:
-    # f times the positive rational that makes all its numerators coprime
-    # integers: no sign under any embedding changes, and heights stay small.
+def _primitive(f, sign: int = 1) -> list[CycNumber]:
+    # sign * f, times the positive rational that makes all its numerators
+    # coprime integers: heights stay small, and under every embedding each
+    # value keeps the sign it has in sign * f.
     den = math.lcm(*(c.den for c in f))
     g = math.gcd(*(x * (den // c.den) for c in f for x in c.nums))
-    if den == g:
+    if den == g and sign == 1:
         return f
-    return [c * Fraction(den, g) for c in f]
-
-
-def _sturm_chain(h) -> list[list[CycNumber]]:
-    """The Sturm chain h, h', -rem, ... of a squarefree h over K+, each term
-    a positive multiple of the true one under every real embedding.
-
-    The remainders are poly.pseudo_rem's, whose even power of the leading
-    coefficient is positive under every real embedding, so no inverse in K+
-    is needed.  Each term is then made primitive by _primitive.
-    """
-    chain = [h, _primitive(poly.derivative(h))]
-    while len(chain[-1]) > 1:
-        rem = poly.pseudo_rem(chain[-2], chain[-1])
-        chain.append(_primitive([-c for c in rem]))
-    return chain
+    return [c * Fraction(sign * den, g) for c in f]
 
 
 def _trace_polynomial(s, d) -> list[CycNumber]:
@@ -299,8 +294,8 @@ def _exactly_pure(p: WeilPolynomial) -> bool:
     Soundness of computing once over K+: iota_a is an injective ring map,
     so it commutes with sums and products and keeps nonzero coefficients
     nonzero; degrees, squarefreeness and the remainder sequence commute
-    with it, and the chain of _sturm_chain maps to positive multiples of a
-    Sturm chain of iota_a(h).  A chain term takes the value A +- B sqrt(d)
+    with it, and _remainder_sequence(h, h') maps to positive multiples of
+    a Sturm chain of iota_a(h).  A chain term takes the value A +- B sqrt(d)
     at +-2 sqrt(d), with A, B in K+.  Its sign follows from the signs of A
     and B, and, where they differ, of A^2 - B^2 d; each is a zero test or a
     certified sign from _real_sign.  No verdict rests on a rounded value.
@@ -315,16 +310,15 @@ def _exactly_pure(p: WeilPolynomial) -> bool:
         s = r
     else:
         s = list(_squarefree_part(r))
-        gcd = _monic_gcd(s, edge)
-        if len(gcd) > 1:
-            s = poly.divmod(s, gcd)[0]
+        s = poly.divmod(s, _monic_gcd(s, edge))[0]
     m, odd = divmod(len(s) - 1, 2)
     if odd or any(s[m - k] != s[m + k] * d**k for k in range(1, m + 1)):
         return False
     if m == 0:
         return True
     values = []
-    for f in _sturm_chain(_trace_polynomial(s, d)):
+    h = _trace_polynomial(s, d)
+    for f in _remainder_sequence(h, poly.derivative(h)):
         halves = [one * 0, one * 0]
         for k, c in enumerate(f):
             halves[k % 2] += c * (2**k * d ** (k // 2))

@@ -157,6 +157,16 @@ class TestConstructors:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("form", [
+        ["--a", "1,1", "--b", "zeta3,zeta3^2"],
+        ["--multiplicity", '{"N": 3, "m": [{"zeta": "zeta3", "mult": 1}]}'],
+    ], ids=["parameters", "multiplicity"])
+    def test_hypergeom_negative_order_exits_two(self, capsys, form):
+        # lcm(3, -3) = 3 once read a negative --order as a valid one
+        code, out, err = run(capsys, "hypergeom", *form, "--order", "-3")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "-3" in err
+
 
 class TestTable1:
     def test_exit_zero_and_text(self, capsys):

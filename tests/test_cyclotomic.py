@@ -231,6 +231,13 @@ class TestOrderMixing:
         assert lifted == z
         assert (lifted * lifted * lifted).is_one()
 
+    @pytest.mark.parametrize("order", [0, -1, -3, -12])
+    def test_coerce_refuses_orders_below_one(self, order):
+        # lcm(3, -3) = 3 would otherwise read a negative order as a valid one
+        for value in (CycNumber.zeta(3), CycNumber.one(4), 1, Fraction(1, 2)):
+            with pytest.raises(InvalidOrder):
+                CycNumber.coerce(value, order)
+
     def test_cross_order_equality_and_hash(self):
         a = CycNumber.from_rational(-1, 2)
         b = CycNumber.from_raw([0, 0, 1, 0], 4)  # zeta4^2

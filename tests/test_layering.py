@@ -3,7 +3,9 @@
 Every ``import`` statement counts, wherever it stands.  One at the top of a
 module, or in a class body, runs when the module is loaded; those edges
 must form no cycle.  No module of the package imports another inside a
-function, where a call-time import could hide a cycle.
+function, where a call-time import could hide a cycle.  The Weil decision
+takes its pseudo-remainders in one place, so a second remainder loop cannot
+return unnoticed.
 """
 from __future__ import annotations
 
@@ -33,6 +35,22 @@ def imports(tree: ast.AST) -> set[tuple[str, str | None]]:
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             found.update((name, scope) for name in imported_names(child))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(tree, None)
+    return found
+
+
+def references(tree: ast.AST, name: str) -> list[str | None]:
+    """The innermost function around each use of ``name``, bare or as an
+    attribute, in source order; None outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "attr", None) == name or getattr(child, "id", None) == name:
+                found.append(scope)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else scope)
 
@@ -107,3 +125,10 @@ def test_cyclotomic_imports_only_poly_and_errors_from_the_package():
 def test_nothing_imports_the_benchmark():
     for path in PACKAGE.glob("*.py"):
         assert not any(name.split(".")[0] == "perfbench" for name, _ in module_imports(path)), path
+
+
+def test_one_pseudo_remainder_loop_in_purity():
+    nested = ast.parse("def f():\n    poly.pseudo_rem(a, b)\n    def g():\n        pseudo_rem(a, b)\n")
+    assert references(nested, "pseudo_rem") == ["f", "g"]
+    purity = ast.parse((PACKAGE / "purity.py").read_text())
+    assert references(purity, "pseudo_rem") == ["_remainder_sequence"]

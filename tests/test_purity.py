@@ -17,6 +17,7 @@ from rigidcalc import (
     weil_check,
 )
 from rigidcalc import poly as poly_ops
+from rigidcalc import purity
 from rigidcalc.cli import main
 from rigidcalc.errors import RootFindingFailure, ZeroConstantTerm
 from rigidcalc.purity import _monic_gcd
@@ -425,7 +426,8 @@ class TestExactPurity:
         # gcd(f, f') of degree 6 for f of degree 18: twelve remainders whose
         # leading coefficients are irrational.  Pseudo-remainders made
         # primitive over Q alone take about 3.5 s here, as heights double
-        # at each step; about 0.02 s when such remainders are made monic.
+        # at each step; about 0.01 s with the exact divisions of
+        # _remainder_sequence.
         z = CycNumber.zeta(12)
         factors = [twisted_frobenius(z**k, t, 13) for k, t in ((1, 3), (2, -2), (5, 5), (7, 1), (3, 0), (11, -6))]
         f = expand(factors + factors[:3], 12)
@@ -433,6 +435,38 @@ class TestExactPurity:
         gcd = _monic_gcd(f, poly_ops.derivative(f))
         assert time.perf_counter() - start < 1
         assert gcd == expand(factors[:3], 12)
+
+    def test_sturm_chain_of_nine_factors_stays_short(self, monkeypatch):
+        # A pure product of nine twisted Frobenius factors at q = 13 over
+        # Q(zeta_12).  Terms only made primitive grow to 134 828 bits, about
+        # x2.4 per term; the exact divisions keep them near 100.
+        z = CycNumber.zeta(12)
+        pairs = ((1, 3), (2, -2), (5, 5), (7, 1), (3, 0), (11, -6), (4, 2), (9, -1), (6, 4))
+        p = poly(expand([twisted_frobenius(z**k, t, 13) for k, t in pairs], 12), 13, 1)
+        terms = []
+        original = purity._primitive
+
+        def bounded(*args):
+            # every term of every remainder sequence passes through here;
+            # failing at once keeps a runaway sequence from running on
+            terms.append(original(*args))
+            assert max(x.bit_length() for c in terms[-1] for x in (*c.nums, c.den)) < 1000
+            return terms[-1]
+
+        monkeypatch.setattr(purity, "_primitive", bounded)
+        assert purity._exactly_pure(p)
+        assert len(terms) > 40  # 29 terms for the gcd of R and R', 14 for the Sturm chain
+
+    def test_gcd_over_q_zeta_199_is_fast(self):
+        # One inverse, for the monic gcd.  Making each remainder with an
+        # irrational leading coefficient monic took about 14.5 s here.
+        z = CycNumber.zeta(199)
+        one = CycNumber.one(199)
+        f = expand([[-z, one], [-z, one], [-(z**3) - 1, one], [-(z**5) + 2, one]], 199)
+        start = time.perf_counter()
+        gcd = _monic_gcd(f, poly_ops.derivative(f))
+        assert time.perf_counter() - start < 2
+        assert gcd == [-z, one]
 
     def test_degree_four_over_q_zeta_60_is_fast(self):
         z = CycNumber.zeta(60)

@@ -2,17 +2,18 @@
 
 sympy computes monic gcds in its own domains, ``QQ`` for Q and ``QQ_I`` for
 Q(i) = Q(zeta_4), and the classical Sturm chain is recomputed here by
-Euclid over Fractions, so no pseudo-remainder of rigidcalc takes part in
-either reference.
+field division (``poly.divmod``), so no pseudo-remainder of rigidcalc takes
+part in either reference.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from rigidcalc import CycNumber, poly
-from rigidcalc.purity import _monic_gcd, _sturm_chain
+from rigidcalc.purity import _monic_gcd, _remainder_sequence
 
 from helpers import random_cyc, random_rational
 
@@ -105,9 +106,9 @@ def test_one_inverse_while_leading_coefficients_are_rational(monkeypatch):
 
 
 def test_at_most_one_inverse_per_remainder(monkeypatch):
-    # A degree-8 product over Q(zeta_12): each remainder with an irrational
-    # leading coefficient is made monic by one inverse, and the gcd needs no
-    # further inverse per coefficient.  Here deg f - deg gcd = 4.
+    # A degree-8 product over Q(zeta_12): each division by a power of an
+    # irrational leading coefficient takes one inverse, as does making the
+    # gcd monic, and no coefficient is inverted.  Here deg f - deg gcd = 4.
     z = CycNumber.zeta(12)
     f = repeated_product([(z, 2), (z**5 + 2, 3), (z - Fraction(1, 2), 1), (-z**3, 2)], 12)
     assert len(f) == 9
@@ -116,48 +117,56 @@ def test_at_most_one_inverse_per_remainder(monkeypatch):
     assert calls <= len(f) - len(gcd)
 
 
-def fraction_rem(num: list, den: list) -> list:
-    """The remainder of num by den over Q, by schoolbook Euclid."""
-    rem = list(num)
-    while len(rem) >= len(den):
-        c = rem[-1] / den[-1]
-        shift = len(rem) - len(den)
-        for j, t in enumerate(den):
-            rem[shift + j] -= c * t
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
 def classical_sturm(h: list) -> list:
-    chain = [h, [k * c for k, c in enumerate(h)][1:]]
+    """h, h', -rem, ... by division over the field."""
+    chain = [h, poly.derivative(h)]
     while len(chain[-1]) > 1:
-        chain.append([-c for c in fraction_rem(chain[-2], chain[-1])])
+        chain.append([-c for c in poly.divmod(chain[-2], chain[-1])[1]])
     return chain
 
 
-def random_squarefree(rng) -> list:
-    """A squarefree h over Q of degree 3..7.  Sparse coefficients make some
-    remainders drop two or more degrees, where the even exponent matters."""
+def random_real(rng, order: int) -> CycNumber:
+    """x + conj(x) for a random x: an element of Q(zeta_order) ∩ R."""
+    x = random_cyc(rng, order, span=3)
+    return x + x.conjugate()
+
+
+def is_squarefree(h: list) -> bool:
+    return len(classical_sturm(h)[-1]) == 1  # gcd(h, h') is a nonzero constant
+
+
+def random_squarefree(rng, order: int) -> list:
+    """A squarefree h over Q(zeta_order) ∩ R of degree 3..7.  Sparse
+    coefficients make some remainders drop two or more degrees, where the
+    even exponent matters."""
+    zero = CycNumber.zero(order)
     while True:
         degree = rng.randint(3, 7)
-        h = [Fraction(rng.choice([0, 0, rng.randint(-6, 6)])) for _ in range(degree)]
-        h.append(random_rational(rng) or Fraction(-2))
-        if classical_sturm(h)[-1] != []:  # gcd(h, h') is a nonzero constant
+        h = [rng.choice([zero, zero, random_real(rng, order)]) for _ in range(degree)]
+        h.append(random_real(rng, order) or CycNumber.from_rational(-2, order))
+        if is_squarefree(h):
             return h
 
 
 def test_sturm_chain_is_a_positive_multiple_of_the_classical_one(rng):
-    # X^4 + bX + c gives remainders of degrees 3, 1, 0: one odd exponent
-    quartics = [[Fraction(c), Fraction(b), Fraction(0), Fraction(0), Fraction(1)]
-                for b, c in ((3, 1), (-3, 1), (5, -2), (-5, -2))]
-    for h in quartics + [random_squarefree(rng) for _ in range(60)]:
-        chain = _sturm_chain([CycNumber.from_rational(c) for c in h])
-        classical = classical_sturm(h)
-        assert len(chain) == len(classical)
-        for term, reference in zip(chain, classical):
-            assert len(term) == len(reference)
-            ratios = {c.as_rational() / r for c, r in zip(term, reference) if r}
-            assert len(ratios) == 1 and ratios.pop() > 0
-            assert all(c.is_zero() for c, r in zip(term, reference) if not r)
+    # Over Q and over K+ = Q(zeta_N) ∩ R for N = 5, 8, 12, whose real
+    # embeddings iota_a, a <= N/2, can give one number different signs.
+    for order, count in ((1, 30), (5, 12), (8, 12), (12, 12)):
+        # X^4 + bX + c gives remainders of degrees 3, 1, 0: one odd exponent
+        pairs = [(3, 1), (-3, 1), (5, -2), (-5, -2)]
+        pairs += [(random_real(rng, order), random_real(rng, order)) for _ in range(4)]
+        zero, one = CycNumber.zero(order), CycNumber.one(order)
+        quartics = [[CycNumber.coerce(c, order), CycNumber.coerce(b, order), zero, zero, one] for b, c in pairs]
+        for h in [h for h in quartics if is_squarefree(h)] + [random_squarefree(rng, order) for _ in range(count)]:
+            chain = _remainder_sequence(h, poly.derivative(h))
+            classical = classical_sturm(h)
+            assert len(chain) == len(classical)
+            for term, reference in zip(chain, classical):
+                assert len(term) == len(reference)
+                ratios = {c / r for c, r in zip(term, reference) if r}
+                assert len(ratios) == 1
+                assert all(c.is_zero() for c, r in zip(term, reference) if not r)
+                ratio = ratios.pop()
+                for a in range(1, max(1, order // 2) + 1):
+                    if math.gcd(a, order) == 1:
+                        assert ratio.embed(a, 512).real > 0
