@@ -445,12 +445,13 @@ class CycNumber:
             base = self.inverse()
             exponent = -exponent
         result = CycNumber.one(base.order)
-        while exponent:
+        while True:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     def inverse(self) -> "CycNumber":
         n = self.order

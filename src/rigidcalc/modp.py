@@ -99,3 +99,63 @@ def is_squarefree(a: list[int], p: int) -> bool:
                 a[k - deg + j] = (a[k - deg + j] - c * t) % p
         a, b = b, poly.trim(a[:deg])
     return len(a) == 1
+
+
+def charpoly(rows: list[list[int]], p: int) -> list[int]:
+    """det(XI - M) over F_p for M = rows, constant term first.
+
+    M is brought to upper Hessenberg form H by similarities: for each
+    column, a row swap with the matching column swap puts a nonzero entry
+    on the subdiagonal, and each row operation below it is undone on the
+    columns.  The characteristic polynomials c_k of the leading k x k
+    blocks of H then satisfy c_0 = 1 and c_(k+1) = (X - h_kk) c_k - sum
+    over i < k of h_ik h_(i+1,i) h_(i+2,i+1) ... h_(k,k-1) c_i (Cohen,
+    GTM 138, Alg. 2.2.9).  O(n^3) operations.
+    """
+    h = [list(row) for row in rows]
+    n = len(h)
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    chars = [[1]]
+    for k in range(n):
+        out = [0] + chars[k]
+        for j, c in enumerate(chars[k]):
+            out[j] -= h[k][k] * c
+        product = 1
+        for i in range(k - 1, -1, -1):
+            product = product * h[i + 1][i] % p
+            if not product:
+                break
+            f = product * h[i][k]
+            for j, c in enumerate(chars[i]):
+                out[j] -= f * c
+        chars.append([c % p for c in out])
+    return chars[n]
+
+
+def multiplicity(coeffs: list[int], z: int, p: int) -> int:
+    """The multiplicity of z as a root of the polynomial coeffs over F_p
+    (constant term first, not zero mod p): how many synthetic divisions by
+    X - z in a row leave remainder 0.  A non-root costs one Horner pass."""
+    count = 0
+    while True:
+        value, quotient = 0, []
+        for c in reversed(coeffs):
+            value = (value * z + c) % p
+            quotient.append(value)
+        if value:
+            return count
+        coeffs, count = quotient[-2::-1], count + 1

@@ -260,14 +260,18 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     zeta = zeta_order^t is an eigenvalue, with r_j = rank((matrix - zeta I)^j)
     and r_k the stable rank: the first repeat, or 0.
 
-    Each exact rank is screened first: with big = lcm(matrix.order, order)
-    and (p, r) = residue_prime(big), matrix - zeta I reduces to the residues
-    of matrix minus r^(t big / order) on the diagonal, and its j-th power to
-    the j-th power of those residues.  Since rank mod p <= r_j <= r_(j-1)
-    (see modp), a residue power of rank r_(j-1) proves r_j = r_(j-1),
-    the stable rank, with no exact elimination; at j = 1 (r_0 = n) this
-    skips zeta as no eigenvalue.  When p divides a denominator of the
-    matrix, or the rank mod p is short, the exact rank decides.
+    Only the t whose residue z is a root of chi, the characteristic
+    polynomial of the residues of the matrix, are ranked, and each stops
+    early.  With big = lcm(matrix.order, order) and (p, r) =
+    residue_prime(big), zeta reduces to z = r^(t big / order), and by the
+    residue map (see modp):
+    - chi(z) != 0 gives full rank mod p, hence over K: zeta is skipped;
+    - zeta's multiplicity a is at most the multiplicity m of z in chi,
+      since (X - zeta)^a g reduces to (X - z)^a g-bar;
+    - n - r_j <= a, so a nullity n - r_j = m proves r_j stable, and the
+      next power is never ranked.
+    When p divides a denominator of the matrix, every t is ranked exactly
+    until its ranks repeat or reach 0.
 
     The sequences are kept on the matrix, per order, so the Jordan type, the
     centralizer and Katz's eigenvalue choice of one matrix share one
@@ -283,31 +287,28 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     matrix = matrix.lift(big)
     p, r = residue_prime(big)
     residues = modp.rows(matrix)
+    chi = None if residues is None else modp.charpoly(residues, p)
     sequences = {}
     for t in range(order):
         exponent = t * (big // order)
+        # n binds no nullity: the ranks stop at 0 first
+        bound = n if chi is None else modp.multiplicity(chi, pow(r, exponent, p), p)
+        if not bound:
+            continue
+        entries = list(matrix.entries)
+        zeta = CycNumber.zeta(big, exponent)
+        for i in range(n):
+            entries[i * n + i] = entries[i * n + i] - zeta
+        power = shifted = ExactMatrix(n, n, entries, order=big)
         ranks = [n]
-        shifted_rows = shifted = None
-        if residues is not None:
-            shifted_rows = modp.shift(residues, pow(r, exponent, p), p)
         while True:
-            if shifted_rows is not None:
-                power_rows = (shifted_rows if shifted is None
-                              else modp.mul(power_rows, zip(*shifted_rows), p))
-                if modp.rank(power_rows, p) == ranks[-1]:
-                    ranks.append(ranks[-1])
-                    break
-            if shifted is None:
-                entries = list(matrix.entries)
-                zeta = CycNumber.zeta(big, exponent)
-                for i in range(n):
-                    entries[i * n + i] = entries[i * n + i] - zeta
-                power = shifted = ExactMatrix(n, n, entries, order=big)
-            else:
-                power = power * shifted
             ranks.append(power.rank())
             if not 0 < ranks[-1] < ranks[-2]:
                 break
+            if n - ranks[-1] == bound:
+                ranks.append(ranks[-1])
+                break
+            power = power * shifted
         if ranks[1] < n:
             sequences[t] = ranks
     memo[order] = sequences
@@ -471,15 +472,15 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
 
     (p, r) = residue_prime(t.order).  theta runs over A_k - zI and P - zI,
     P = A_1 ... A_r mod p, for z over the residues +-r^e of mu_lcm(2, N) in
-    turn, and the first theta of nullity exactly 1 mod p is taken, with
-    ker theta = F_p v and ker theta^T = F_p w.  Every theta lies in the
-    algebra A generated by the reduced generators.  True when v spins to
-    F_p^n under A and w under A^T; False when a spin is short, which proves
-    the reduction reducible; None when p divides a denominator or no theta
-    has nullity 1.  See is_absolutely_irreducible for what True proves.
-
-    Only the first n values of z are tried, so a large conductor costs no
-    more than n rounds of eliminations before it falls back to the closures.
+    turn, but only where z is a root of that matrix's characteristic
+    polynomial mod p: elsewhere theta is invertible, so its nullity is 0,
+    and one Horner evaluation shows it.  The first theta of nullity
+    exactly 1 mod p is taken, with ker theta = F_p v and ker theta^T =
+    F_p w.  Every theta lies in the algebra A generated by the reduced
+    generators.  True when v spins to F_p^n under A and w under A^T; False
+    when a spin is short, which proves the reduction reducible; None when
+    p divides a denominator or no theta has nullity 1.  See
+    is_absolutely_irreducible for what True proves.
     """
     n = t.rank
     p, r = residue_prime(t.order)
@@ -490,6 +491,7 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     for rows in generators[1:]:
         product = modp.mul(product, zip(*rows), p)
     matrices = generators + [product]
+    charpolys = [modp.charpoly(rows, p) for rows in matrices]
 
     def shifts():  # -1 is a power of r when N is even
         power = 1
@@ -502,8 +504,10 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     def apply(rows, vector):
         return modp.mul([vector], rows, p)[0]
 
-    for z in itertools.islice(shifts(), n):
-        for rows in matrices:
+    for z in shifts():
+        for rows, chi in zip(matrices, charpolys):
+            if not modp.multiplicity(chi, z, p):
+                continue
             theta = modp.shift(rows, z, p)
             cokernel = modp.left_kernel(theta, p)  # ker theta^T
             if len(cokernel) != 1:

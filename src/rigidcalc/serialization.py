@@ -88,17 +88,20 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_INTEGER_RE = re.compile(r"-?[0-9]+")
-
-
 def _json_int(value, pair) -> int:
-    # The emitter writes decimal strings; bare ints are accepted too.  A
-    # float or a bool is refused: int() would truncate it or read it as 0/1.
-    if _is_integer(value) or (isinstance(value, str) and _INTEGER_RE.fullmatch(value)):
-        try:
-            return int(value)
-        except ValueError:  # more digits than int() converts from a string
-            pass
+    # The emitter writes decimal strings, -?[0-9]+ in ASCII; int() alone
+    # would also read other Unicode digits, "_", spaces and a "+".  Bare
+    # ints are accepted too.  A float or a bool is refused: int() would
+    # truncate it or read it as 0/1.
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii():
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts from a string
+                pass
+    elif _is_integer(value):
+        return int(value)
     raise SchemaError(f"non-integer rational component in {pair!r}")
 
 

@@ -32,6 +32,21 @@ def random_invertible(rng: random.Random, n: int, order: int = 1) -> ExactMatrix
     return product
 
 
+def jordan_matrix(blocks, order: int = 1) -> ExactMatrix:
+    """Direct sum over (eigenvalue, size) of eigenvalue * I + (ones on the
+    superdiagonal)."""
+    n = sum(size for _, size in blocks)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for eig, size in blocks:
+        for i in range(size):
+            rows[start + i][start + i] = eig
+            if i + 1 < size:
+                rows[start + i][start + i + 1] = 1
+        start += size
+    return ExactMatrix.from_rows(rows, order=order)
+
+
 def random_small_invertible(rng: random.Random, n: int) -> ExactMatrix:
     """Invertible matrix with entries in {0, +-1, +-2}, by rejection."""
     while True:

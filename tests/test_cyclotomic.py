@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rigidcalc import CycNumber, ExactMatrix, cyclotomic_polynomial, euler_phi
+from rigidcalc import CycNumber, ExactMatrix, cyclotomic, cyclotomic_polynomial, euler_phi
 from rigidcalc.cyclotomic import _is_prime, divisors, dot, residue_prime
 from rigidcalc.errors import InvalidOrder, NotAnEmbedding
 
@@ -394,6 +394,26 @@ class TestArithmeticDetails:
         z = CycNumber.zeta(12)
         assert z ** -1 == z.inverse()
         assert (z ** -5) * (z ** 5) == 1
+
+    def test_pow_squares_only_below_the_top_bit(self, monkeypatch):
+        # x ** e squares once per bit below the top one and multiplies once
+        # per further set bit; the first set bit meets the rational 1, which
+        # takes no full product.
+        x = CycNumber(12, [Fraction(1, 2), 2, -1, 3])
+        calls = []
+        full = cyclotomic.dot
+        monkeypatch.setattr(cyclotomic, "dot", lambda *args: calls.append(args) or full(*args))
+        for exponent, products in ((1, 0), (2, 1), (4, 2), (5, 3)):
+            calls.clear()
+            x ** exponent
+            assert len(calls) == products, exponent
+        monkeypatch.undo()
+        for base in (x, x.inverse()):
+            expected = CycNumber.one(12)
+            for exponent in range(7):
+                assert base ** exponent == expected
+                assert (1 / base) ** exponent == base ** -exponent
+                expected = expected * base
 
     def test_division(self):
         z = CycNumber.zeta(3)

@@ -7,7 +7,9 @@ k <= 4 and often short.  Squarefreeness is compared with sympy's
 square-free factorization over F_p: a polynomial is squarefree iff every
 multiplicity in ``Poly(..., modulus=p).sqf_list()`` is 1.  (sympy 1.14's
 ``Poly.is_sqf`` calls X^p - 1 squarefree mod p, whose derivative vanishes,
-although its own sqf_list gives (X - 1)^p.)
+although its own sqf_list gives (X - 1)^p.)  The characteristic
+polynomial (Hessenberg reduction) is compared instead with the residues of
+ExactMatrix.charpoly (Faddeev-LeVerrier) at the prime of residue_prime(N).
 """
 from __future__ import annotations
 
@@ -16,8 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from rigidcalc import CycNumber, modp
+from rigidcalc import CycNumber, ExactMatrix, modp, poly
 from rigidcalc.cyclotomic import residue_prime
+
+from helpers import jordan_matrix, random_invertible
 
 PRIMES = (5, 7, 11)
 
@@ -149,3 +153,53 @@ def test_is_squarefree_matches_sympy(rng, p):
         verdicts.add(expected)
     assert verdicts == {True, False}
 
+
+def charpoly_cases(rng, order: int):
+    """Seeded n x n matrices over Q(zeta_order), n <= 6: dense ones, sparse
+    ones (many zero subdiagonal entries, so the Hessenberg reduction must
+    swap), and derogatory P J P^-1 with a repeated eigenvalue in two
+    blocks, conjugated by a dense P and by a permutation."""
+    zetas = [CycNumber.zeta(order, k) for k in range(order)]
+    for _ in range(6):
+        n = rng.randint(1, 6)
+        yield ExactMatrix.from_rows(
+            [[rng.choice(zetas) * rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], order=order
+        )
+        yield ExactMatrix.from_rows(
+            [[rng.choice(zetas) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)],
+            order=order,
+        )
+        eig = rng.choice(zetas)
+        blocks = [(eig, rng.randint(1, 2)), (eig, 1), (rng.choice(zetas), rng.randint(1, 2))]
+        j = jordan_matrix(blocks, order)
+        n = j.rows
+        p = random_invertible(rng, n, order)
+        yield p * j * p.inverse()
+        perm = list(range(n))
+        rng.shuffle(perm)
+        q = ExactMatrix.from_rows([[int(perm[i] == k) for k in range(n)] for i in range(n)], order=order)
+        yield q * j * q.inverse()
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 12])
+def test_charpoly_is_the_residue_of_faddeev_leverrier(rng, order):
+    p, _ = residue_prime(order)
+    for m in charpoly_cases(rng, order):
+        rows = modp.rows(m)
+        assert modp.charpoly(rows, p) == modp.residues(m.charpoly()), rows
+        assert modp.rows(m) == rows  # the input is not reduced in place
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_multiplicity_counts_the_roots_of_a_product(rng, p):
+    # X^2 - c with c no square mod p has no root, so it hides none.
+    c = next(c for c in range(2, p) if all(x * x % p != c for x in range(p)))
+    for _ in range(40):
+        roots = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+        factors = poly.from_roots(roots)
+        if rng.random() < 0.5:
+            factors = poly.mul(factors, [-c, 0, 1])
+        lead = rng.randrange(1, p)
+        coeffs = [lead * a % p for a in factors]
+        for z in range(p):
+            assert modp.multiplicity(coeffs, z, p) == roots.count(z), (roots, z)

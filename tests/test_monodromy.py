@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from rigidcalc.monodromy import (
 
 from helpers import (
     brute_force_irreducible,
+    jordan_matrix,
     random_cyc,
     random_invertible,
     random_multiplicity,
@@ -181,7 +183,7 @@ class TestQuasiUnipotent:
                 blocks = [(rng.choice(roots), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
                 blocks += extra
                 p = _conjugator(rng, sum(size for _, size in blocks), field)
-                matrices.append(p * _jordan_matrix(blocks, field) * p.inverse())
+                matrices.append(p * jordan_matrix(blocks, field) * p.inverse())
             matrices.append(mat([[random_cyc(rng, field, 2) for _ in range(3)] for _ in range(3)]))
         verdicts = []
         for m in matrices:
@@ -204,7 +206,7 @@ class TestQuasiUnipotent:
         exact_rank = ExactMatrix.rank
         p = _conjugator(rng, 4, 4)
         blocks = [(CycNumber.zeta(4), 2), (-1, 1), (1, 1)]
-        m = p * _jordan_matrix(blocks, 4) * p.inverse()
+        m = p * jordan_matrix(blocks, 4) * p.inverse()
         monkeypatch.setattr(ExactMatrix, "rank", lambda a: calls.append(a) or exact_rank(a))
         monkeypatch.setattr(ExactMatrix, "__pow__", lambda a, e: pytest.fail("matrix power"))
         assert is_quasi_unipotent(m, 4)
@@ -306,20 +308,6 @@ class TestCentralizer:
                 assert centralizer_dim(m) >= n
 
 
-def _jordan_matrix(blocks, order):
-    # Direct sum of zeta * I + (ones on the superdiagonal), one per block.
-    n = sum(size for _, size in blocks)
-    rows = [[0] * n for _ in range(n)]
-    start = 0
-    for eig, size in blocks:
-        for i in range(size):
-            rows[start + i][start + i] = eig
-            if i + 1 < size:
-                rows[start + i][start + i + 1] = 1
-        start += size
-    return ExactMatrix.from_rows(rows, order=order)
-
-
 def _conjugator(rng, n, order):
     # Unit lower times unit upper triangular, off-diagonal entries random in
     # Q(zeta_N): invertible by construction.
@@ -366,14 +354,15 @@ class TestRankSequences:
             count = rng.randint(1, 3)
             blocks = [(rng.choice(eigenvalues), rng.randint(1, 3)) for _ in range(count)]
             p = _conjugator(rng, sum(size for _, size in blocks), order)
-            m = p * _jordan_matrix(blocks, order) * p.inverse()
+            m = p * jordan_matrix(blocks, order) * p.inverse()
             assert jordan_type(m, order) == JordanType.from_blocks(blocks)
             assert centralizer_dim(m) == _centralizer_from_blocks(blocks)
 
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_identity_mod_p_is_still_a_unipotent_block(self, order):
-        # [[1, p], [0, 1]] reduces to the identity, so the screen cannot
-        # decide zeta = 1 and the exact ranks find U(2).
+        # [[1, p], [0, 1]] reduces to the identity, so the nullity 1 of
+        # M - I stays below the multiplicity 2 mod p, and the exact ranks
+        # find U(2).
         p, _ = residue_prime(order)
         m = mat([[1, p], [0, 1]], order=order)
         assert modp.rank(modp.rows(m - ExactMatrix.identity(2, order=order)), p) == 0
@@ -398,6 +387,27 @@ class TestRankSequences:
         assert centralizer_dim(shear) == 2
         assert jordan_type(split, 2) == JordanType.from_blocks([(1, 1), (-1, 1)])
         assert centralizer_dim(split) == 2
+
+    def test_denominator_divisible_by_p_keeps_the_exact_sequences(self, monkeypatch):
+        # J with 1/p for each superdiagonal 1 is D J D^-1 for a diagonal D,
+        # so it has J's sequences.  It has no residues, so no characteristic
+        # polynomial mod p screens it and every t is ranked exactly.
+        p, _ = residue_prime(4)
+        formed = []
+        charpoly = modp.charpoly
+        monkeypatch.setattr(modp, "charpoly", lambda rows, q: formed.append(rows) or charpoly(rows, q))
+        blocks = [(CycNumber.zeta(4, 1), 2), (CycNumber.zeta(4, 1), 1), (-1, 1), (1, 3)]
+        j = jordan_matrix(blocks, 4)
+        n = j.rows
+        scaled = mat([[j[a, b] * (1 if a == b else Fraction(1, p)) for b in range(n)]
+                      for a in range(n)], order=4)
+        assert modp.rows(scaled) is None
+        expected = {0: [7, 6, 5, 4, 4], 1: [7, 5, 4, 4], 2: [7, 6, 6]}
+        assert _rank_sequences(scaled, 4) == expected
+        assert formed == []
+        assert _rank_sequences(j, 4) == expected
+        assert len(formed) == 1
+        assert jordan_type(scaled, 4) == JordanType.from_blocks(blocks)
 
     def test_eigenvalues_outside_the_field_fall_back(self):
         rotation = ExactMatrix.companion([1, 1, 1])  # x^2 + x + 1 over Q
@@ -434,9 +444,10 @@ class TestRankSequences:
             assert centralizer_dim(m) == _commutation_nullity_sympy(m)
 
     def test_stable_rank_read_mod_p(self, rng, monkeypatch):
-        # A residue power whose rank mod p equals the previous exact rank
-        # proves the repeat, so a semisimple eigenvalue costs one exact
-        # rank; a single block U(3) still needs r_1, r_2 and r_3 = 0.
+        # A nullity equal to the multiplicity of the eigenvalue's residue
+        # as a root of the characteristic polynomial mod p proves the
+        # repeat, so a semisimple eigenvalue costs one exact rank; a single
+        # block U(3) still needs r_1, r_2 and r_3 = 0.
         calls = []
         exact_rank = ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
@@ -444,9 +455,21 @@ class TestRankSequences:
         semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
         assert _rank_sequences(semisimple, 2) == {0: [3, 1, 1], 1: [3, 2, 2]}
         assert len(calls) == 2
-        block = p * _jordan_matrix([(1, 3)], 2) * p.inverse()
+        block = p * jordan_matrix([(1, 3)], 2) * p.inverse()
         assert _rank_sequences(block, 2) == {0: [3, 2, 1, 0]}
         assert len(calls) == 5
+
+    def test_non_roots_take_no_exact_rank(self, rng, monkeypatch):
+        # At order 12 only t = 0 and t = 6 (zeta = 1, -1) are roots of the
+        # characteristic polynomial mod p; the other ten t cost no exact
+        # elimination.
+        calls = []
+        exact_rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
+        p = random_invertible(rng, 3)
+        semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
+        assert _rank_sequences(semisimple, 12) == {0: [3, 1, 1], 6: [3, 2, 2]}
+        assert len(calls) == 2
 
     def test_katz_eigenvalue_tie_break(self):
         # exponents t of zeta_2^t: 0 for the eigenvalue 1, 1 for -1
@@ -759,25 +782,61 @@ class TestNortonCertificate:
             assert brute_force_irreducible(t) is expected
             assert closure_calls[0] == "mod p"
 
-    def test_tries_only_the_first_n_roots_of_unity(self, monkeypatch, closure_calls):
-        # The pair above at order 12: no 12th root of unity z has
-        # z + 1/z = 3 or 6 mod p, so every theta is invertible.  The search
-        # stops after z = 1 and z = r (n = 2 values, each on A, B and AB)
-        # and the mod-p closure decides.
-        shifts = []
+    @pytest.fixture
+    def shifts(self, monkeypatch):
+        """(rows, z) for every modp.shift formed."""
+        calls = []
         shift = modp.shift
 
-        def counting_shift(rows, z, p):
-            shifts.append(z)
+        def recording_shift(rows, z, p):
+            calls.append((rows, z))
             return shift(rows, z, p)
 
-        monkeypatch.setattr(modp, "shift", counting_shift)
+        monkeypatch.setattr(modp, "shift", recording_shift)
+        return calls
+
+    def test_shifts_only_at_roots_of_the_characteristic_polynomial(self, shifts, closure_calls):
+        # The pair above at order 12: no 12th root of unity z has
+        # z + 1/z = 3 or 6 mod p, so no residue of mu_12 is a root of the
+        # characteristic polynomial of A, B or AB mod p.  No theta is
+        # formed, and the mod-p closure decides.
         a, b = mat([[1, 1], [1, 2]]), mat([[2, 1], [1, 1]])
         t = make_tuple(12, ["0", "1"], [a, b])
         assert _norton_mod_p(t) is None
-        assert len(shifts) == 6 and len(set(shifts)) == 2
+        assert shifts == []
         assert is_absolutely_irreducible(t)
         assert closure_calls == ["mod p"]
+
+    def test_pseudo_reflection_eigenvalue_past_the_first_n_exponents(self, shifts, closure_calls):
+        # a = zeta^(3, 4, 5) and b = zeta^(6, 7, 2) at N = 12: A_0 = B^-1
+        # has eigenvalues zeta^(6, 5, 10), A_0 A_1 = B^-1 A^-1 B has
+        # zeta^(9, 8, 7), and A_1 = A^-1 B is a pseudo-reflection with
+        # special eigenvalue prod b / prod a = zeta^3.  So the first theta
+        # of nullity 1 is A_1 - zeta^3, past the first n = 3 exponents.
+        zeta = [CycNumber.zeta(12, k) for k in range(12)]
+        t = hypergeometric_tuple([zeta[3], zeta[4], zeta[5]], [zeta[6], zeta[7], zeta[2]], 12)
+        p, r = residue_prime(12)
+        assert _norton_mod_p(t) is True
+        assert [z for _, z in shifts] == [1, pow(r, 3, p)]  # A_1 - I has nullity 2
+        for rows, z in shifts:
+            assert modp.multiplicity(modp.charpoly(rows, p), z, p) > 0
+        assert is_absolutely_irreducible(t)
+        assert closure_calls == []
+        assert jordan_type(t.matrices[1], 12) == JordanType.from_blocks(
+            [(1, 1), (1, 1), (zeta[3], 1)]
+        )
+
+    def test_large_conductor_costs_one_evaluation_per_residue(self):
+        # A seeded rank-8 pair over Q at N = 997 with no eigenvalue in
+        # mu_1994: each of the 3 * 1994 candidate thetas costs one Horner
+        # evaluation of a characteristic polynomial mod p, not an
+        # elimination.
+        rng = random.Random(997)
+        a, b = (random_small_invertible(rng, 8) for _ in range(2))
+        t = make_tuple(997, ["0", "1"], [a, b])
+        start = time.process_time()
+        assert _norton_mod_p(t) is None
+        assert time.process_time() - start < 1
 
     def test_only_the_transposed_spin_catches_this_reduction(self, closure_calls):
         # span(e_1) is the only invariant line: it is invariant under both,

@@ -41,6 +41,18 @@ class TestCycJson:
                 ser.cyc_from_json({"N": 1, "coeffs": [pair]})
         assert ser.cyc_from_json({"N": 1, "coeffs": [[-1, "2"]]}) == Fraction(-1, 2)
 
+    @pytest.mark.parametrize("text", ["\u0663", "1_000", " 1", "1 ", "+1", "--1", "-", "", "1\n", "\u00b2"])
+    def test_integer_strings_outside_ascii_decimal_rejected(self, text):
+        # Exactly -?[0-9]+ parses; int() alone would read "\u0663" (Arabic-Indic
+        # three), "1_000", " 1" and "+1".
+        for pair in ([text, "1"], ["1", text]):
+            with pytest.raises(SchemaError):
+                ser.cyc_from_json({"N": 1, "coeffs": [pair]})
+
+    def test_ascii_decimal_strings_parse(self):
+        for text, value in (("0", 0), ("-0", 0), ("007", 7), ("-12", -12), ("9" * 40, int("9" * 40))):
+            assert ser.cyc_from_json({"N": 1, "coeffs": [[text, "1"]]}) == value
+
     def test_unreduced_pairs_parse_to_reduced_forms(self):
         assert ser.cyc_from_json({"N": 1, "coeffs": [["2", "4"]]}) == Fraction(1, 2)
         assert ser.cyc_from_json({"N": 1, "coeffs": [["-3", "6"]]}) == Fraction(-1, 2)
