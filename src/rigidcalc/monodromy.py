@@ -270,8 +270,15 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
       since (X - zeta)^a g reduces to (X - z)^a g-bar;
     - n - r_j <= a, so a nullity n - r_j = m proves r_j stable, and the
       next power is never ranked.
-    When p divides a denominator of the matrix, every t is ranked exactly
-    until its ranks repeat or reach 0.
+    When p divides a denominator of the matrix, every t is a candidate with
+    m = n, ranked until its ranks repeat or reach 0.  The candidates run in
+    decreasing m, ties by t, and the trace names the last eigenvalue.
+
+    The trace is the sum of the eigenvalues with multiplicity, and no residue
+    enters: the finished zeta_t have exact multiplicities a_t = n - r_k summing
+    to found, and zeta has at least d = n - r_j, so when found + d = n - 1 one
+    is left, lambda = tr - sum a_t zeta_t - d zeta.  zeta's multiplicity is
+    d + 1 if lambda = zeta, else d; a later zeta is simple iff it is lambda.
 
     The sequences are kept on the matrix, per order, so the Jordan type, the
     centralizer and Katz's eigenvalue choice of one matrix share one
@@ -284,33 +291,52 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
         return memo[order]
     n = matrix.rows
     big = math.lcm(matrix.order, order)
+    step = big // order
     matrix = matrix.lift(big)
     p, r = residue_prime(big)
     residues = modp.rows(matrix)
-    chi = None if residues is None else modp.charpoly(residues, p)
+    if residues is None:  # n binds no nullity: the ranks stop at 0 first
+        bounds = dict.fromkeys(range(order), n)
+    else:
+        chi = modp.charpoly(residues, p)
+        bounds = {t: modp.multiplicity(chi, pow(r, t * step, p), p) for t in range(order)}
+    rest = matrix.trace()  # tr - sum of a_t zeta_t over the finished t
+    found = 0
     sequences = {}
-    for t in range(order):
-        exponent = t * (big // order)
-        # n binds no nullity: the ranks stop at 0 first
-        bound = n if chi is None else modp.multiplicity(chi, pow(r, exponent, p), p)
-        if not bound:
-            continue
-        entries = list(matrix.entries)
-        zeta = CycNumber.zeta(big, exponent)
-        for i in range(n):
-            entries[i * n + i] = entries[i * n + i] - zeta
-        power = shifted = ExactMatrix(n, n, entries, order=big)
+    for t in sorted((t for t in bounds if bounds[t]), key=lambda t: (-bounds[t], t)):
+        if found == n:
+            break
+        zeta = CycNumber.zeta(big, t * step)
         ranks = [n]
+        power = None
         while True:
+            nullity = n - ranks[-1]
+            if found + nullity == n - 1:
+                if rest == (nullity + 1) * zeta:  # lambda = zeta
+                    ranks.append(ranks[-1] - 1)
+                    if ranks[-1]:
+                        ranks.append(ranks[-1])
+                elif nullity:
+                    ranks.append(ranks[-1])
+                break
+            if power is None:
+                entries = list(matrix.entries)
+                for i in range(n):
+                    entries[i * n + i] = entries[i * n + i] - zeta
+                power = shifted = ExactMatrix(n, n, entries, order=big)
+            else:
+                power = power * shifted
             ranks.append(power.rank())
             if not 0 < ranks[-1] < ranks[-2]:
                 break
-            if n - ranks[-1] == bound:
+            if n - ranks[-1] == bounds[t]:
                 ranks.append(ranks[-1])
                 break
-            power = power * shifted
-        if ranks[1] < n:
+        if ranks[-1] < n:
             sequences[t] = ranks
+            found += n - ranks[-1]
+            rest = rest - (n - ranks[-1]) * zeta
+    sequences = dict(sorted(sequences.items()))
     memo[order] = sequences
     return sequences
 

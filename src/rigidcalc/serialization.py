@@ -72,15 +72,20 @@ def parse_scalar(text: str) -> CycNumber:
 # -- CycNumber ----------------------------------------------------------------
 
 def cyc_to_json(value: CycNumber) -> dict:
-    return {
-        "N": value.order,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in value.coeffs],
-    }
+    # Each pair is nums[i] / den in lowest terms, as Fraction would give it:
+    # den > 0, and gcd(0, den) = den makes a zero "0" over "1".
+    den = value.den
+    coeffs = []
+    for num in value.nums:
+        g = math.gcd(num, den)
+        coeffs.append([str(num // g), str(den // g)])
+    return {"N": value.order, "coeffs": coeffs}
 
 
-def _require(condition: bool, message: str):
+def _require(condition: bool, message: str, *args):
+    # message is a str.format template, filled in only when the check fails.
     if not condition:
-        raise SchemaError(message)
+        raise SchemaError(message.format(*args))
 
 
 def _is_integer(value) -> bool:
@@ -110,22 +115,25 @@ def cyc_from_json(document) -> CycNumber:
     _require("N" in document and "coeffs" in document, "cyclotomic number needs N and coeffs")
     order = document["N"]
     coeffs = document["coeffs"]
-    _require(_is_integer(order) and order >= 1, f"bad cyclotomic order {order!r}")
+    _require(_is_integer(order) and order >= 1, "bad cyclotomic order {!r}", order)
     _require(isinstance(coeffs, list) and coeffs, "coeffs must be a nonempty list")
-    pairs = []
+    nums, dens = [], []
     for pair in coeffs:
         _require(
             isinstance(pair, list) and len(pair) == 2,
-            f"coefficient must be a [numerator, denominator] pair, got {pair!r}",
+            "coefficient must be a [numerator, denominator] pair, got {!r}", pair,
         )
-        num, den = _json_int(pair[0], pair), _json_int(pair[1], pair)
-        _require(den > 0, f"denominator must be positive in {pair!r}")
-        pairs.append((num, den))
+        nums.append(_json_int(pair[0], pair))
+        den = _json_int(pair[1], pair)
+        _require(den > 0, "denominator must be positive in {!r}", pair)
+        dens.append(den)
     # Integer numerators over the lcm of the denominators; CycNumber reduces
     # the whole vector once, so unreduced pairs like ["2","4"] parse too.
-    common = math.lcm(*(den for _, den in pairs))
+    common = math.lcm(*dens)
+    if common != 1:
+        nums = [num * (common // den) for num, den in zip(nums, dens)]
     try:
-        return CycNumber(order, [num * (common // den) for num, den in pairs], common)
+        return CycNumber(order, nums, common)
     except (RigidCalcError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 
@@ -143,12 +151,12 @@ def matrix_to_json(matrix: ExactMatrix) -> dict:
 def matrix_from_json(document) -> ExactMatrix:
     _require(isinstance(document, dict), "matrix must be an object")
     for key in ("rows", "cols", "entries"):
-        _require(key in document, f"matrix needs {key}")
+        _require(key in document, "matrix needs {}", key)
     rows, cols, entries = document["rows"], document["cols"], document["entries"]
     _require(_is_integer(rows) and _is_integer(cols), "matrix dimensions must be integers")
-    _require(rows >= 0 and cols >= 0, f"bad matrix dimensions {rows}x{cols}")
+    _require(rows >= 0 and cols >= 0, "bad matrix dimensions {}x{}", rows, cols)
     _require(isinstance(entries, list), "matrix entries must be a list")
-    _require(len(entries) == rows * cols, f"expected {rows * cols} entries, got {len(entries)}")
+    _require(len(entries) == rows * cols, "expected {} entries, got {}", rows * cols, len(entries))
     values = [cyc_from_json(e) for e in entries]
     try:
         return ExactMatrix(rows, cols, values)
@@ -170,10 +178,10 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
 def tuple_from_json(document) -> MonodromyTuple:
     _require(isinstance(document, dict), "tuple must be an object")
     for key in ("N", "n", "punctures", "matrices"):
-        _require(key in document, f"tuple needs {key}")
+        _require(key in document, "tuple needs {}", key)
     order, rank = document["N"], document["n"]
-    _require(_is_integer(order) and order >= 1, f"bad order {order!r}")
-    _require(_is_integer(rank) and rank >= 1, f"bad rank {rank!r}")
+    _require(_is_integer(order) and order >= 1, "bad order {!r}", order)
+    _require(_is_integer(rank) and rank >= 1, "bad rank {!r}", rank)
     punctures = document["punctures"]
     matrices = document["matrices"]
     _require(isinstance(punctures, list) and punctures, "punctures must be a nonempty list")
@@ -188,7 +196,7 @@ def tuple_from_json(document) -> MonodromyTuple:
         result = MonodromyTuple(order, labels, mats)
     except RigidCalcError as exc:
         raise SchemaError(str(exc)) from None
-    _require(result.rank == rank, f"declared rank {rank} but matrices are {result.rank}x{result.rank}")
+    _require(result.rank == rank, "declared rank {0} but matrices are {1}x{1}", rank, result.rank)
     return result
 
 
@@ -259,7 +267,7 @@ def parse_integer_polynomial(text: str) -> list[Fraction]:
         if var is not None:
             degree = int(power) if power is not None else 1
             _require(degree <= MAX_DEGREE,
-                     f"degree {degree} is above the supported maximum {MAX_DEGREE}")
+                     "degree {} is above the supported maximum {}", degree, MAX_DEGREE)
         coeffs[degree] = coeffs.get(degree, Fraction(0)) + value
         position = match.end()
         first = False
@@ -274,7 +282,7 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
     _require(isinstance(document, dict), "multiplicity function must be an object")
     _require("N" in document and "m" in document, "multiplicity function needs N and m")
     order = document["N"]
-    _require(_is_integer(order) and order >= 1, f"bad order {order!r}")
+    _require(_is_integer(order) and order >= 1, "bad order {!r}", order)
     entries = document["m"]
     _require(isinstance(entries, list), "m must be a list")
     pairs = []
@@ -282,15 +290,15 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
     for item in entries:
         _require(
             isinstance(item, dict) and "zeta" in item and "mult" in item,
-            f"multiplicity entries need zeta and mult, got {item!r}",
+            "multiplicity entries need zeta and mult, got {!r}", item,
         )
         key = parse_root_of_unity(str(item["zeta"]))
         mult = item["mult"]
-        _require(_is_integer(mult) and mult > 0, f"bad multiplicity {mult!r}")
+        _require(_is_integer(mult) and mult > 0, "bad multiplicity {!r}", mult)
         total += mult
         _require(
             total <= MAX_MULTIPLICITY,
-            f"total multiplicity is above the supported maximum {MAX_MULTIPLICITY}",
+            "total multiplicity is above the supported maximum {}", MAX_MULTIPLICITY,
         )
         pairs.append((key, mult))
     try:

@@ -5,7 +5,8 @@ module, or in a class body, runs when the module is loaded; those edges
 must form no cycle.  No module of the package imports another inside a
 function, where a call-time import could hide a cycle.  The Weil decision
 takes its pseudo-remainders in one place, so a second remainder loop cannot
-return unnoticed.
+return unnoticed.  The JSON parsers format an error message only when a check
+fails, so no valid document pays for one.
 """
 from __future__ import annotations
 
@@ -132,3 +133,20 @@ def test_one_pseudo_remainder_loop_in_purity():
     assert references(nested, "pseudo_rem") == ["f", "g"]
     purity = ast.parse((PACKAGE / "purity.py").read_text())
     assert references(purity, "pseudo_rem") == ["_remainder_sequence"]
+
+
+def eager_require_messages(tree: ast.AST) -> list[tuple[int, bool]]:
+    """(line, eager) for each ``_require`` call; eager when its message, the
+    second argument, contains an f-string, built even when the check holds."""
+    return [
+        (node.lineno, any(isinstance(part, ast.JoinedStr) for part in ast.walk(node.args[1])))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"
+    ]
+
+
+def test_require_messages_are_formatted_only_on_failure():
+    sample = ast.parse('_require(a, f"bad {x!r}")\n_require(a, "bad {!r}", x)\n_require(a, "n" + f"{x}")\n')
+    assert eager_require_messages(sample) == [(1, True), (2, False), (3, True)]
+    calls = eager_require_messages(ast.parse((PACKAGE / "serialization.py").read_text()))
+    assert calls and [line for line, eager in calls if eager] == []

@@ -345,6 +345,29 @@ def _commutation_nullity_sympy(matrix):
     return n * n - DomainMatrix.from_Matrix(system).convert_to(sympy.QQ).rank()
 
 
+def _every_power_ranked(matrix, order):
+    # _rank_sequences without the screen mod p, the stop at the multiplicity
+    # mod p or the trace: every t, and every power until a repeat or 0.
+    n = matrix.rows
+    big = math.lcm(matrix.order, order)
+    out = {}
+    for t in range(order):
+        zeta = CycNumber.zeta(order, t)
+        shifted = ExactMatrix.from_rows(
+            [[matrix[i, j] - (zeta if i == j else 0) for j in range(n)] for i in range(n)],
+            order=big,
+        )
+        power, ranks = shifted, [n]
+        while True:
+            ranks.append(power.rank())
+            if not 0 < ranks[-1] < ranks[-2]:
+                break
+            power = power * shifted
+        if ranks[1] < n:
+            out[t] = ranks
+    return out
+
+
 class TestRankSequences:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 12])
     def test_constructed_jordan_data(self, rng, order):
@@ -446,30 +469,72 @@ class TestRankSequences:
     def test_stable_rank_read_mod_p(self, rng, monkeypatch):
         # A nullity equal to the multiplicity of the eigenvalue's residue
         # as a root of the characteristic polynomial mod p proves the
-        # repeat, so a semisimple eigenvalue costs one exact rank; a single
-        # block U(3) still needs r_1, r_2 and r_3 = 0.
+        # repeat, so the double eigenvalue 1 costs one exact rank, and the
+        # trace names the simple -1 with none.  A single block U(3) needs
+        # r_1 and r_2; then one eigenvalue is left, the trace says it is 1,
+        # and r_3 = 0 follows.
         calls = []
         exact_rank = ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
         p = random_invertible(rng, 3)
         semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
         assert _rank_sequences(semisimple, 2) == {0: [3, 1, 1], 1: [3, 2, 2]}
-        assert len(calls) == 2
+        assert len(calls) == 1
         block = p * jordan_matrix([(1, 3)], 2) * p.inverse()
         assert _rank_sequences(block, 2) == {0: [3, 2, 1, 0]}
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     def test_non_roots_take_no_exact_rank(self, rng, monkeypatch):
         # At order 12 only t = 0 and t = 6 (zeta = 1, -1) are roots of the
         # characteristic polynomial mod p; the other ten t cost no exact
-        # elimination.
+        # elimination, and the trace names -1.
         calls = []
         exact_rank = ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
         p = random_invertible(rng, 3)
         semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
         assert _rank_sequences(semisimple, 12) == {0: [3, 1, 1], 6: [3, 2, 2]}
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_trace_names_the_last_eigenvalue_without_residues(self, monkeypatch):
+        # p divides a denominator, so every t of order 4 is a candidate.
+        # After r_1 = 1 at zeta = 1, one eigenvalue is left and the trace
+        # says it is -1: 1 is simple, i is no eigenvalue, -1 is simple, and
+        # t = 3 is never reached.  Ranking every power takes 6 ranks.
+        p, _ = residue_prime(4)
+        calls = []
+        exact_rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
+        m = mat([[1, Fraction(1, p)], [0, -1]], order=4)
+        assert modp.rows(m) is None
+        assert list(_rank_sequences(m, 4).items()) == [(0, [2, 1, 1]), (2, [2, 1, 1])]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 12])
+    def test_matches_ranking_every_power(self, rng, order):
+        # Seeded P J P^-1 with eigenvalues in mu_lcm(2, N) and outside the
+        # roots of unity, each also as D P J P^-1 D^-1 for D = diag(p^i), so
+        # that p divides a denominator; and every 1 x 1 matrix of those
+        # eigenvalues.  The dicts must be equal with their keys in t order.
+        both = math.lcm(2, order)
+        p, _ = residue_prime(order)
+        assert residue_prime(both)[0] == p
+        roots = list(dict.fromkeys(s * CycNumber.zeta(order, k) for s in (1, -1) for k in range(order)))
+        others = [CycNumber.from_rational(2), CycNumber.from_rational(Fraction(-1, 3)),
+                  2 * CycNumber.zeta(order)]
+        cases = [ExactMatrix.from_rows([[e]], order=order) for e in roots + others]
+        for _ in range(4):
+            pool = rng.sample(roots, min(3, len(roots))) + [rng.choice(others)]
+            blocks = [(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+            n = sum(size for _, size in blocks)
+            conjugator = _conjugator(rng, n, order)
+            m = conjugator * jordan_matrix(blocks, order) * conjugator.inverse()
+            scale = ExactMatrix.diagonal([p ** i for i in range(n)], order=order)
+            cases += [m, scale * m * scale.inverse()]
+        assert any(modp.rows(m) is None for m in cases)
+        for m in cases:
+            for k in (order, both):
+                assert list(_rank_sequences(m, k).items()) == list(_every_power_ranked(m, k).items())
 
     def test_katz_eigenvalue_tie_break(self):
         # exponents t of zeta_2^t: 0 for the eigenvalue 1, 1 for -1

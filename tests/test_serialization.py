@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rigidcalc import CycNumber, ExactMatrix, MultiplicityFunction, build_F, katz_reduce
+from rigidcalc import CycNumber, ExactMatrix, MultiplicityFunction, build_F, euler_phi, katz_reduce
 from rigidcalc import serialization as ser
 from rigidcalc.cli import main
 from rigidcalc.errors import SchemaError
@@ -15,6 +15,18 @@ class TestCycJson:
         doc = ser.cyc_to_json(x)
         assert ser.cyc_from_json(doc) == x
         assert ser.canonical_dumps(doc) == ser.canonical_dumps(ser.cyc_to_json(ser.cyc_from_json(doc)))
+
+    def test_emitted_pairs_match_fractions(self, rng):
+        # Each emitted pair is the reduced Fraction nums[i] / den, also where
+        # a coefficient shares a factor with den (or is 0, emitted as 0/1).
+        for _ in range(200):
+            order = rng.choice([1, 3, 4, 5, 8, 12])
+            den = rng.choice([1, 2, 6, 12, 35, 360])
+            nums = [rng.choice([0, 1, -2, 3, 6, -12, 35, 180, rng.randint(-10**6, 10**6)])
+                    for _ in range(euler_phi(order))]
+            x = CycNumber(order, nums, den)
+            expected = [[str(c.numerator), str(c.denominator)] for c in x.coeffs]
+            assert ser.cyc_to_json(x) == {"N": order, "coeffs": expected}
 
     def test_string_integers(self):
         doc = {"N": 1, "coeffs": [["-7", "2"]]}
