@@ -85,12 +85,11 @@ def left_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
     return [row[width:] for row, pivot in zip(basis.rows, basis.pivots) if pivot >= width]
 
 
-def is_squarefree(a: list[int], p: int) -> bool:
-    """True iff the polynomial a over F_p (constant term first, leading
-    coefficient nonzero mod p) is squarefree: iff gcd(a, a') = 1, since F_p
-    is perfect.  The gcd comes from Euclid."""
-    a = list(a)
-    b = poly.trim([k * c % p for k, c in enumerate(a)][1:])
+def coprime(a: list[int], b: list[int], p: int) -> bool:
+    """True iff the polynomials a and b over F_p (constant terms first) have
+    gcd 1.  One Euclid; the gcd of a nonzero a and 0 is a, and of 0 and 0
+    is 0."""
+    a, b = poly.trim([c % p for c in a]), poly.trim([c % p for c in b])
     while b:
         inv, deg = pow(b[-1], -1, p), len(b) - 1
         for k in range(len(a) - 1, deg - 1, -1):
@@ -99,6 +98,13 @@ def is_squarefree(a: list[int], p: int) -> bool:
                 a[k - deg + j] = (a[k - deg + j] - c * t) % p
         a, b = b, poly.trim(a[:deg])
     return len(a) == 1
+
+
+def is_squarefree(a: list[int], p: int) -> bool:
+    """True iff the polynomial a over F_p (constant term first, leading
+    coefficient nonzero mod p) is squarefree: iff gcd(a, a') = 1, since F_p
+    is perfect."""
+    return coprime(a, [k * c for k, c in enumerate(a)][1:], p)
 
 
 def charpoly(rows: list[list[int]], p: int) -> list[int]:

@@ -88,18 +88,20 @@ def pseudo_rem(num: list, den: list) -> list:
 
     No inverse is taken, so the remainder stays in the ring the coefficients
     generate.  An even e keeps lead^e positive under every real embedding,
-    as Sturm chains need.
+    as Sturm chains need.  A monic den is divided without rescaling.
     """
     den = trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     lead, deg = den[-1], len(den) - 1
+    scale = lead != 1
     rem = trim(num)
-    if max(len(rem) - deg, 0) % 2:
+    if scale and max(len(rem) - deg, 0) % 2:
         rem = [lead * c for c in rem]
     for k in range(len(rem) - 1, deg - 1, -1):
-        c = rem[k]
-        rem = [lead * t for t in rem[:k]]
+        c = rem.pop()
+        if scale:
+            rem = [lead * t for t in rem]
         for j in range(deg):
             rem[k - deg + j] -= c * den[j]
     return trim(rem)

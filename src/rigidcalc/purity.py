@@ -8,11 +8,14 @@ decide it:
 * the exact functional equation conj(Q)(X) = X^n Q(q^w / X) / Q(0),
   a necessary condition that costs no floating point at all;
 * the magnitude stage: an exact decision of purity by Sturm counts over the
-  real subfield (see _exactly_pure), which is the verdict.  On impure input
-  only, a numerical check of all roots follows under one embedding of each
-  complex-conjugate pair, at high precision with a certified error margin
-  and automatic precision doubling (up to 4096 bits); its tolerance decides
-  magnitude_check, never weil_check.
+  real subfield (see _exactly_pure), which is the verdict.  The counts are
+  of distinct roots, so repeated roots stay; one remainder sequence serves
+  the gcds that remove the roots +-sqrt(q^w) and each Sturm chain.  On
+  impure input only, a numerical check of all roots follows under one
+  embedding of each complex-conjugate pair, at high precision with a
+  certified error margin and automatic precision doubling (up to 4096
+  bits), on the squarefree part; its tolerance decides magnitude_check,
+  never weil_check.
 
 The overall verdict passes only when both stages pass.
 """
@@ -278,47 +281,50 @@ def _exactly_pure(p: WeilPolynomial) -> bool:
        roots of iota_a(R) are those of iota_a(Q) and their complex
        conjugates, of equal moduli, since iota_a commutes with conjugation.
        So R is pure iff Q is.
-    2. S is R with repeated roots and the roots +-sqrt(d) removed, which
-       are pure.  When R (X^2 - d) is squarefree mod a prime
-       (_squarefree_mod_p), S = R; otherwise S comes from exact gcds.
-    3. The roots of a pure S are non-real, and alpha -> d / alpha =
-       conj(alpha) permutes them.  So S has even degree 2m and coefficients
+    2. S is R without its roots +-sqrt(d), which are pure: R itself when
+       the residues of R and E = X^2 - d are coprime over F_p (E and R are
+       monic, so their resultant maps to that of the residues, and is
+       nonzero), else R divided by exact gcds with E until they are 1.
+    3. In a pure S, alpha and d / alpha = conj(alpha) have equal
+       multiplicities, and none is fixed: S has even degree 2m and
        a_(m-k) = d^k a_(m+k), or Q is impure; then S = X^m h(X + d/X).
-    4. A root t of h carries the roots of X^2 - tX + d, which satisfy
-       |alpha|^2 = d iff t is real with t^2 < 4d (t^2 = 4d would give
-       +-sqrt(d)).  A double root t would make a double root of S, so h is
-       squarefree, and Q is pure iff under every real embedding h has m
-       real roots in (-2 sqrt d, 2 sqrt d): by Sturm's theorem, iff the sign
-       variations of its Sturm chain drop by m across that interval.
+    4. A root t of h carries the roots of X^2 - tX + d, of its multiplicity,
+       and |alpha|^2 = d iff t is real with t^2 < 4d; h(+-2 sqrt d) != 0, as
+       S has no root +-sqrt(d).  Sturm's theorem counts distinct roots, and
+       h has m - delta, delta = deg gcd(h, h'), the degree of the chain's
+       last term: Q is pure iff under every real embedding its sign
+       variations drop by m - delta across (-2 sqrt d, 2 sqrt d).
 
     Soundness of computing once over K+: iota_a is an injective ring map,
     so it commutes with sums and products and keeps nonzero coefficients
-    nonzero; degrees, squarefreeness and the remainder sequence commute
-    with it, and _remainder_sequence(h, h') maps to positive multiples of
-    a Sturm chain of iota_a(h).  A chain term takes the value A +- B sqrt(d)
-    at +-2 sqrt(d), with A, B in K+.  Its sign follows from the signs of A
-    and B, and, where they differ, of A^2 - B^2 d; each is a zero test or a
-    certified sign from _real_sign.  No verdict rests on a rounded value.
+    nonzero; degrees and the remainder sequence commute with it, and
+    _remainder_sequence(h, h') maps to positive multiples of a Sturm chain
+    of iota_a(h), whose last term is a multiple of the gcd.  A chain term
+    takes the value A +- B sqrt(d) at +-2 sqrt(d), with A, B in K+.  Its
+    sign follows from the signs of A and B, and, where they differ, of
+    A^2 - B^2 d; each is a zero test or a certified sign from _real_sign.
+    No verdict rests on a rounded value.
     """
     d = Fraction(p.q) ** p.w
     coeffs = list(p.coeffs)
     bar = [c.conjugate() for c in coeffs]
-    r = coeffs if bar == coeffs else poly.mul(coeffs, bar)
-    one = r[-1]
+    s = coeffs if bar == coeffs else poly.mul(coeffs, bar)
+    one = s[-1]
     edge = [one * -d, one * 0, one]  # X^2 - d
-    if _squarefree_mod_p(poly.mul(r, edge)):
-        s = r
-    else:
-        s = list(_squarefree_part(r))
-        s = poly.divmod(s, _monic_gcd(s, edge))[0]
+    residues = modp.residues(s), modp.residues(edge)
+    if None in residues or not modp.coprime(*residues, residue_prime(p.order)[0]):
+        while len(g := _monic_gcd(s, edge)) > 1:
+            s = poly.divmod(s, g)[0]
     m, odd = divmod(len(s) - 1, 2)
     if odd or any(s[m - k] != s[m + k] * d**k for k in range(1, m + 1)):
         return False
     if m == 0:
         return True
-    values = []
     h = _trace_polynomial(s, d)
-    for f in _remainder_sequence(h, poly.derivative(h)):
+    chain = _remainder_sequence(h, poly.derivative(h))
+    distinct = m - (len(chain[-1]) - 1)
+    values = []
+    for f in chain:
         halves = [one * 0, one * 0]
         for k, c in enumerate(f):
             halves[k % 2] += c * (2**k * d ** (k // 2))
@@ -336,7 +342,7 @@ def _exactly_pure(p: WeilPolynomial) -> bool:
             se = _real_sign(norm, a) if sa and sb else 0
             upper.append(sign_at_edge(sa, sb, se))
             lower.append(sign_at_edge(sa, -sb, se))
-        if _sign_variations(lower) - _sign_variations(upper) != m:
+        if _sign_variations(lower) - _sign_variations(upper) != distinct:
             return False
     return True
 

@@ -3,9 +3,10 @@
 Every function takes p, so the primes here are 5, 7 and 11, small enough to
 enumerate a row space outright: p^rank must be its size.  Matrices are
 seeded products of an m x k and a k x c matrix, so their rank is at most
-k <= 4 and often short.  Squarefreeness is compared with sympy's
-square-free factorization over F_p: a polynomial is squarefree iff every
-multiplicity in ``Poly(..., modulus=p).sqf_list()`` is 1.  (sympy 1.14's
+k <= 4 and often short.  Coprimality is compared with sympy's gcd over
+F_p, and squarefreeness with sympy's square-free factorization over F_p: a
+polynomial is squarefree iff every multiplicity in
+``Poly(..., modulus=p).sqf_list()`` is 1.  (sympy 1.14's
 ``Poly.is_sqf`` calls X^p - 1 squarefree mod p, whose derivative vanishes,
 although its own sqf_list gives (X - 1)^p.)  The characteristic
 polynomial (Hessenberg reduction) is compared instead with the residues of
@@ -150,6 +151,35 @@ def test_is_squarefree_matches_sympy(rng, p):
         _, factors = sympy.Poly(list(reversed(a)), sympy.Symbol("X"), modulus=p).sqf_list()
         expected = all(k == 1 for _, k in factors)
         assert modp.is_squarefree(a, p) == expected, a
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_coprime_matches_sympy_gcd(rng, p):
+    # Pairs with a random common factor or none, leading zeros, zero
+    # polynomials and coefficients outside [0, p).
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("X")
+
+    def random_poly(degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+    def lifted(f):  # the same residues, some shifted by +-p, and maybe a leading p
+        return [c + p * rng.randint(-1, 1) for c in f] + [p] * rng.randint(0, 1)
+
+    cases = [([], []), ([], [3]), ([p], [1]), ([1, 1], []), ([0, 1], [0, 0, 1])]
+    for _ in range(40):
+        common = random_poly(rng.randint(0, 2))
+        a = naive_poly_mul(common, random_poly(rng.randint(0, 3)), p)
+        b = naive_poly_mul(common, random_poly(rng.randint(0, 3)), p)
+        cases.append((lifted(a), lifted(b)))
+    verdicts = set()
+    for a, b in cases:
+        pa, pb = (sympy.Poly(list(reversed(f)) or [0], x, modulus=p) for f in (a, b))
+        expected = sympy.gcd(pa, pb).degree() == 0
+        assert modp.coprime(a, b, p) == expected, (a, b)
+        assert modp.coprime(b, a, p) == expected, (a, b)
         verdicts.add(expected)
     assert verdicts == {True, False}
 

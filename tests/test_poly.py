@@ -83,6 +83,27 @@ class TestPseudoRem:
             scale = den[-1] ** self.exponent(num, den)
             assert poly.pseudo_rem(num, den) == poly.divmod([scale * c for c in num], den)[1]
 
+    def test_monic_divisor_takes_no_rescaling(self, rng, monkeypatch):
+        # X^2 - d as in the Weil decision: the field remainder, from only
+        # the products c * den[j] of the deg num - 1 elimination steps.
+        products = []
+        original = CycNumber.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return original(self, other)
+
+        for _ in range(10):
+            num = [random_cyc(rng, 12) for _ in range(rng.randint(3, 9))]
+            num[-1] = num[-1] or CycNumber.one(12)
+            den = [random_cyc(rng, 12), CycNumber.zero(12), CycNumber.one(12)]
+            expected = poly.divmod(num, den)[1]
+            products.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(CycNumber, "__mul__", counting)
+                assert poly.pseudo_rem(num, den) == expected
+            assert len(products) == 2 * (len(num) - 2)
+
 
 class TestSquarefree:
     def test_repeated_roots_appear_once(self, rng):

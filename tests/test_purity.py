@@ -82,6 +82,61 @@ def random_weil_factor(rng, order, q):
     return twisted_frobenius(z, rng.randint(-bound, bound), q)
 
 
+def constructed_case(rng, order):
+    """(factors, q, w, pure) over Q(zeta_order): Q is the product of the
+    factors, and pure says whether every root has |alpha|^2 = d = q^w,
+    known from how each factor was made.
+
+    Pure factors, each repeated 1 to 3 times: twisted Frobenius factors
+    (X - u beta)(X - u conj(beta)), X^2 - u^2 d, and X -+ u sqrt(d) when d
+    is a square; u is 1 half the time, so R = Q conj(Q) often has the roots
+    +-sqrt(d).  At most one impure block: X^2 - u t X + u^2 d with
+    t^2 > 4d; a real pair u alpha, u d / alpha with alpha^2 != d, as one
+    quadratic repeated; the same two linear factors with unequal
+    multiplicities; or the complex roots alpha, conj(alpha), d / alpha,
+    d / conj(alpha) twisted by u, with |alpha|^2 = s != d.
+    """
+    q, w = rng.choice([(2, 1), (3, 1), (5, 1), (9, 1), (13, 1), (2, 2), (3, 2)])
+    d = q**w
+    root = math.isqrt(d)
+    bound = math.isqrt(4 * d - 1)  # t^2 < 4d iff |t| <= bound
+    one = CycNumber.one(order)
+
+    def twist():
+        return one if rng.random() < 0.5 else CycNumber.zeta(order, rng.randrange(order))
+
+    kinds = ("frobenius", "edge", "root") if root * root == d else ("frobenius", "edge")
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        u, kind = twist(), rng.choice(kinds)
+        if kind == "frobenius":
+            f = [u * u * d, -u * rng.randint(-bound, bound), one]
+        elif kind == "edge":
+            f = [-u * u * d, 0, one]
+        else:
+            f = [-u * rng.choice([root, -root]), one]
+        factors += [f] * rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return factors, q, w, True
+    u, kind = twist(), rng.choice(["hasse", "pair", "unequal", "off"])
+    alpha = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+    if alpha * alpha == d:
+        alpha += 1
+    if kind == "hasse":
+        t = rng.choice([-1, 1]) * (math.isqrt(4 * d) + rng.randint(1, 3))
+        factors.append([u * u * d, -u * t, one])
+    elif kind == "pair":
+        factors += [[u * u * d, -u * (alpha + d / alpha), one]] * rng.randint(1, 2)
+    elif kind == "unequal":
+        k = rng.randint(1, 2)
+        factors += [[-u * alpha, one]] * k + [[-u * (d / alpha), one]] * (3 - k)
+    else:
+        s = rng.choice([x for x in range(1, 3 * d) if x != d])
+        a = rng.randint(-math.isqrt(4 * s - 1), math.isqrt(4 * s - 1))
+        factors += [[u * u * s, -u * a, one], [u * u * Fraction(d * d, s), -u * Fraction(a * d, s), one]]
+    return factors, q, w, False
+
+
 class TestWeilPolynomial:
     def test_must_be_monic(self):
         with pytest.raises(ValueError):
@@ -391,6 +446,55 @@ class TestExactPurity:
             magnitude_check(p, tolerance=1.0)
         assert weil_check(p, tolerance=1.0) is WeilVerdict.FAIL_MAGNITUDE
 
+    @pytest.mark.parametrize("order", [1, 3, 4, 5, 8, 12])
+    def test_verdicts_known_by_construction(self, rng, order, monkeypatch):
+        stripped = []
+        gcd = purity._monic_gcd
+
+        def counting(*args):
+            stripped.append(order)
+            return gcd(*args)
+
+        monkeypatch.setattr(purity, "_monic_gcd", counting)
+        verdicts = set()
+        for _ in range(16):
+            factors, q, w, pure = constructed_case(rng, order)
+            p = poly(expand(factors, order), q, w)
+            assert purity._exactly_pure(p) is pure, (q, w, str(p))
+            if pure:
+                assert weil_check(p) is WeilVerdict.PASS
+            verdicts.add(pure)
+        assert verdicts == {True, False}
+        assert stripped  # some R had a root +-sqrt(d), or shared one with X^2 - d mod p
+
+    def test_frobenius_products_take_no_squarefree_part(self, monkeypatch):
+        # Products of Frobenius factors with repeats, as in the benchmark's
+        # prod items: the residues of R and X^2 - q are coprime, so the
+        # only remainder sequence is the Sturm chain, whose last term
+        # carries the repeated roots.
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        chains = []
+        sequence = purity._remainder_sequence
+
+        def recorded(f, g):
+            chains.append(sequence(f, g))
+            return chains[-1]
+
+        monkeypatch.setattr(purity, "_squarefree_part", forbidden("_squarefree_part"))
+        monkeypatch.setattr(purity, "_monic_gcd", forbidden("_monic_gcd"))
+        monkeypatch.setattr(purity, "_remainder_sequence", recorded)
+        for q, traces in ((11, (-2, -1, 0, 1, 1, 0)), (31, (-3, -2, -1, 0, 1, 2, 2, -3)),
+                          (101, (-3, -2, -1, 0, 1, 2, 3, 1, -2, 0))):
+            coeffs = expand([[q, -t, 1] for t in traces], 1)
+            chains.clear()
+            assert weil_check(poly(coeffs, q, 1)) is WeilVerdict.PASS
+            assert len(chains) == 1
+            assert len(chains[0][-1]) - 1 == len(traces) - len(set(traces))  # deg gcd(h, h')
+
     def test_trace_polynomial_inverts_the_substitution(self, rng):
         from rigidcalc.purity import _trace_polynomial
 
@@ -443,8 +547,8 @@ class TestExactPurity:
         z = CycNumber.zeta(12)
         pairs = ((1, 3), (2, -2), (5, 5), (7, 1), (3, 0), (11, -6), (4, 2), (9, -1), (6, 4))
         p = poly(expand([twisted_frobenius(z**k, t, 13) for k, t in pairs], 12), 13, 1)
-        terms = []
-        original = purity._primitive
+        terms, degrees = [], []
+        original, sequence = purity._primitive, purity._remainder_sequence
 
         def bounded(*args):
             # every term of every remainder sequence passes through here;
@@ -453,9 +557,20 @@ class TestExactPurity:
             assert max(x.bit_length() for c in terms[-1] for x in (*c.nums, c.den)) < 1000
             return terms[-1]
 
+        def recorded(f, g):
+            out = sequence(f, g)
+            degrees.append([len(t) - 1 for t in out])
+            return out
+
         monkeypatch.setattr(purity, "_primitive", bounded)
+        monkeypatch.setattr(purity, "_remainder_sequence", recorded)
         assert purity._exactly_pure(p)
-        assert len(terms) > 40  # 29 terms for the gcd of R and R', 14 for the Sturm chain
+        # (z^3)^2 = -1 makes the factor (3, 0) X^2 - 13, so R = Q conj(Q)
+        # holds (X^2 - 13)^2: three gcds with X^2 - 13 strip it, and the
+        # chain of h (degree 16) ends at gcd(h, h') of degree 3.  No
+        # sequence removes the repeated roots.
+        assert degrees == [[36, 2], [34, 2], [32, 2, 1, 0], list(range(16, 2, -1))]
+        assert len(terms) == sum(map(len, degrees)) == 22
 
     def test_gcd_over_q_zeta_199_is_fast(self):
         # One inverse, for the monic gcd.  Making each remainder with an

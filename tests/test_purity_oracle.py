@@ -1,9 +1,10 @@
 """The exact gcd and the Sturm chain of the Weil decision against references.
 
 sympy computes monic gcds in its own domains, ``QQ`` for Q and ``QQ_I`` for
-Q(i) = Q(zeta_4), and the classical Sturm chain is recomputed here by
-field division (``poly.divmod``), so no pseudo-remainder of rigidcalc takes
-part in either reference.
+Q(i) = Q(zeta_4), and counts the distinct real roots of a polynomial over Q
+in an interval; the classical Sturm chain is recomputed here by field
+division (``poly.divmod``), so no pseudo-remainder of rigidcalc takes part
+in any reference.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from rigidcalc import CycNumber, poly
-from rigidcalc.purity import _monic_gcd, _remainder_sequence
+from rigidcalc.purity import _monic_gcd, _remainder_sequence, _sign_variations
 
 from helpers import random_cyc, random_rational
 
@@ -118,10 +119,14 @@ def test_at_most_one_inverse_per_remainder(monkeypatch):
 
 
 def classical_sturm(h: list) -> list:
-    """h, h', -rem, ... by division over the field."""
+    """h, h', -rem, ... by division over the field, up to the last nonzero
+    term: gcd(h, h') up to a constant."""
     chain = [h, poly.derivative(h)]
     while len(chain[-1]) > 1:
-        chain.append([-c for c in poly.divmod(chain[-2], chain[-1])[1]])
+        rem = poly.divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
     return chain
 
 
@@ -154,11 +159,26 @@ def random_squarefree(rng, order: int) -> list:
             return h
 
 
+def with_repeated_factor(rng, order: int, h: list) -> list:
+    """h times g^k, k in 2..3, for a random g over K+ of degree 1 or 2:
+    gcd with the derivative has degree at least k - 1."""
+    g = [random_real(rng, order) if order > 1 else CycNumber.from_rational(random_rational(rng))
+         for _ in range(rng.randint(2, 3))]
+    if not g[-1]:
+        g[-1] = CycNumber.one(order)
+    for _ in range(rng.randint(2, 3)):
+        h = poly.mul(h, g)
+    return h
+
+
 def test_sturm_chain_is_a_positive_multiple_of_the_classical_one(rng):
     # Over Q and over K+ = Q(zeta_N) ∩ R for N = 5, 8, 12, whose real
     # embeddings iota_a, a <= N/2, can give one number different signs.
+    # Squarefree h, and h with a repeated factor, whose chains end at
+    # gcd(h, h') of positive degree.
     for order, count in ((1, 60), (5, 12), (8, 12), (12, 12)):
         corpus = [random_squarefree(rng, order) for _ in range(count)]
+        corpus += [with_repeated_factor(rng, order, random_squarefree(rng, order)) for _ in range(count // 4)]
         # X^4 + bX + c gives remainders of degrees 3, 1, 0: one odd exponent
         pairs = [(3, 1), (-3, 1), (5, -2), (-5, -2)]
         pairs += [(random_real(rng, order), random_real(rng, order)) for _ in range(4)]
@@ -180,3 +200,45 @@ def test_sturm_chain_is_a_positive_multiple_of_the_classical_one(rng):
                 for a in range(1, order // 2 + 1):
                     if math.gcd(a, order) == 1:
                         assert ratio.embed(a, 512).real > 0
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_chain_ends_at_the_gcd_with_the_derivative(rng, order):
+    # h with repeated roots over Q and over Q(i): the last term, made
+    # monic, is sympy's gcd(h, h').
+    degrees = set()
+    for _ in range(15):
+        h, _ = gcd_inputs(rng, order)
+        if len(h) < 2:
+            continue
+        last = _remainder_sequence(h, poly.derivative(h))[-1]
+        inv = last[-1].inverse()
+        oracle = sympy.gcd(sympy_poly(h, order), sympy_poly(poly.derivative(h), order))
+        assert sympy_poly([c * inv for c in last], order) == oracle
+        degrees.add(len(last) - 1)
+    assert len(degrees) > 2
+
+
+def sign_at(f: list, x: Fraction) -> int:
+    value = sum(c.as_rational() * x**k for k, c in enumerate(f))
+    return (value > 0) - (value < 0)
+
+
+def test_sign_variations_count_distinct_real_roots(rng):
+    # Over Q, h with repeated real and complex roots: across (a, b), with
+    # h(a) h(b) != 0, the sign variations of the chain drop by the number
+    # of distinct real roots in between (sympy: sqf_part().count_roots).
+    counted = set()
+    for _ in range(60):
+        h = with_repeated_factor(rng, 1, random_squarefree(rng, 1))
+        chain = _remainder_sequence(h, poly.derivative(h))
+        assert len(chain[-1]) > 1
+        a, b = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(2))
+        if a == b or not (sign_at(h, a) and sign_at(h, b)):
+            continue
+        drop = _sign_variations([sign_at(f, a) for f in chain]) - _sign_variations([sign_at(f, b) for f in chain])
+        oracle = sympy_poly(h, 1).sqf_part().count_roots(sympy.Rational(a.numerator, a.denominator),
+                                                         sympy.Rational(b.numerator, b.denominator))
+        assert drop == oracle, (h, a, b)
+        counted.add(oracle)
+    assert len(counted) > 2
