@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _root_of_unity
 from .errors import (
     AlreadyRankOne,
     NegativeIndex,
@@ -256,15 +256,8 @@ def build_F(i: int) -> MonodromyTuple:
 def _dominant_exponent(matrix: ExactMatrix, order: int, shift: int = 0) -> int:
     # The t in range(order) maximizing the eigenspace of zeta_order^t for
     # zeta_order^shift * matrix, i.e. n - r_1 of zeta_order^(t - shift) for
-    # the matrix; ties go to the smallest t.  For a tuple's matrices the
-    # sequences over mu_lcm(2, N) are those centralizer_dim left on them.
-    big = math.lcm(2, matrix.order, order)
-    step = big // order
-    dims = {
-        u // step: matrix.rows - ranks[1]
-        for u, ranks in _rank_sequences(matrix, big).items()
-        if u % step == 0
-    }
+    # the matrix; ties go to the smallest t.
+    dims = {t: matrix.rows - ranks[1] for t, ranks in _rank_sequences(matrix, order).items()}
     return max(range(order), key=lambda t: (dims.get((t - shift) % order, 0), -t))
 
 
@@ -278,10 +271,12 @@ def katz_reduce_step(t: MonodromyTuple):
     eigenspace of the infinity monodromy at the parameter, so any other
     choice shrinks the quotient less and can fail to reduce the rank.
 
-    With dominant eigenvalues zeta_N^(a_k) the twisted monodromy at
-    infinity is zeta_N^e times the parent's, e = sum of a_k, so both
-    choices read the rank sequences the rigidity check left on the parent's
-    matrices, and the twisted tuple's infinity monodromy is never formed.
+    Both range over mu_m, m = lcm(2, N), all the roots of unity of K =
+    Q(zeta_N), so at odd N one may be -zeta_N^a.  With dominant eigenvalues
+    zeta_m^(a_k) the twisted monodromy at infinity is zeta_m^e times the
+    parent's, e = sum of a_k, so both choices read the rank sequences the
+    rigidity check left on the parent's matrices, and the twisted tuple's
+    infinity monodromy is never formed.
 
     Returns (twist, lam, result) where result = MC_lam(twist applied to t).
     """
@@ -292,9 +287,10 @@ def katz_reduce_step(t: MonodromyTuple):
     index = rigidity_index(t)
     if index != 2:
         raise NotRigid(f"rigidity index is {index}, not 2")
-    exponents = [_dominant_exponent(m, t.order) for m in t.matrices]
-    twist = RankOneData.of([CycNumber.zeta(t.order, -a) for a in exponents], t.order)
-    lam = CycNumber.zeta(t.order, _dominant_exponent(t.at_infinity, t.order, sum(exponents)))
+    m = math.lcm(2, t.order)
+    exponents = [_dominant_exponent(a, m) for a in t.matrices]
+    twist = RankOneData.of([_root_of_unity(t.order, -u) for u in exponents], t.order)
+    lam = _root_of_unity(t.order, _dominant_exponent(t.at_infinity, m, sum(exponents)))
     result = middle_convolution(tensor_rank_one(t, twist), lam)
     return twist, lam, result
 

@@ -259,6 +259,15 @@ def dot(xs, ys, order: int) -> "CycNumber":
     return CycNumber(order, _reduce_raw(raw, order), den)
 
 
+def _root_of_unity(order: int, u: int) -> "CycNumber":
+    """zeta_m^u written at ``order``, where mu_m, m = lcm(2, order), are the
+    roots of unity of Q(zeta_order).  zeta_m = zeta_order for even order; for
+    odd order, zeta_order^((order + 1) / 2) = exp(pi i (order + 1) / order)
+    = -zeta_m."""
+    root = CycNumber.zeta(order, (order + 1) // 2 * u if order % 2 else u)
+    return -root if order % 2 and u % 2 else root
+
+
 class CycNumber:
     """An element of Q(zeta_N) in the reduced power basis mod Phi_N.
 
@@ -320,9 +329,7 @@ class CycNumber:
     def zeta(cls, order: int, power: int = 1) -> "CycNumber":
         """The root of unity zeta_N^power."""
         _check_order(order)
-        raw = [0] * order
-        raw[power % order] = 1
-        return cls(order, _reduce_raw(raw, order))
+        return cls(order, _power_table(order)[power % order])
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycNumber":
@@ -549,14 +556,13 @@ class CycNumber:
         """(k, j) with self = zeta_k^j, gcd(j, k) = 1, or None.
 
         k is the multiplicative order, so the pair is unique with 0 <= j < k.
-        With N = self.order, m = lcm(N, 2) and (p, r) = residue_prime(N):
-        1. the roots of unity of K = Q(zeta_N) are mu_m;
+        With N = self.order, m = lcm(2, N) and p from residue_prime(N):
+        1. the roots of unity of K = Q(zeta_N) are mu_m (_root_of_unity);
         2. they are algebraic integers, and the power basis spans Z[zeta_N],
            so den != 1 rules self out;
-        3. zeta_m = s * zeta_N^e, with (s, e) = (1, 1) for even N and
-           (-1, (N + 1) / 2) for odd N, has the residue g = s * r^e, of order
-           m in F_p as p = 1 (mod N) is odd; the residue map is a ring map
-           (see modp), so it is injective on mu_m;
+        3. zeta_m has a residue g of order m in F_p, as p = 1 (mod N) is
+           odd; the residue map is a ring map (see modp), so it is
+           injective on mu_m;
         4. so a residue outside <g> proves self no root of unity; otherwise
            self is one iff self = zeta_m^j for the one j < m with g^j equal
            to its residue, which is compared exactly at order N.
@@ -564,11 +570,10 @@ class CycNumber:
         if self.den != 1:
             return None
         n = self.order
-        m, s, e = (n, 1, 1) if n % 2 == 0 else (2 * n, -1, (n + 1) // 2)
-        p, r = residue_prime(n)
-        g, target = s * pow(r, e, p) % p, self.residue()
+        m, (p, _) = math.lcm(2, n), residue_prime(n)
+        g, target = _root_of_unity(n, 1).residue(), self.residue()
         j = next((j for j in range(m) if pow(g, j, p) == target), None)
-        if j is None or self != s**j * CycNumber.zeta(n, e * j):
+        if j is None or self != _root_of_unity(n, j):
             return None
         d = math.gcd(j, m)
         return (m // d, j // d)

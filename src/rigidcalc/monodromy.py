@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .cyclotomic import CycNumber, dot, residue_prime
+from .cyclotomic import CycNumber, _check_order, _root_of_unity, dot, residue_prime
 from .errors import (
     DimensionMismatch,
     DuplicatePuncture,
@@ -260,53 +260,56 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     zeta = zeta_order^t is an eigenvalue, with r_j = rank((matrix - zeta I)^j)
     and r_k the stable rank: the first repeat, or 0.
 
-    Only the t whose residue z is a root of chi, the characteristic
+    The matrix keeps one entry per field, under m = lcm(2, matrix.order,
+    order): the sequences over mu_m, all roots of unity of the field, by u
+    for zeta_m^u, which each order dividing m reads as a view, t = u order
+    / m.  So a matrix is ranked once, at big = lcm(matrix.order, m / 2 if
+    m = 2 (mod 4) else m), its own order unless the field must grow, as
+    Q(zeta_2k) = Q(zeta_k) for odd k.
+
+    Only the u whose residue z is a root of chi, the characteristic
     polynomial of the residues of the matrix, are ranked, and each stops
-    early.  With big = lcm(matrix.order, order) and (p, r) =
-    residue_prime(big), zeta reduces to z = r^(t big / order), and by the
-    residue map (see modp):
+    early.  With p from residue_prime(big) and g the residue of zeta_m,
+    zeta reduces to z = g^u, and by the residue map (see modp):
     - chi(z) != 0 gives full rank mod p, hence over K: zeta is skipped;
-    - zeta's multiplicity a is at most the multiplicity m of z in chi,
-      since (X - zeta)^a g reduces to (X - z)^a g-bar;
-    - n - r_j <= a, so a nullity n - r_j = m proves r_j stable, and the
+    - zeta's multiplicity a is at most the multiplicity b of z in chi,
+      since (X - zeta)^a f reduces to (X - z)^a f-bar;
+    - n - r_j <= a, so a nullity n - r_j = b proves r_j stable, and the
       next power is never ranked.
-    When p divides a denominator of the matrix, every t is a candidate with
-    m = n, ranked until its ranks repeat or reach 0.  The candidates run in
-    decreasing m, ties by t, and the trace names the last eigenvalue.
+    When p divides a denominator of the matrix, every u is a candidate with
+    b = n, ranked until its ranks repeat or reach 0.  The candidates run in
+    decreasing b, ties by u, and the trace names the last eigenvalue.
 
     The trace is the sum of the eigenvalues with multiplicity, and no residue
-    enters: the finished zeta_t have exact multiplicities a_t = n - r_k summing
+    enters: the finished zeta_u have exact multiplicities a_u = n - r_k summing
     to found, and zeta has at least d = n - r_j, so when found + d = n - 1 one
-    is left, lambda = tr - sum a_t zeta_t - d zeta.  zeta's multiplicity is
+    is left, lambda = tr - sum a_u zeta_u - d zeta.  zeta's multiplicity is
     d + 1 if lambda = zeta, else d; a later zeta is simple iff it is lambda.
-
-    The sequences are kept on the matrix, per order, so the Jordan type, the
-    centralizer and Katz's eigenvalue choice of one matrix share one
-    computation.  Callers must not mutate the returned dict.
     """
-    memo = matrix._sequences
-    if memo is None:
-        memo = matrix._sequences = {}
-    if order in memo:
-        return memo[order]
+    _check_order(order)  # math.lcm below would make a negative order positive
+    m = math.lcm(2, matrix.order, order)
+    memo = matrix._sequences or {}
+    if m in memo:
+        step = m // order
+        return {u // step: ranks for u, ranks in memo[m].items() if u % step == 0}
     n = matrix.rows
-    big = math.lcm(matrix.order, order)
-    step = big // order
-    matrix = matrix.lift(big)
-    p, r = residue_prime(big)
-    residues = modp.rows(matrix)
+    big = math.lcm(matrix.order, m // 2 if m % 4 == 2 else m)
+    lifted = matrix.lift(big)
+    p, _ = residue_prime(big)
+    g = _root_of_unity(big, 1).residue()
+    residues = modp.rows(lifted)
     if residues is None:  # n binds no nullity: the ranks stop at 0 first
-        bounds = dict.fromkeys(range(order), n)
+        bounds = dict.fromkeys(range(m), n)
     else:
         chi = modp.charpoly(residues, p)
-        bounds = {t: modp.multiplicity(chi, pow(r, t * step, p), p) for t in range(order)}
-    rest = matrix.trace()  # tr - sum of a_t zeta_t over the finished t
+        bounds = {u: modp.multiplicity(chi, pow(g, u, p), p) for u in range(m)}
+    rest = lifted.trace()  # tr - sum of a_u zeta_u over the finished u
     found = 0
     sequences = {}
-    for t in sorted((t for t in bounds if bounds[t]), key=lambda t: (-bounds[t], t)):
+    for u in sorted((u for u in bounds if bounds[u]), key=lambda u: (-bounds[u], u)):
         if found == n:
             break
-        zeta = CycNumber.zeta(big, t * step)
+        zeta = _root_of_unity(big, u)
         ranks = [n]
         power = None
         while True:
@@ -320,7 +323,7 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
                     ranks.append(ranks[-1])
                 break
             if power is None:
-                entries = list(matrix.entries)
+                entries = list(lifted.entries)
                 for i in range(n):
                     entries[i * n + i] = entries[i * n + i] - zeta
                 power = shifted = ExactMatrix(n, n, entries, order=big)
@@ -329,16 +332,15 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
             ranks.append(power.rank())
             if not 0 < ranks[-1] < ranks[-2]:
                 break
-            if n - ranks[-1] == bounds[t]:
+            if n - ranks[-1] == bounds[u]:
                 ranks.append(ranks[-1])
                 break
         if ranks[-1] < n:
-            sequences[t] = ranks
+            sequences[u] = ranks
             found += n - ranks[-1]
             rest = rest - (n - ranks[-1]) * zeta
-    sequences = dict(sorted(sequences.items()))
-    memo[order] = sequences
-    return sequences
+    matrix._sequences = memo | {m: dict(sorted(sequences.items()))}
+    return _rank_sequences(matrix, order)  # now a view of the entry
 
 
 def _blocks_at_least(ranks: list[int]) -> list[int]:
@@ -496,41 +498,35 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
 def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     """Norton's irreducibility test on the generators reduced mod p.
 
-    (p, r) = residue_prime(t.order).  theta runs over A_k - zI and P - zI,
-    P = A_1 ... A_r mod p, for z over the residues +-r^e of mu_lcm(2, N) in
-    turn, but only where z is a root of that matrix's characteristic
-    polynomial mod p: elsewhere theta is invertible, so its nullity is 0,
-    and one Horner evaluation shows it.  The first theta of nullity
-    exactly 1 mod p is taken, with ker theta = F_p v and ker theta^T =
-    F_p w.  Every theta lies in the algebra A generated by the reduced
-    generators.  True when v spins to F_p^n under A and w under A^T; False
+    p from residue_prime(t.order).  theta runs over A_k - zI and P - zI,
+    P = A_1 ... A_r mod p, for z over the residues g^u of the roots of unity
+    zeta_m^u of K, m = lcm(2, N), u < m, in turn, but only where z is a
+    root of that matrix's characteristic polynomial mod p: elsewhere theta
+    is invertible, so its nullity is 0, and one Horner evaluation shows
+    it.  The first theta of nullity exactly 1 mod p is taken, with ker
+    theta = F_p v and ker theta^T = F_p w; by Norton's lemma the verdict
+    does not depend on which comes first.  Every theta lies in the algebra
+    A generated by the reduced generators.  True when v spins to F_p^n under A and w under A^T; False
     when a spin is short, which proves the reduction reducible; None when
     p divides a denominator or no theta has nullity 1.  See
     is_absolutely_irreducible for what True proves.
     """
     n = t.rank
-    p, r = residue_prime(t.order)
+    p, _ = residue_prime(t.order)
     generators = [modp.rows(m) for m in t.matrices]
     if None in generators:
         return None
+    g = _root_of_unity(t.order, 1).residue()
     product = generators[0]
     for rows in generators[1:]:
         product = modp.mul(product, zip(*rows), p)
     matrices = generators + [product]
     charpolys = [modp.charpoly(rows, p) for rows in matrices]
 
-    def shifts():  # -1 is a power of r when N is even
-        power = 1
-        for _ in range(t.order):
-            yield power
-            if t.order % 2:
-                yield p - power
-            power = power * r % p
-
     def apply(rows, vector):
         return modp.mul([vector], rows, p)[0]
 
-    for z in shifts():
+    for z in (pow(g, u, p) for u in range(math.lcm(2, t.order))):
         for rows, chi in zip(matrices, charpolys):
             if not modp.multiplicity(chi, z, p):
                 continue
@@ -540,7 +536,7 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
                 continue
             (v,) = modp.left_kernel([list(column) for column in zip(*theta)], p)
             (w,) = cokernel
-            transposed = [[list(column) for column in zip(*g)] for g in generators]
+            transposed = [[list(column) for column in zip(*a)] for a in generators]
             return _spans_all_matrices(
                 n, v, generators, apply, modp.EchelonBasis(p)
             ) and _spans_all_matrices(n, w, transposed, apply, modp.EchelonBasis(p))

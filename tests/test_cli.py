@@ -207,6 +207,15 @@ class TestKatzReduceCli:
         assert code == 0
         assert json.loads(out) == {"steps": []}
 
+    def test_rational_tuple_declared_at_order_one(self, capsys, tmp_path):
+        # Katz's eigenvalue -1 lies in Q(zeta_1) = Q, outside mu_1
+        path = tmp_path / "f3.json"
+        text = ser.canonical_dumps(ser.tuple_to_json(build_F(3)))
+        path.write_text(text.replace('"N":2', '"N":1'))
+        code, out, _ = run(capsys, "katz-reduce", str(path), "--format", "json")
+        assert code == 0
+        assert [step["rank"] for step in json.loads(out)["steps"]] == [3, 2, 1]
+
 
 class TestWeil:
     def test_pass_exit_zero(self, capsys):

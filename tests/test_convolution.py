@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -52,6 +53,19 @@ def infinity_by_inverse(matrices):
 def rank_of_shift(m, value):
     # rank(m - value I) by one exact elimination
     return (m - ExactMatrix.identity(m.rows, order=m.order) * value).rank()
+
+
+def declared_at_order_one(t):
+    # a rational tuple of order 2 read back from JSON with every "N" set to 1
+    text = serialization.canonical_dumps(serialization.tuple_to_json(t))
+    return serialization.tuple_from_json(json.loads(text.replace('"N":2', '"N":1')))
+
+
+def twisted_order_five_tuple():
+    # the rank-2 tuple a = (zeta5, zeta5^2), b = (zeta5^3, 1) twisted by (-1, -1)
+    z = CycNumber.zeta(5)
+    t = hypergeometric_tuple([z, z ** 2], [z ** 3, 1], 5)
+    return tensor_rank_one(t, RankOneData.of([-1, -1]))
 
 
 def seeded_hypergeometric(rng, order, min_rank=1):
@@ -348,6 +362,22 @@ class TestKatzReduce:
             assert len(ranks) <= i
             assert all(a > b for a, b in zip([i + 1] + ranks, ranks))
 
+    def test_reduce_family_declared_at_order_one(self):
+        # Q(zeta_1) = Q(zeta_2): the same reduction, with -1 = zeta_2
+        # written at order 1
+        for i in range(1, 7):
+            steps = katz_reduce(declared_at_order_one(build_F(i))).steps
+            expected = katz_reduce(build_F(i)).steps
+            assert [(s.rank, s.twist.scalars, s.lam) for s in steps] == [
+                (s.rank, s.twist.scalars, s.lam) for s in expected]
+            assert all(s.lam.order == 1 for s in steps)
+
+    def test_reduce_twist_by_minus_one_at_odd_order(self):
+        # The (-1, -1) twist puts -zeta5^a at every puncture.
+        steps = katz_reduce(twisted_order_five_tuple()).steps
+        assert [s.rank for s in steps] == [1]
+        assert steps[0].twist.scalars == (-1, -1)
+
     def test_reduce_hypergeometric(self):
         from rigidcalc import hypergeometric_tuple
 
@@ -486,20 +516,23 @@ class TestInvariants:
 
 
 class TestKatzChoiceOracle:
-    """Katz's twist and lambda against n - rank(A - zeta I) over mu_N, taken
-    by direct eliminations, ties to the smallest exponent."""
+    """Katz's twist and lambda against n - rank(A - zeta I) over mu_m,
+    m = lcm(2, N), all the roots of unity of Q(zeta_N), taken by direct
+    eliminations on the matrices lifted to order m, ties to the smallest
+    exponent."""
 
     @staticmethod
     def oracle(t):
-        order = t.order
+        order = math.lcm(2, t.order)
+        matrices = [m.lift(order) for m in t.matrices]
 
         def dominant(m):
             return max(range(order),
                        key=lambda a: (m.rows - rank_of_shift(m, CycNumber.zeta(order, a)), -a))
 
-        exponents = [dominant(m) for m in t.matrices]
+        exponents = [dominant(m) for m in matrices]
         scalars = [CycNumber.zeta(order, -a) for a in exponents]
-        twisted = [m * s for m, s in zip(t.matrices, scalars)]
+        twisted = [m * s for m, s in zip(matrices, scalars)]
         return scalars, CycNumber.zeta(order, dominant(infinity_by_inverse(twisted)))
 
     def check_chain(self, t):
@@ -521,3 +554,7 @@ class TestKatzChoiceOracle:
         for i in (1, 2, 5):
             self.check_chain(build_F(i))
         self.check_chain(hypergeometric_tuple([CycNumber.zeta(4), CycNumber.zeta(4, 3)], [1, -1], 4))
+        # dominant eigenvalues -1 at N = 1 and -zeta5^a at N = 5: roots of
+        # unity of Q(zeta_N) outside mu_N
+        self.check_chain(declared_at_order_one(build_F(3)))
+        self.check_chain(twisted_order_five_tuple())

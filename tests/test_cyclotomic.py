@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from rigidcalc import CycNumber, ExactMatrix, cyclotomic, cyclotomic_polynomial, euler_phi
-from rigidcalc.cyclotomic import _is_prime, divisors, dot, residue_prime
+from rigidcalc.cyclotomic import _is_prime, _root_of_unity, divisors, dot, residue_prime
 from rigidcalc.errors import InvalidOrder, NotAnEmbedding
 
 from helpers import random_cyc, random_rational
@@ -372,6 +372,15 @@ class TestRootsOfUnity:
                 h = math.gcd(e, 2 * k)
                 assert (-CycNumber.zeta(k, j)).root_of_unity_exponent() == (2 * k // h, e // h)
                 assert (2 * CycNumber.zeta(k, j)).root_of_unity_exponent() is None
+
+    def test_root_of_unity_writes_zeta_lcm_2_n_at_n(self):
+        # zeta_m^u, m = lcm(2, N), written at order N, equals zeta_m^u
+        # written at order m, for every u in range(m)
+        for n in range(1, 31):
+            m = math.lcm(2, n)
+            for u in range(m):
+                x = _root_of_unity(n, u)
+                assert x.order == n and x == CycNumber.zeta(m, u), (n, u)
 
     def test_dense_large_order_root(self):
         # zeta997^996 = -(1 + zeta + ... + zeta^995) in the power basis

@@ -5,7 +5,7 @@ module, or in a class body, runs when the module is loaded; those edges
 must form no cycle.  No module of the package imports another inside a
 function, where a call-time import could hide a cycle.  The Weil decision
 takes its pseudo-remainders in one place, so a second remainder loop cannot
-return unnoticed.  The JSON parsers format an error message only when a check
+return unnoticed, and only monodromy keys the rank-sequence memo.  The JSON parsers format an error message only when a check
 fails, so no valid document pays for one.
 """
 from __future__ import annotations
@@ -150,3 +150,16 @@ def test_require_messages_are_formatted_only_on_failure():
     assert eager_require_messages(sample) == [(1, True), (2, False), (3, True)]
     calls = eager_require_messages(ast.parse((PACKAGE / "serialization.py").read_text()))
     assert calls and [line for line, eager in calls if eager] == []
+
+
+def test_only_monodromy_touches_the_rank_sequence_memo():
+    # The memo key of the rank sequences is monodromy's policy alone;
+    # linalg only creates the empty slot.
+    for path in PACKAGE.glob("*.py"):
+        uses = references(ast.parse(path.read_text()), "_sequences")
+        if path.stem == "linalg":
+            assert uses == ["__init__"]
+        elif path.stem != "monodromy":
+            assert uses == [], path
+    monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
+    assert set(references(monodromy, "_sequences")) == {"_rank_sequences"}

@@ -28,6 +28,7 @@ from rigidcalc import (
 from rigidcalc.errors import (
     DimensionMismatch,
     DuplicatePuncture,
+    InvalidOrder,
     NotQuasiUnipotent,
     SingularMatrix,
     UnknownPuncture,
@@ -192,6 +193,16 @@ class TestQuasiUnipotent:
                 assert is_quasi_unipotent(m, order) == expected, (m, order)
                 verdicts.append(expected)
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("order", [0, -1, -3])
+    def test_order_below_one(self, order):
+        # math.lcm would make -3 into 3 and 0 into a division by zero
+        identity = ExactMatrix.identity(2)
+        with pytest.raises(InvalidOrder):
+            is_quasi_unipotent(identity, order)
+        with pytest.raises(InvalidOrder):
+            jordan_type(identity, order)
+        assert identity._sequences is None
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -536,7 +547,7 @@ class TestRankSequences:
             for k in (order, both):
                 assert list(_rank_sequences(m, k).items()) == list(_every_power_ranked(m, k).items())
 
-    def test_katz_eigenvalue_tie_break(self):
+    def test_katz_eigenvalue_tie_break(self, monkeypatch):
         # exponents t of zeta_2^t: 0 for the eigenvalue 1, 1 for -1
         assert _dominant_exponent(ExactMatrix.diagonal([1, -1]), 2) == 0
         assert _dominant_exponent(ExactMatrix.diagonal([-1, -1, 1]), 2) == 1
@@ -544,6 +555,20 @@ class TestRankSequences:
         assert _dominant_exponent(ExactMatrix.diagonal([2, 3]), 2) == 0
         # shift 1 scales by zeta_2 = -1: diag(1, -1, -1), where -1 wins
         assert _dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), 2, shift=1) == 1
+        # At order 3, -zeta3 = zeta6^5 is no eigenvalue in mu_3 but wins
+        # over mu_6, read from the sequences the order-3 test left; a tie
+        # with zeta3 = zeta6^2 goes to zeta3.
+        calls = []
+        exact_rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
+        z = CycNumber.zeta(3)
+        m = ExactMatrix.diagonal([z, -z, -z])
+        assert not is_quasi_unipotent(m, 3)
+        seen = len(calls)
+        assert _dominant_exponent(m, 6) == 5
+        assert _dominant_exponent(m, 6, shift=3) == 2  # -m: zeta3 twice
+        assert len(calls) == seen
+        assert _dominant_exponent(ExactMatrix.diagonal([-z, z]), 6) == 2
 
 
 class TestRankSequenceMemo:
@@ -567,15 +592,27 @@ class TestRankSequenceMemo:
     def reparsed(t):
         return ser.tuple_from_json(json.loads(ser.canonical_dumps(ser.tuple_to_json(t))))
 
+    @staticmethod
+    def odd_order_tuple():
+        z = CycNumber.zeta(5)
+        return from_multiplicity_function({z: 1, z ** 2: 1, z ** 4: 2}, 5)
+
     def test_shared_within_one_tuple(self, rank_calls):
-        t = self.reparsed(build_F(5))
-        for point in ("0", "1", "inf"):
-            t.jordan_at(point)
+        # At odd N too, the Jordan types at N and the centralizers over
+        # mu_lcm(2, N) read one entry per matrix.
+        for t in (self.reparsed(build_F(5)), self.reparsed(self.odd_order_tuple())):
+            for point in ("0", "1", "inf"):
+                t.jordan_at(point)
+            seen = len(rank_calls)
+            assert seen > 0
+            assert rigidity_index(t) == 2
+            assert certify_regular(t).is_regular_via_lemma
+            assert len(rank_calls) == seen
+        # ranked at the tuple's order 5, never lifted to 10 to reach -1
+        t = self.reparsed(self.odd_order_tuple())
         seen = len(rank_calls)
-        assert seen > 0
         assert rigidity_index(t) == 2
-        assert certify_regular(t).is_regular_via_lemma
-        assert len(rank_calls) == seen
+        assert {m.order for m in rank_calls[seen:]} == {5}
 
     def test_equal_tuple_recomputes(self, rank_calls):
         t = build_F(5)
