@@ -198,8 +198,8 @@ def _reduce_raw(raw, n: int) -> list[int]:
 
 
 def _convolve_into(raw: list, xs, ys, scale: int = 1) -> None:
-    # raw[k] += scale * sum_{i+j=k} xs[i] * ys[j]: the one integer product
-    # of the package, used by dot and by the extended Euclid of inverse.
+    # raw[k] += scale * sum_{i+j=k} xs[i] * ys[j]: the numerator product
+    # of dot.
     # Zeros of xs and trailing zeros of ys are skipped, so a product with a
     # rational factor costs len(xs) or len(ys) steps, not their product.
     m = len(ys)
@@ -472,10 +472,9 @@ class CycNumber:
         r0, s0 = list(cyclotomic_polynomial(n)), []
         r1, s1 = poly.trim(self.nums), [1]
         while len(r1) > 1:
-            scale, q, r = poly.pseudo_divmod(r0, r1)
-            qs1 = [0] * (len(q) + len(s1) - 1)
-            _convolve_into(qs1, q, s1)
-            s = poly.sub([scale * t for t in s0], qs1)
+            e, q, r = poly.pseudo_divmod(r0, r1)
+            scale = r1[-1] ** e
+            s = poly.sub([scale * t for t in s0], poly.mul(q, s1))
             g = math.gcd(*r, *s)
             r0, s0, r1, s1 = r1, s1, [t // g for t in r], [t // g for t in s]
         return CycNumber(n, _reduce_raw([self.den * t for t in s1], n), r1[0])

@@ -3,7 +3,7 @@ package does on residues.
 
 With (p, r) = residue_prime(N), the residue map zeta -> r of the prime
 (p, zeta - r) of K = Q(zeta_N) (CycNumber.residue) is a ring homomorphism
-on Z_(p)[zeta].  So each product, minor or discriminant of residues is the
+on Z_(p)[zeta].  So each product, minor or resultant of residues is the
 residue of the exact one, and one nonzero mod p is nonzero: rank mod p <=
 rank over K, and full rank mod p proves the exact rank; a short rank says
 nothing.  The functions take p and never see K; each caller keeps its own
@@ -98,13 +98,6 @@ def coprime(a: list[int], b: list[int], p: int) -> bool:
                 a[k - deg + j] = (a[k - deg + j] - c * t) % p
         a, b = b, poly.trim(a[:deg])
     return len(a) == 1
-
-
-def is_squarefree(a: list[int], p: int) -> bool:
-    """True iff the polynomial a over F_p (constant term first, leading
-    coefficient nonzero mod p) is squarefree: iff gcd(a, a') = 1, since F_p
-    is perfect."""
-    return coprime(a, [k * c for k, c in enumerate(a)][1:], p)
 
 
 def charpoly(rows: list[list[int]], p: int) -> list[int]:

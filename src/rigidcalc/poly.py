@@ -3,8 +3,8 @@
 Coefficients may be ints, Fractions or CycNumbers.  Zero tests use
 truthiness and the leading coefficient is inverted as ``1 / lead``, so one
 routine serves every coefficient type.  Division by a non-monic integer
-polynomial would produce floats: use pseudo_divmod, which stays in Z[X], or
-pseudo_rem, which stays in the ring of the coefficients.
+polynomial would produce floats: pseudo_divmod, the one pseudo-division,
+takes no inverse and stays in the ring of the coefficients.
 """
 from __future__ import annotations
 
@@ -61,50 +61,37 @@ def divmod(num: list, den: list) -> tuple[list, list]:
     return quo, trim(rem[:deg])
 
 
-def pseudo_divmod(num: list[int], den: list[int]) -> tuple[int, list[int], list[int]]:
-    """(scale, quotient, remainder) over Z with scale * num = quotient * den +
-    remainder; scale is a power of den's leading coefficient.
+def pseudo_divmod(num: list, den: list) -> tuple[int, list, list]:
+    """(e, quotient, remainder) with lead^e * num = quotient * den +
+    remainder, for lead the leading coefficient of den and e = deg num -
+    deg den + 1 rounded up to even, or 0 when deg num < deg den or den is
+    monic.
 
-    The remainder is trimmed and has degree below that of den.
-    """
-    lead, deg = den[-1], len(den) - 1
-    scale, quo, rem = 1, [0] * max(len(num) - deg, 0), list(num)
-    for k in range(len(num) - 1, deg - 1, -1):
-        c = rem[k]
-        if c:
-            scale *= lead
-            quo = [lead * t for t in quo]
-            quo[k - deg] += c
-            rem = [lead * t for t in rem]
-            for j, t in enumerate(den):
-                rem[k - deg + j] -= c * t
-    return scale, quo, trim(rem[:deg])
-
-
-def pseudo_rem(num: list, den: list) -> list:
-    """lead^e * num mod den, trimmed, for lead the leading coefficient of
-    den and e = deg num - deg den + 1 rounded up to even (0 when deg num <
-    deg den).
-
-    No inverse is taken, so the remainder stays in the ring the coefficients
-    generate.  An even e keeps lead^e positive under every real embedding,
-    as Sturm chains need.  A monic den is divided without rescaling.
+    No inverse is taken, so quotient and remainder stay in the ring the
+    coefficients generate.  An even e keeps lead^e positive under every real
+    embedding, as Sturm chains need.  The remainder is trimmed and has
+    degree below that of den.
     """
     den = trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     lead, deg = den[-1], len(den) - 1
-    scale = lead != 1
     rem = trim(num)
-    if scale and max(len(rem) - deg, 0) % 2:
+    steps = max(len(rem) - deg, 0)
+    e = 0 if lead == 1 else steps + steps % 2
+    if e > steps:  # an odd step count: one factor lead up front
         rem = [lead * c for c in rem]
+    quo = []
     for k in range(len(rem) - 1, deg - 1, -1):
         c = rem.pop()
-        if scale:
+        if e:
             rem = [lead * t for t in rem]
+            quo = [lead * t for t in quo]
+        quo.append(c)
         for j in range(deg):
             rem[k - deg + j] -= c * den[j]
-    return trim(rem)
+    quo.reverse()
+    return e, quo, trim(rem)
 
 
 def from_roots(roots: list) -> list:

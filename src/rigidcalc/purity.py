@@ -161,10 +161,10 @@ def _monic_gcd(a, b) -> list:
 
 
 def _remainder_sequence(f, g) -> list[list[CycNumber]]:
-    """f, g, then -poly.pseudo_rem(a, b) / lc(a)^e after the last two terms
-    a, b, for lc(a)^e the even power pseudo_rem gave lc(a) one step before
-    (no division when lc(a) is rational), up to the last nonzero term; each
-    term made primitive.
+    """f, g, then -R / lc(a)^e after the last two terms a, b, up to the
+    last nonzero term, each term made primitive: R is the remainder of
+    poly.pseudo_divmod(a, b), and e the even exponent that the division
+    before, by a, returned (no division when lc(a) is rational).
 
     1. Each term is a K^x multiple of the Euclidean remainder, so the gcd
        is unchanged.
@@ -179,37 +179,21 @@ def _remainder_sequence(f, g) -> list[list[CycNumber]]:
     e = 0
     while len(seq[-1]) > 1:  # after a constant, every remainder is 0
         a, b = seq[-2:]
-        rem = poly.pseudo_rem(a, b)
+        step, _, rem = poly.pseudo_divmod(a, b)
         if not rem:
             break
         if e and not a[-1].is_rational():
             scale = a[-1].inverse() ** e
             rem = [c * scale for c in rem]
         seq.append(_primitive(rem, -1))
-        e = max(len(a) - len(b) + 2, 0) // 2 * 2  # deg a - deg b + 1, made even
+        e = step
     return seq
 
 
 def _squarefree_part(coeffs) -> tuple[CycNumber, ...]:
     """The monic f with the same roots, all simple: f / gcd(f, f')."""
     f = poly.trim(coeffs)
-    if _squarefree_mod_p(f):
-        return tuple(f)
     return tuple(poly.divmod(f, _monic_gcd(f, poly.derivative(f)))[0])
-
-
-def _squarefree_mod_p(f) -> bool:
-    """True when the residues of the monic f form a squarefree polynomial
-    over F_p (modp.is_squarefree).
-
-    That proves f squarefree over K.  The discriminant of a monic polynomial
-    of degree n is an integer polynomial in its coefficients, and the
-    residue map keeps the leading 1, so it sends disc(f) to the discriminant
-    of the residues (see modp), which is nonzero; so disc(f) is nonzero.
-    False says nothing over K.
-    """
-    a = modp.residues(f)
-    return a is not None and modp.is_squarefree(a, residue_prime(f[0].order)[0])
 
 
 def _conjugate_pair_representatives(n: int) -> list[int]:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rigidcalc import ExactMatrix, build_F, serialization as ser
+from rigidcalc import CycNumber, ExactMatrix, build_F, hypergeometric_tuple, serialization as ser
 from rigidcalc.cli import main
 
 
@@ -216,6 +216,14 @@ class TestKatzReduceCli:
         assert code == 0
         assert [step["rank"] for step in json.loads(out)["steps"]] == [3, 2, 1]
 
+    def test_reducible_tuple_exits_two(self, capsys, tmp_path):
+        z = CycNumber.zeta(3)
+        path = tmp_path / "reducible.json"
+        path.write_text(ser.canonical_dumps(ser.tuple_to_json(hypergeometric_tuple([1, z], [z ** 2, 1], 3))))
+        code, out, err = run(capsys, "katz-reduce", str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "irreducible" in err and "Traceback" not in err
+
 
 class TestWeil:
     def test_pass_exit_zero(self, capsys):
@@ -227,8 +235,10 @@ class TestWeil:
         assert code == 1 and out.strip() == "FailMagnitude"
 
     def test_functional_equation_failure(self, capsys):
-        code, out, _ = run(capsys, "weil", "--poly", "X-5", "--q", "5", "--w", "1")
-        assert code == 1 and out.strip() == "FailFunctionalEquation"
+        # X^3 + X + 8 fails past the constant term
+        for poly, q, w in (("X-5", "5", "1"), ("X^3+X+8", "2", "2")):
+            code, out, _ = run(capsys, "weil", "--poly", poly, "--q", q, "--w", w)
+            assert code == 1 and out.strip() == "FailFunctionalEquation"
 
     def test_json_verdict(self, capsys):
         code, out, _ = run(capsys, "weil", "--poly", "X-5", "--q", "5", "--w", "2", "--format", "json")

@@ -26,6 +26,7 @@ from rigidcalc import serialization
 from rigidcalc.errors import (
     AlreadyRankOne,
     NegativeIndex,
+    NotIrreducible,
     NotRigid,
     NotRootOfUnity,
     PunctureMismatch,
@@ -350,6 +351,12 @@ class TestKatzReduce:
     def test_already_rank_one(self):
         with pytest.raises(AlreadyRankOne):
             katz_reduce_step(build_F(0))
+
+    def test_reducible_input_refused(self):
+        # a_1 = b_2 = 1: Beukers-Heckman reducible, so no rigidity index is taken
+        z = CycNumber.zeta(3)
+        with pytest.raises(NotIrreducible):
+            katz_reduce(hypergeometric_tuple([1, z], [z ** 2, 1], 3))
 
     def test_reduce_rank_one_empty_trace(self):
         assert katz_reduce(build_F(0)).steps == ()

@@ -4,8 +4,9 @@ Every ``import`` statement counts, wherever it stands.  One at the top of a
 module, or in a class body, runs when the module is loaded; those edges
 must form no cycle.  No module of the package imports another inside a
 function, where a call-time import could hide a cycle.  The Weil decision
-takes its pseudo-remainders in one place, so a second remainder loop cannot
-return unnoticed, and only monodromy keys the rank-sequence memo.  The JSON parsers format an error message only when a check
+takes its pseudo-divisions in one place, so a second remainder loop cannot
+return unnoticed; only dot convolves numerators; and only monodromy keys the
+rank-sequence memo.  The JSON parsers format an error message only when a check
 fails, so no valid document pays for one.
 """
 from __future__ import annotations
@@ -128,11 +129,17 @@ def test_nothing_imports_the_benchmark():
         assert not any(name.split(".")[0] == "perfbench" for name, _ in module_imports(path)), path
 
 
-def test_one_pseudo_remainder_loop_in_purity():
-    nested = ast.parse("def f():\n    poly.pseudo_rem(a, b)\n    def g():\n        pseudo_rem(a, b)\n")
-    assert references(nested, "pseudo_rem") == ["f", "g"]
+def test_one_pseudo_division_in_purity():
+    nested = ast.parse("def f():\n    poly.pseudo_divmod(a, b)\n    def g():\n        pseudo_divmod(a, b)\n")
+    assert references(nested, "pseudo_divmod") == ["f", "g"]
     purity = ast.parse((PACKAGE / "purity.py").read_text())
-    assert references(purity, "pseudo_rem") == ["_remainder_sequence"]
+    assert references(purity, "pseudo_divmod") == ["_remainder_sequence"]
+
+
+def test_only_dot_convolves_numerators():
+    for path in PACKAGE.glob("*.py"):
+        uses = references(ast.parse(path.read_text()), "_convolve_into")
+        assert uses == (["dot"] if path.stem == "cyclotomic" else []), path
 
 
 def eager_require_messages(tree: ast.AST) -> list[tuple[int, bool]]:

@@ -4,13 +4,9 @@ Every function takes p, so the primes here are 5, 7 and 11, small enough to
 enumerate a row space outright: p^rank must be its size.  Matrices are
 seeded products of an m x k and a k x c matrix, so their rank is at most
 k <= 4 and often short.  Coprimality is compared with sympy's gcd over
-F_p, and squarefreeness with sympy's square-free factorization over F_p: a
-polynomial is squarefree iff every multiplicity in
-``Poly(..., modulus=p).sqf_list()`` is 1.  (sympy 1.14's
-``Poly.is_sqf`` calls X^p - 1 squarefree mod p, whose derivative vanishes,
-although its own sqf_list gives (X - 1)^p.)  The characteristic
-polynomial (Hessenberg reduction) is compared instead with the residues of
-ExactMatrix.charpoly (Faddeev-LeVerrier) at the prime of residue_prime(N).
+F_p.  The characteristic polynomial (Hessenberg reduction) is compared
+instead with the residues of ExactMatrix.charpoly (Faddeev-LeVerrier) at the
+prime of residue_prime(N).
 """
 from __future__ import annotations
 
@@ -132,27 +128,6 @@ def test_residues_are_none_when_p_divides_a_denominator():
     values = [CycNumber.coerce(3), CycNumber.coerce(Fraction(-1, 2))]
     assert modp.residues(values) == [3, (p - 1) * pow(2, -1, p) % p]
     assert modp.residues(values + [CycNumber.coerce(Fraction(1, p))]) is None
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_is_squarefree_matches_sympy(rng, p):
-    sympy = pytest.importorskip("sympy")
-    cases = [
-        [0, p - 1] + [0] * (p - 2) + [1],  # X^p - X: every element of F_p, once
-        [p - 1] + [0] * (p - 1) + [1],  # (X - 1)^p = X^p - 1 over F_p
-    ]
-    for _ in range(40):
-        factor = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
-        rest = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, p)]
-        square = naive_poly_mul(factor, factor, p) if rng.random() < 0.5 else factor
-        cases.append(naive_poly_mul(square, rest, p))
-    verdicts = set()
-    for a in cases:
-        _, factors = sympy.Poly(list(reversed(a)), sympy.Symbol("X"), modulus=p).sqf_list()
-        expected = all(k == 1 for _, k in factors)
-        assert modp.is_squarefree(a, p) == expected, a
-        verdicts.add(expected)
-    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("p", PRIMES)

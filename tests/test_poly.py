@@ -41,51 +41,52 @@ class TestDivmod:
 
 
 class TestPseudoDivmod:
-    def test_identity_over_z(self, rng):
-        # scale * num = q * den + r over Z, deg r < deg den, and the quotient
-        # agrees with division over Q after dividing by scale.
-        for _ in range(40):
-            num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
-            den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-4, -1, 2, 3])]
-            scale, q, r = poly.pseudo_divmod(num, den)
-            assert all(type(c) is int for c in [scale] + q + r)
-            assert len(r) < len(den)
-            assert poly.trim(poly.sub([scale * c for c in num], poly.mul(q, den))) == r
-            q_over_q, r_over_q = poly.divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
-            assert poly.trim([Fraction(c, scale) for c in q]) == poly.trim(q_over_q)
-            assert [Fraction(c, scale) for c in r] == r_over_q
-
-
-class TestPseudoRem:
     @staticmethod
     def exponent(num, den):
+        # deg num - deg den + 1, rounded up to even; 0 below den's degree
+        # and for a monic den
         e = max(len(poly.trim(num)) - len(den) + 1, 0)
-        return e + e % 2
+        return 0 if den[-1] == 1 else e + e % 2
 
-    def test_scaled_field_remainder_over_z(self, rng):
-        # lead^e * num has the remainder pseudo_rem(num, den) over Q, with e
-        # even, and the pseudo-remainder stays in Z[X].
-        for _ in range(40):
+    def check(self, num, den, field):
+        # lead^e * num = q * den + r with the stated even e, and q, r are
+        # the field quotient and remainder of lead^e * num by den.
+        e, q, r = poly.pseudo_divmod(num, den)
+        assert type(e) is int and e == self.exponent(num, den)
+        scaled = [den[-1] ** e * c for c in num]
+        assert len(r) < len(den)
+        assert poly.trim(poly.sub(scaled, poly.mul(q, den))) == r
+        field_q, field_r = poly.divmod([field(c) for c in scaled], [field(c) for c in den])
+        assert poly.trim(q) == poly.trim(field_q) and r == field_r
+        return q, r
+
+    def test_identity_over_z(self, rng):
+        # integer inputs give integer outputs
+        for _ in range(60):
             num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
-            den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-4, -1, 2, 3])]
-            rem = poly.pseudo_rem(num, den)
-            assert all(type(c) is int for c in rem) and len(rem) < len(den)
-            scale = Fraction(den[-1]) ** self.exponent(num, den)
-            expected = poly.divmod([scale * c for c in num], [Fraction(c) for c in den])[1]
-            assert rem == expected
+            den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-4, -1, 1, 2, 3])]
+            q, r = self.check(num, den, Fraction)
+            assert all(type(c) is int for c in q + r)
 
-    def test_scaled_field_remainder_over_q_zeta_12(self, rng):
-        for _ in range(10):
+    def test_identity_over_q_zeta_12(self, rng):
+        for _ in range(15):
             num = [random_cyc(rng, 12) for _ in range(rng.randint(1, 6))]
             den = [random_cyc(rng, 12) for _ in range(rng.randint(1, 3))]
             if not den[-1]:
                 den[-1] = CycNumber.zeta(12)
-            scale = den[-1] ** self.exponent(num, den)
-            assert poly.pseudo_rem(num, den) == poly.divmod([scale * c for c in num], den)[1]
+            self.check(num, den, lambda c: c)
+
+    def test_odd_and_even_step_counts(self):
+        # 3^4 * 2X^3 = (54X^2 + 18X + 6)(3X - 1) + 6: three steps, e = 4;
+        # 2^2 * 2X^2 = (4X + 2)(2X - 1) + 2: two steps, e = 2
+        assert poly.pseudo_divmod([0, 0, 0, 2], [-1, 3]) == (4, [6, 18, 54], [6])
+        assert poly.pseudo_divmod([0, 0, 2], [-1, 2]) == (2, [2, 4], [2])
+        assert poly.pseudo_divmod([5, 1], [1, 0, 3]) == (0, [], [5, 1])
 
     def test_monic_divisor_takes_no_rescaling(self, rng, monkeypatch):
-        # X^2 - d as in the Weil decision: the field remainder, from only
-        # the products c * den[j] of the deg num - 1 elimination steps.
+        # X^2 - d as in the Weil decision: the field quotient and remainder,
+        # from only the products c * den[j] of the deg num - 1 elimination
+        # steps.
         products = []
         original = CycNumber.__mul__
 
@@ -97,11 +98,12 @@ class TestPseudoRem:
             num = [random_cyc(rng, 12) for _ in range(rng.randint(3, 9))]
             num[-1] = num[-1] or CycNumber.one(12)
             den = [random_cyc(rng, 12), CycNumber.zero(12), CycNumber.one(12)]
-            expected = poly.divmod(num, den)[1]
+            expected = poly.divmod(num, den)
             products.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(CycNumber, "__mul__", counting)
-                assert poly.pseudo_rem(num, den) == expected
+                e, q, r = poly.pseudo_divmod(num, den)
+            assert (e, q, r) == (0, *expected)
             assert len(products) == 2 * (len(num) - 2)
 
 

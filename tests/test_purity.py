@@ -195,6 +195,13 @@ class TestFunctionalEquation:
     def test_wrong_weight_linear(self):
         assert not functional_equation_check(poly([-5, 1], 5, 1))
 
+    def test_coefficient_mismatch_after_the_constant_term(self):
+        # X^3 + X + 8 at q^w = 4: conj(c_0) c_0 = 64 = 4^3 holds, but
+        # conj(c_1) c_0 = 8 while c_2 4^2 = 0
+        p = poly([8, 1, 0, 1], 2, 2)
+        assert not functional_equation_check(p)
+        assert weil_check(p) is WeilVerdict.FAIL_FUNCTIONAL_EQUATION
+
     def test_cyclotomic_coefficients(self):
         z = CycNumber.zeta(4)
         # root 5z is its own conjugate-reciprocal partner at weight 2:
@@ -294,6 +301,28 @@ class TestMagnitude:
             p = poly([6 * z * z, 0, CycNumber.one(order)], 5, 1)
             assert magnitude_check(p, tolerance=0.5)
             assert seen == expected
+
+
+class TestRealSign:
+    def test_precision_doubles_for_a_small_value_with_large_coefficients(self, monkeypatch):
+        # x = (sqrt 2 - 1)^26 ~ 1.1e-10 at embedding 1, with coefficients
+        # near 4e9: 64 bits bound the error by ~6e-10, so only 128 bits
+        # certify the sign.  At embedding 3, x = (sqrt 2 + 1)^26 ~ 9e9.
+        z = CycNumber.zeta(8)
+        x = (z + z.inverse() - 1) ** 26
+        precisions = []
+        embed = CycNumber.embed
+
+        def recorded(self, a, prec):
+            precisions.append((a, prec))
+            return embed(self, a, prec)
+
+        monkeypatch.setattr(CycNumber, "embed", recorded)
+        for a, steps in ((1, [64, 128]), (3, [64])):
+            for value, sign in ((x, 1), (-x, -1)):
+                precisions.clear()
+                assert purity._real_sign(value, a) == sign
+                assert precisions == [(a, prec) for prec in steps]
 
 
 class TestWeilCheck:

@@ -296,3 +296,34 @@ def test_boolean_multiplicity_fields_rejected(capsys, path):
         ser.multiplicity_from_json(document)
     assert main(["hypergeom", "--multiplicity", json.dumps(document)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def _zeta(order, phi):
+    return {"N": order, "coeffs": [["0", "1"], ["1", "1"]] + [["0", "1"]] * (phi - 2)}
+
+
+_ZERO = {"N": 1, "coeffs": [["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [(("punctures", 0), "x", "bad puncture labels"),
+     (("matrices", 0, "entries", 0, "coeffs", 0, 0), "7" * 5000, "non-integer rational component"),
+     (("matrices", 0), {"rows": 2, "cols": 2, "entries": [_zeta(997, 996), _ZERO, _ZERO, _zeta(991, 990)]},
+      "above the supported maximum")],
+    ids=["puncture-label", "5000-digits", "order-lcm"],
+)
+def test_error_paths_give_schema_errors(capsys, monkeypatch, path, value, message):
+    # A label Fraction cannot read; a numerator past int()'s 4300-digit
+    # limit for strings; entries at orders 997 and 991, whose lcm 988027
+    # exceeds MAX_ORDER, refused by the matrix parser before any rank check.
+    import io
+
+    document = json.loads(_RANK_ONE_TUPLE)
+    _set(document, path, value)
+    with pytest.raises(SchemaError, match=message):
+        ser.tuple_from_json(document)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    assert main(["rigidity", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
