@@ -48,25 +48,38 @@ class TestPseudoDivmod:
         e = max(len(poly.trim(num)) - len(den) + 1, 0)
         return 0 if den[-1] == 1 else e + e % 2
 
-    def check(self, num, den, field):
-        # lead^e * num = q * den + r with the stated even e, and q, r are
-        # the field quotient and remainder of lead^e * num by den.
+    def divide(self, num, den):
+        # lead^e * num = q * den + r with the stated even e and deg r < deg den
         e, q, r = poly.pseudo_divmod(num, den)
         assert type(e) is int and e == self.exponent(num, den)
         scaled = [den[-1] ** e * c for c in num]
         assert len(r) < len(den)
         assert poly.trim(poly.sub(scaled, poly.mul(q, den))) == r
+        return scaled, q, r
+
+    def check(self, num, den, field):
+        # q, r are also the field quotient and remainder of lead^e * num by den
+        scaled, q, r = self.divide(num, den)
         field_q, field_r = poly.divmod([field(c) for c in scaled], [field(c) for c in den])
         assert poly.trim(q) == poly.trim(field_q) and r == field_r
-        return q, r
 
-    def test_identity_over_z(self, rng):
-        # integer inputs give integer outputs
+    @staticmethod
+    def integer_cases(rng):
         for _ in range(60):
             num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
             den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.choice([-4, -1, 1, 2, 3])]
-            q, r = self.check(num, den, Fraction)
+            yield num, den
+
+    def test_identity_over_z(self, rng):
+        # integer inputs give integer outputs
+        for num, den in self.integer_cases(rng):
+            _, q, r = self.divide(num, den)
             assert all(type(c) is int for c in q + r)
+
+    def test_scaled_field_remainder_over_z(self, rng):
+        # the same division over Q gives the same quotient and remainder
+        for num, den in self.integer_cases(rng):
+            self.check(num, den, Fraction)
 
     def test_identity_over_q_zeta_12(self, rng):
         for _ in range(15):
