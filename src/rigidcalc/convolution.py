@@ -90,7 +90,7 @@ def rank_one_system(punctures, scalars, order: int) -> MonodromyTuple:
     """
     data = RankOneData.of(scalars, order)
     for s in data.scalars:
-        if (s ** order) != 1:
+        if (k := s.multiplicative_order()) is None or order % k:
             raise NotRootOfUnity(f"{s} is not a root of unity of order dividing {order}")
     matrices = [ExactMatrix(1, 1, [s], order=order) for s in data.scalars]
     return MonodromyTuple(order, punctures, matrices)

@@ -4,10 +4,12 @@ package does on residues.
 With (p, r) = residue_prime(N), the residue map zeta -> r of the prime
 (p, zeta - r) of K = Q(zeta_N) (CycNumber.residue) is a ring homomorphism
 on Z_(p)[zeta].  So each product, minor or resultant of residues is the
-residue of the exact one, and one nonzero mod p is nonzero: rank mod p <=
-rank over K, and full rank mod p proves the exact rank; a short rank says
-nothing.  The functions take p and never see K; each caller keeps its own
-argument for what a verdict mod p proves.
+residue of the exact one, and one nonzero mod p is nonzero.  The one
+full-rank certificate for a square M - zeta I is chi-bar(z) != 0, chi-bar
+the charpoly of the residues of M, z the residue of zeta: chi-bar(z) is the
+residue of det(zeta I - M), (-1)^n det M at z = 0; a zero says nothing, and
+no rank is taken mod p.  The functions take p and never see K; each caller
+keeps its own argument for what a verdict mod p proves.
 """
 from __future__ import annotations
 
@@ -54,11 +56,6 @@ class EchelonBasis:
 
     def __len__(self):
         return len(self.rows)
-
-
-def rank(rows: list[list[int]], p: int) -> int:
-    basis = EchelonBasis(p)
-    return sum(basis.insert(row) for row in rows)
 
 
 def mul(rows, columns, p: int) -> list[list[int]]:

@@ -165,7 +165,7 @@ class RegularityCertificate:
 class MonodromyTuple:
     """Ordered invertible matrices at labeled finite punctures."""
 
-    __slots__ = ("order", "rank", "punctures", "matrices", "_at_infinity")
+    __slots__ = ("order", "rank", "punctures", "matrices", "_at_infinity", "_reduction")
 
     def __init__(self, order: int, punctures, matrices):
         punctures = tuple(Puncture.finite(p) for p in punctures)
@@ -186,18 +186,21 @@ class MonodromyTuple:
         for m in matrices:
             common = math.lcm(common, m.order)
         matrices = tuple(m.lift(common) for m in matrices)
+        # Each generator is reduced once: its residue rows and chi-bar, which
+        # Norton's test and the F_p closure read and never change.  chi-bar(0)
+        # = (-1)^n det mod p, so chi-bar(0) != 0 proves it invertible (see modp).
         p, _ = residue_prime(common)
-        for point, m in zip(punctures, matrices):
-            residues = modp.rows(m)
-            if residues is not None and modp.rank(residues, p) == n:
-                continue
-            if m.rank() != n:
+        generators = tuple(modp.rows(m) for m in matrices)
+        charpolys = tuple(None if rows is None else modp.charpoly(rows, p) for rows in generators)
+        for point, m, chi in zip(punctures, matrices, charpolys):
+            if (chi is None or not chi[0]) and m.rank() != n:
                 raise SingularMatrix(f"monodromy at {point} is singular")
         self.order = common
         self.rank = n
         self.punctures = punctures
         self.matrices = matrices
         self._at_infinity = None
+        self._reduction = None if None in generators else (p, generators, charpolys)
 
     @property
     def at_infinity(self) -> ExactMatrix:
@@ -477,15 +480,14 @@ def _spans_all_matrices(target: int, start, generators, multiply, basis) -> bool
 def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     """The Burnside closure on the generators reduced mod p, over F_p.
 
-    (p, r) = residue_prime(t.order).  False when p divides a denominator of
-    some entry (the reduction is undefined) or the span mod p is smaller
-    than n^2; neither says anything about the tuple over K.
+    On the rows of t._reduction.  False when p divides a denominator of some
+    entry (the reduction is undefined) or the span mod p is smaller than
+    n^2; neither says anything about the tuple over K.
     """
-    n = t.rank
-    p, _ = residue_prime(t.order)
-    generators = [modp.rows(m) for m in t.matrices]
-    if None in generators:
+    if t._reduction is None:
         return False
+    n = t.rank
+    p, generators, _ = t._reduction
 
     def multiply(rows, word):  # generator as rows, word and product flattened
         columns = [word[j::n] for j in range(n)]
@@ -498,9 +500,9 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
 def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     """Norton's irreducibility test on the generators reduced mod p.
 
-    p from residue_prime(t.order).  theta runs over A_k - zI and P - zI,
-    P = A_1 ... A_r mod p, for z over the residues g^u of the roots of unity
-    zeta_m^u of K, m = lcm(2, N), u < m, in turn, but only where z is a
+    On the rows and chi-bars of t._reduction.  theta runs over A_k - zI and
+    P - zI, P = A_1 ... A_r mod p, for z over the residues g^u of the roots
+    of unity zeta_m^u of K, m = lcm(2, N), u < m, in turn, but only where z is a
     root of that matrix's characteristic polynomial mod p: elsewhere theta
     is invertible, so its nullity is 0, and one Horner evaluation shows
     it.  The first theta of nullity exactly 1 mod p is taken, with ker
@@ -511,17 +513,16 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     p divides a denominator or no theta has nullity 1.  See
     is_absolutely_irreducible for what True proves.
     """
-    n = t.rank
-    p, _ = residue_prime(t.order)
-    generators = [modp.rows(m) for m in t.matrices]
-    if None in generators:
+    if t._reduction is None:
         return None
+    n = t.rank
+    p, generators, charpolys = t._reduction
     g = _root_of_unity(t.order, 1).residue()
     product = generators[0]
     for rows in generators[1:]:
         product = modp.mul(product, zip(*rows), p)
-    matrices = generators + [product]
-    charpolys = [modp.charpoly(rows, p) for rows in matrices]
+    matrices = generators + (product,)
+    charpolys = charpolys + (modp.charpoly(product, p),)
 
     def apply(rows, vector):
         return modp.mul([vector], rows, p)[0]
@@ -546,8 +547,9 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
 def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
     """Burnside criterion: the generated matrix algebra spans all of n x n.
 
-    Three stages, over (p, r) = residue_prime(t.order); only the last can
-    return False.
+    Three stages; only the last can return False.  The first two read the
+    residues of the generators mod p = residue_prime(t.order)[0], taken
+    once when the tuple was built.
 
     1. Norton's test mod p (_norton_mod_p; Parker, "The computer
        calculation of modular characters (the MeatAxe)", 1984, in the form
@@ -564,9 +566,9 @@ def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
        2's argument carries that up to K.  A short spin proves the
        reduction reducible, so stage 2 cannot succeed and is skipped.
     2. The closure of the words under left multiplication, from the
-       identity, over F_p (_spans_all_matrices_mod_p); a full span returns
-       True, since the reduced words are the residues of the exact words,
-       and n^2 of them independent mod p are independent over K (see modp).
+       identity, on the same residues (_spans_all_matrices_mod_p); a full
+       span returns True, since the reduced words are the residues of the
+       exact words, and n^2 of them independent mod p are independent over K.
     3. Otherwise (p divides a denominator, or the reduction is not
        absolutely irreducible, which can also happen for an irreducible
        tuple) the closure runs over K = Q(zeta_N), and its verdict is exact.

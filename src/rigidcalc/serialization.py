@@ -104,7 +104,7 @@ def _json_int(value, pair) -> int:
             try:
                 return int(value)
             except ValueError:  # more digits than int() converts from a string
-                pass
+                raise SchemaError(f"too many digits in a rational component: {len(digits)}") from None
     elif _is_integer(value):
         return int(value)
     raise SchemaError(f"non-integer rational component in {pair!r}")

@@ -34,6 +34,8 @@ from rigidcalc.errors import (
     ZeroScalar,
 )
 
+from helpers import random_cyc
+
 
 def mat(rows, order=None):
     return ExactMatrix.from_rows(rows, order=order)
@@ -162,6 +164,31 @@ class TestRankOne:
             rank_one_system(["0"], [2], 2)
         with pytest.raises(NotRootOfUnity):
             rank_one_system(["0"], [CycNumber.zeta(3)], 2)
+
+    def test_root_of_unity_verdicts_match_the_power_reference(self, rng, monkeypatch):
+        # s is accepted iff s^N = 1, read off its multiplicative order: no
+        # power is taken.  -zeta_N at odd N is a root of unity of order 2N.
+        cases = []
+        for order in range(1, 13):
+            zeta = CycNumber.zeta(order)
+            scalars = [2, 1 + zeta, -zeta, zeta, random_cyc(rng, order)]
+            scalars += [CycNumber.zeta(k, rng.randrange(k)) for k in rng.sample(range(1, 13), 4)]
+            for s in scalars:
+                s = CycNumber.coerce(s, order)
+                if not s.is_zero():
+                    cases.append((s, order, s ** order == 1))
+        powers = []
+        power = CycNumber.__pow__
+        monkeypatch.setattr(CycNumber, "__pow__", lambda s, e: powers.append(e) or power(s, e))
+        for s, order, expected in cases:
+            try:
+                rank_one_system(["0"], [s], order)
+            except NotRootOfUnity:
+                assert not expected, (s, order)
+            else:
+                assert expected, (s, order)
+        assert powers == []
+        assert {expected for *_, expected in cases} == {True, False}
 
 
 class TestTensor:

@@ -5,9 +5,11 @@ module, or in a class body, runs when the module is loaded; those edges
 must form no cycle.  No module of the package imports another inside a
 function, where a call-time import could hide a cycle.  The Weil decision
 takes its pseudo-divisions in one place, so a second remainder loop cannot
-return unnoticed; only dot convolves numerators; and only monodromy keys the
-rank-sequence memo.  The JSON parsers format an error message only when a check
-fails, so no valid document pays for one.
+return unnoticed; only dot convolves numerators; only monodromy keys the
+rank-sequence memo; and a tuple's generators are reduced mod p where it is
+built, so Norton's test and the F_p closure cannot reduce them again.  The
+JSON parsers format an error message only when a check fails, so no valid
+document pays for one.
 """
 from __future__ import annotations
 
@@ -55,6 +57,24 @@ def references(tree: ast.AST, name: str) -> list[str | None]:
                 found.append(scope)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else scope)
+
+    visit(tree, None)
+    return found
+
+
+def attribute_uses(tree: ast.AST, owner: str, name: str) -> list[str | None]:
+    """The qualified name (Class.method) of the innermost function or class
+    around each use of ``owner.name``, in source order; None at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "attr", None) == name and getattr(child.value, "id", None) == owner:
+                found.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
 
     visit(tree, None)
     return found
@@ -170,3 +190,16 @@ def test_only_monodromy_touches_the_rank_sequence_memo():
             assert uses == [], path
     monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
     assert set(references(monodromy, "_sequences")) == {"_rank_sequences"}
+
+
+def test_generators_are_reduced_once_per_tuple():
+    sample = ast.parse("class C:\n    def f(self):\n        modp.rows(m)\n        m.rows\ndef g():\n    h = modp.rows\n")
+    assert attribute_uses(sample, "modp", "rows") == ["C.f", "g"]
+    monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
+    assert attribute_uses(monodromy, "modp", "rows") == ["MonodromyTuple.__init__", "_rank_sequences"]
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "monodromy":
+            assert references(ast.parse(path.read_text()), "_reduction") == [], path
+    assert set(references(monodromy, "_reduction")) == {
+        "__init__", "_spans_all_matrices_mod_p", "_norton_mod_p"
+    }

@@ -1,9 +1,10 @@
 """The F_p layer (rigidcalc.modp) against brute force at small primes.
 
 Every function takes p, so the primes here are 5, 7 and 11, small enough to
-enumerate a row space outright: p^rank must be its size.  Matrices are
-seeded products of an m x k and a k x c matrix, so their rank is at most
-k <= 4 and often short.  Coprimality is compared with sympy's gcd over
+enumerate a row space outright: p^rank must be its size, and p^n exactly
+when chi-bar(0), the constant term of the characteristic polynomial, is not
+0.  Matrices are seeded products of an m x k and a k x c matrix, so their
+rank is at most k <= 4 and often short.  Coprimality is compared with sympy's gcd over
 F_p.  The characteristic polynomial (Hessenberg reduction) is compared
 instead with the residues of ExactMatrix.charpoly (Faddeev-LeVerrier) at the
 prime of residue_prime(N).
@@ -70,9 +71,16 @@ def matrices(rng, p: int, count: int = 25):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_rank_is_the_log_of_the_row_space_size(rng, p):
-    for rows in matrices(rng, p):
-        assert modp.rank(rows, p) == brute_rank(rows, p), rows
+def test_charpoly_at_zero_certifies_exactly_the_full_row_spaces(rng, p):
+    # chi-bar(0) = (-1)^n det, so it is nonzero iff the rows span F_p^n.
+    verdicts = set()
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        rows = random_matrix(rng, p, n, n)
+        full = len(span(rows, p)) == p**n
+        assert (modp.charpoly(rows, p)[0] != 0) == full, rows
+        verdicts.add(full)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("p", PRIMES)

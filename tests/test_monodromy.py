@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -399,7 +400,7 @@ class TestRankSequences:
         # find U(2).
         p, _ = residue_prime(order)
         m = mat([[1, p], [0, 1]], order=order)
-        assert modp.rank(modp.rows(m - ExactMatrix.identity(2, order=order)), p) == 0
+        assert modp.rows(m - ExactMatrix.identity(2, order=order)) == [[0, 0], [0, 0]]
         assert jordan_type(m, order) == JordanType.from_blocks([(1, 2)])
         assert centralizer_dim(m) == 2
 
@@ -741,6 +742,8 @@ class TestModularCertificate:
         irreducible = make_tuple(1, ["0", "1"], [shear, mat([[1, 0], [1, 1]])])
         reducible = make_tuple(1, ["0", "1"], [shear, mat([[1, 2], [0, 1]])])
         for t, expected in ((irreducible, True), (reducible, False)):
+            assert t._reduction is None
+            assert _norton_mod_p(t) is None
             assert not _spans_all_matrices_mod_p(t)
             assert is_absolutely_irreducible(t) is expected
             assert brute_force_irreducible(t) is expected
@@ -961,3 +964,69 @@ class TestNortonCertificate:
     def test_rank_thirteen_reaches_neither_closure(self, closure_calls):
         assert is_absolutely_irreducible(build_F(12))
         assert closure_calls == []
+
+
+class TestReductionAtConstruction:
+    """Each generator is reduced mod p once, when its tuple is built."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """Calls of modp.rows and modp.charpoly, by name."""
+        calls = []
+        for name in ("rows", "charpoly"):
+            def counting(*args, _name=name, _f=getattr(modp, name)):
+                calls.append(_name)
+                return _f(*args)
+
+            monkeypatch.setattr(modp, name, counting)
+        return calls
+
+    def test_irreducibility_reduces_nothing_again_and_changes_nothing(self, rng, reductions):
+        # Norton's test takes chi-bar of the product alone; the F_p closure
+        # and the exact closure take none.  A block triangular tuple runs
+        # the spins and the F_p closure too.
+        corpus = [build_F(i) for i in range(9)]
+        for _ in range(20):  # the seeded tuples of acceptance criterion 4
+            m, order = random_multiplicity(rng, max_rank=6)
+            corpus.append(from_multiplicity_function(m, order))
+        corpus += [_block_triangular_tuple(rng, 3, 1, order) for order in (1, 3, 4, 12)]
+        for t in corpus:
+            before = copy.deepcopy(t._reduction)
+            reductions.clear()
+            is_absolutely_irreducible(t)
+            assert reductions == ["charpoly"], t
+            assert t._reduction == before
+
+    def test_singular_mod_p_generator_builds_through_the_exact_rank(self, monkeypatch):
+        # diag(p, 1) is invertible, but chi-bar(0) = det mod p = 0: its
+        # exact rank decides, and only its.  [[1, 1], [0, 1]] is certified
+        # by chi-bar(0) = 1.
+        p, _ = residue_prime(1)
+        ranked = []
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+        scaled, shear = ExactMatrix.diagonal([p, 1]), mat([[1, 1], [0, 1]])
+        t = make_tuple(1, ["0", "1"], [scaled, shear])
+        assert ranked == [scaled]
+        assert t._reduction[0] == p
+        assert [chi[0] for chi in t._reduction[2]] == [0, 1]
+
+    @pytest.mark.parametrize("order", [1, 3, 4, 12])
+    def test_singular_generator_still_raises(self, rng, order):
+        # Products through a k-dimensional space, k < n, next to an
+        # invertible generator: chi-bar(0) = 0, and the exact rank refuses.
+        for n in (1, 2, 3):
+            for k in range(n):
+                if k:
+                    left, right = (
+                        ExactMatrix.from_rows(
+                            [[_random_entry(rng, order) for _ in range(c)] for _ in range(r)], order=order
+                        )
+                        for r, c in ((n, k), (k, n))
+                    )
+                    singular = left * right
+                else:
+                    singular = ExactMatrix.from_rows([[0] * n] * n, order=order)
+                invertible = _random_invertible_over(rng, n, order)
+                with pytest.raises(SingularMatrix):
+                    make_tuple(order, ["0", "1"], [invertible, singular])

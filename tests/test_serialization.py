@@ -308,15 +308,16 @@ _ZERO = {"N": 1, "coeffs": [["0", "1"]]}
 @pytest.mark.parametrize(
     "path, value, message",
     [(("punctures", 0), "x", "bad puncture labels"),
-     (("matrices", 0, "entries", 0, "coeffs", 0, 0), "7" * 5000, "non-integer rational component"),
+     (("matrices", 0, "entries", 0, "coeffs", 0, 0), "7" * 5000, "too many digits in a rational component: 5000"),
      (("matrices", 0), {"rows": 2, "cols": 2, "entries": [_zeta(997, 996), _ZERO, _ZERO, _zeta(991, 990)]},
       "above the supported maximum")],
     ids=["puncture-label", "5000-digits", "order-lcm"],
 )
 def test_error_paths_give_schema_errors(capsys, monkeypatch, path, value, message):
-    # A label Fraction cannot read; a numerator past int()'s 4300-digit
-    # limit for strings; entries at orders 997 and 991, whose lcm 988027
-    # exceeds MAX_ORDER, refused by the matrix parser before any rank check.
+    # A label Fraction cannot read; a numerator past int()'s digit limit
+    # for strings (4300 by default), reported by its length and not
+    # echoed; entries at orders 997 and 991, whose lcm 988027 exceeds
+    # MAX_ORDER, refused by the matrix parser before any rank check.
     import io
 
     document = json.loads(_RANK_ONE_TUPLE)
@@ -327,3 +328,4 @@ def test_error_paths_give_schema_errors(capsys, monkeypatch, path, value, messag
     assert main(["rigidity", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200  # no input echoed
