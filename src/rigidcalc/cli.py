@@ -210,7 +210,8 @@ def _cmd_hypergeom(args):
         m, order = ser.multiplicity_from_json(_json_argument(args.multiplicity))
         result = from_multiplicity_function(m, order if args.order is None else args.order)
     elif args.a and args.b:
-        # hypergeometric_tuple takes the lcm of the order with the parameters' orders
+        # the tuple's order is the lcm of this one and the parameters' field
+        # orders: -1 alone gives 1, as Q holds it
         order = 1 if args.order is None else args.order
         result = hypergeometric_tuple(_roots(args.a), _roots(args.b), order)
     else:

@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNumber, _root_of_unity
+from .cyclotomic import CycNumber, _root_of_unity, _unity_order
 from .errors import (
     AlreadyRankOne,
     NegativeIndex,
@@ -287,7 +287,7 @@ def katz_reduce_step(t: MonodromyTuple):
     index = rigidity_index(t)
     if index != 2:
         raise NotRigid(f"rigidity index is {index}, not 2")
-    m = math.lcm(2, t.order)
+    m = _unity_order(t.order)
     exponents = [_dominant_exponent(a, m) for a in t.matrices]
     twist = RankOneData.of([_root_of_unity(t.order, -u) for u in exponents], t.order)
     lam = _root_of_unity(t.order, _dominant_exponent(t.at_infinity, m, sum(exponents)))

@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from . import poly
-from .errors import InvalidOrder, NotAnEmbedding
+from .errors import InvalidOrder, NotAnEmbedding, _shown
 
 #: bits of working precision for complex embeddings unless overridden
 DEFAULT_EMBED_PRECISION = 128
@@ -92,9 +92,9 @@ def _check_order(n: int) -> None:
     # cap applies to the conductor: the negatives of odd-order roots of
     # unity live at order 2n.
     if n < 1:
-        raise InvalidOrder(f"cyclotomic order must be >= 1, got {n}")
+        raise InvalidOrder(f"cyclotomic order must be >= 1, got {_shown(n)}")
     if (n // 2 if n % 4 == 2 else n) > MAX_ORDER:
-        raise InvalidOrder(f"cyclotomic order {n} is above the supported maximum {MAX_ORDER}")
+        raise InvalidOrder(f"cyclotomic order {_shown(n)} is above the supported maximum {MAX_ORDER}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,13 +259,18 @@ def dot(xs, ys, order: int) -> "CycNumber":
     return CycNumber(order, _reduce_raw(raw, order), den)
 
 
+def _unity_order(order: int) -> int:
+    """m = lcm(2, order): mu_m are the roots of unity of Q(zeta_order)."""
+    return math.lcm(2, order)
+
+
 def _root_of_unity(order: int, u: int) -> "CycNumber":
-    """zeta_m^u written at ``order``, where mu_m, m = lcm(2, order), are the
-    roots of unity of Q(zeta_order).  zeta_m = zeta_order for even order; for
-    odd order, zeta_order^((order + 1) / 2) = exp(pi i (order + 1) / order)
-    = -zeta_m."""
-    root = CycNumber.zeta(order, (order + 1) // 2 * u if order % 2 else u)
-    return -root if order % 2 and u % 2 else root
+    """zeta_m^u written at ``order``, m = _unity_order(order).  zeta_m =
+    zeta_order for even order; for odd order, zeta_order^((order + 1) / 2)
+    = exp(pi i (order + 1) / order) = -zeta_m."""
+    odd = _unity_order(order) != order
+    root = CycNumber.zeta(order, (order + 1) // 2 * u if odd else u)
+    return -root if odd and u % 2 else root
 
 
 class CycNumber:
@@ -555,7 +560,7 @@ class CycNumber:
         """(k, j) with self = zeta_k^j, gcd(j, k) = 1, or None.
 
         k is the multiplicative order, so the pair is unique with 0 <= j < k.
-        With N = self.order, m = lcm(2, N) and p from residue_prime(N):
+        With N = self.order, m = _unity_order(N) and p from residue_prime(N):
         1. the roots of unity of K = Q(zeta_N) are mu_m (_root_of_unity);
         2. they are algebraic integers, and the power basis spans Z[zeta_N],
            so den != 1 rules self out;
@@ -569,7 +574,7 @@ class CycNumber:
         if self.den != 1:
             return None
         n = self.order
-        m, (p, _) = math.lcm(2, n), residue_prime(n)
+        m, (p, _) = _unity_order(n), residue_prime(n)
         g, target = _root_of_unity(n, 1).residue(), self.residue()
         j = next((j for j in range(m) if pow(g, j, p) == target), None)
         if j is None or self != _root_of_unity(n, j):

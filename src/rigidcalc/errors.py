@@ -1,8 +1,23 @@
 """Exception types shared across the library.
 
 Everything raised on purpose derives from RigidCalcError, so callers (and the
-command line front end) can separate "bad input" from genuine bugs.
+command line front end) can separate "bad input" from genuine bugs.  A
+message shows an input value only through _shown, so it stays one short line.
 """
+
+#: longest repr of an input value that an error message shows
+_SHOWN_LENGTH = 80
+
+
+def _shown(value) -> str:
+    """repr(value), cut to _SHOWN_LENGTH characters and its length named."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the digit limit of int-to-str conversion
+        return f"<integer of {value.bit_length()} bits>"
+    if len(text) <= _SHOWN_LENGTH:
+        return text
+    return f"{text[:_SHOWN_LENGTH]}... ({len(text)} characters)"
 
 
 class RigidCalcError(Exception):
@@ -40,7 +55,8 @@ class UnknownPuncture(RigidCalcError):
 
 
 class NotQuasiUnipotent(RigidCalcError):
-    """Some eigenvalue is not an N-th root of unity; try a larger N."""
+    """Some eigenvalue is not a root of unity of Q(zeta_N), that is, not in
+    mu_lcm(2, N)."""
 
 
 # -- twists and middle convolution -------------------------------------------
@@ -84,7 +100,8 @@ class EmptyParameters(RigidCalcError):
 
 
 class NotRootOfUnity(RigidCalcError):
-    """A parameter is not a root of unity of order dividing N."""
+    """A hypergeometric parameter or multiplicity key is not a root of unity,
+    or a rank-one scalar is not one of order dividing N."""
 
 
 class EmptySupport(RigidCalcError):

@@ -14,7 +14,6 @@ quasi-reflection at 1) is a convention of this library.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import poly
@@ -58,27 +57,22 @@ class MultiplicityFunction:
 
 
 def hypergeometric_tuple(a_params, b_params, order: int) -> MonodromyTuple:
-    """Tuple on punctures {0, 1} from two parameter lists in mu_N."""
+    """Tuple on punctures {0, 1} from two parameter lists of roots of unity,
+    at the lcm of ``order`` and the parameters' orders as CycNumbers."""
     a_list = [CycNumber.coerce(a, order) for a in a_params]
     b_list = [CycNumber.coerce(b, order) for b in b_params]
     if not a_list or not b_list:
         raise EmptyParameters("parameter lists must be nonempty")
     if len(a_list) != len(b_list):
         raise DimensionMismatch("parameter lists must have equal length")
-    # A root of unity of Q(zeta_N) can have order 2N (-1 lies in Q).
-    common = order
     for value in a_list + b_list:
-        exponent = value.multiplicative_order()
-        if exponent is None:
+        if value.multiplicative_order() is None:
             raise NotRootOfUnity(f"{value} is not a root of unity")
-        common = math.lcm(common, value.order, exponent)
-    a_poly = poly.from_roots([v.lift(common) for v in a_list])
-    b_poly = poly.from_roots([v.lift(common) for v in b_list])
-    a_mat = ExactMatrix.companion(a_poly, order=common)
-    b_mat = ExactMatrix.companion(b_poly, order=common)
+    a_mat = ExactMatrix.companion(poly.from_roots(a_list), order=order)
+    b_mat = ExactMatrix.companion(poly.from_roots(b_list), order=order)
     at_zero = b_mat.inverse()
     at_one = a_mat.inverse() * b_mat
-    return MonodromyTuple(common, ["0", "1"], [at_zero, at_one])
+    return MonodromyTuple(order, ["0", "1"], [at_zero, at_one])
 
 
 def from_multiplicity_function(m: MultiplicityFunction | dict, order: int) -> MonodromyTuple:

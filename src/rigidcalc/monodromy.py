@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .cyclotomic import CycNumber, _check_order, _root_of_unity, dot, residue_prime
+from .cyclotomic import CycNumber, _check_order, _root_of_unity, _unity_order, dot, residue_prime
 from .errors import (
     DimensionMismatch,
     DuplicatePuncture,
     NotQuasiUnipotent,
     SingularMatrix,
     UnknownPuncture,
+    _shown,
 )
 from .linalg import ExactMatrix
 
@@ -175,7 +176,7 @@ class MonodromyTuple:
         if len(punctures) != len(matrices):
             raise DimensionMismatch("one matrix per finite puncture required")
         if len(set(punctures)) != len(punctures):
-            raise DuplicatePuncture(f"repeated finite puncture in {punctures}")
+            raise DuplicatePuncture(f"repeated finite puncture in {_shown(punctures)}")
         n = matrices[0].rows
         for m in matrices:
             if not m.is_square or m.rows != n:
@@ -264,11 +265,11 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     and r_k the stable rank: the first repeat, or 0.
 
     The matrix keeps one entry per field, under m = lcm(2, matrix.order,
-    order): the sequences over mu_m, all roots of unity of the field, by u
-    for zeta_m^u, which each order dividing m reads as a view, t = u order
-    / m.  So a matrix is ranked once, at big = lcm(matrix.order, m / 2 if
-    m = 2 (mod 4) else m), its own order unless the field must grow, as
-    Q(zeta_2k) = Q(zeta_k) for odd k.
+    order) (_unity_order): the sequences over mu_m, all roots of unity of
+    the field, by u for zeta_m^u, which each order dividing m reads as a
+    view, t = u order / m.  So a matrix is ranked once, at big =
+    lcm(matrix.order, m / 2 if m = 2 (mod 4) else m), its own order unless
+    the field must grow, as Q(zeta_2k) = Q(zeta_k) for odd k.
 
     Only the u whose residue z is a root of chi, the characteristic
     polynomial of the residues of the matrix, are ranked, and each stops
@@ -290,7 +291,7 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     d + 1 if lambda = zeta, else d; a later zeta is simple iff it is lambda.
     """
     _check_order(order)  # math.lcm below would make a negative order positive
-    m = math.lcm(2, matrix.order, order)
+    m = _unity_order(math.lcm(matrix.order, order))
     memo = matrix._sequences or {}
     if m in memo:
         step = m // order
@@ -352,20 +353,20 @@ def _blocks_at_least(ranks: list[int]) -> list[int]:
 
 
 def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
-    """Jordan type of a quasi-unipotent matrix from its rank sequences.
-
-    For each eigenvalue zeta in mu_N, with r_j = rank((m - zeta I)^j), the
-    number of blocks of size at least j is r_(j-1) - r_j, so the number of
-    size exactly j is r_(j-1) - 2 r_j + r_(j+1).
+    """Jordan type of a matrix whose eigenvalues are roots of unity of
+    Q(zeta_N), N = lcm(order, matrix.order): mu_m, m = lcm(2, N), each
+    written at order N.  With r_j = rank((matrix - zeta I)^j), zeta has
+    r_(j-1) - r_j blocks of size at least j, so r_(j-1) - 2 r_j + r_(j+1)
+    of size exactly j.
     """
-    if not is_quasi_unipotent(matrix, order):  # also rejects a non-square matrix
-        raise NotQuasiUnipotent(
-            f"eigenvalues are not all roots of unity of order dividing {order}; "
-            "try a larger order"
-        )
+    _check_order(order)  # math.lcm below would make a negative order positive
+    order = math.lcm(order, matrix.order)
+    m = _unity_order(order)
+    if not is_quasi_unipotent(matrix, m):  # also rejects a non-square matrix
+        raise NotQuasiUnipotent(f"eigenvalues are not all roots of unity of Q(zeta_{order})")
     blocks: list[tuple[CycNumber, int]] = []
-    for t, ranks in _rank_sequences(matrix, order).items():
-        zeta = CycNumber.zeta(order, t)
+    for u, ranks in _rank_sequences(matrix, m).items():
+        zeta = _root_of_unity(order, u)
         at_least = _blocks_at_least(ranks)
         for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
             blocks.extend([(zeta, size)] * (a - b))
@@ -384,7 +385,7 @@ def centralizer_dim(matrix: ExactMatrix) -> int:
     """
     if not matrix.is_square:
         raise DimensionMismatch("centralizer requires a square matrix")
-    m = math.lcm(2, matrix.order)
+    m = _unity_order(matrix.order)
     if not is_quasi_unipotent(matrix, m):
         return _commutation_nullity(matrix)
     sequences = _rank_sequences(matrix, m).values()
@@ -527,7 +528,7 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     def apply(rows, vector):
         return modp.mul([vector], rows, p)[0]
 
-    for z in (pow(g, u, p) for u in range(math.lcm(2, t.order))):
+    for z in (pow(g, u, p) for u in range(_unity_order(t.order))):
         for rows, chi in zip(matrices, charpolys):
             if not modp.multiplicity(chi, z, p):
                 continue

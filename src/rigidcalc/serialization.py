@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .convolution import ReductionTrace
 from .cyclotomic import CycNumber
-from .errors import RigidCalcError, SchemaError
+from .errors import RigidCalcError, SchemaError, _shown
 from .hypergeometric import MultiplicityFunction
 from .linalg import ExactMatrix
 from .monodromy import JordanType, MonodromyTuple
@@ -41,14 +41,14 @@ def parse_root_of_unity(text: str) -> CycNumber:
     """Parse "1", "-1", "zeta<N>", "zeta<N>^<k>", optionally negated."""
     match = _ZETA_RE.match(text.strip())
     if not match:
-        raise SchemaError(f"cannot parse root of unity {text!r}")
+        raise SchemaError(f"cannot parse root of unity {_shown(text)}")
     negate, body, order, _, power = match.groups()
     if body == "1":
         value = CycNumber.one()
     else:
         order = int(order)
         if order < 1:
-            raise SchemaError(f"bad cyclotomic order in {text!r}")
+            raise SchemaError(f"bad cyclotomic order in {_shown(text)}")
         value = CycNumber.zeta(order, int(power) if power else 1)
     return -value if negate else value
 
@@ -83,9 +83,10 @@ def cyc_to_json(value: CycNumber) -> dict:
 
 
 def _require(condition: bool, message: str, *args):
-    # message is a str.format template, filled in only when the check fails.
+    # message is a str.format template, filled in with _shown(arg) for each
+    # arg only when the check fails.
     if not condition:
-        raise SchemaError(message.format(*args))
+        raise SchemaError(message.format(*map(_shown, args)))
 
 
 def _is_integer(value) -> bool:
@@ -107,7 +108,7 @@ def _json_int(value, pair) -> int:
                 raise SchemaError(f"too many digits in a rational component: {len(digits)}") from None
     elif _is_integer(value):
         return int(value)
-    raise SchemaError(f"non-integer rational component in {pair!r}")
+    raise SchemaError(f"non-integer rational component in {_shown(pair)}")
 
 
 def cyc_from_json(document) -> CycNumber:
@@ -115,17 +116,17 @@ def cyc_from_json(document) -> CycNumber:
     _require("N" in document and "coeffs" in document, "cyclotomic number needs N and coeffs")
     order = document["N"]
     coeffs = document["coeffs"]
-    _require(_is_integer(order) and order >= 1, "bad cyclotomic order {!r}", order)
+    _require(_is_integer(order) and order >= 1, "bad cyclotomic order {}", order)
     _require(isinstance(coeffs, list) and coeffs, "coeffs must be a nonempty list")
     nums, dens = [], []
     for pair in coeffs:
         _require(
             isinstance(pair, list) and len(pair) == 2,
-            "coefficient must be a [numerator, denominator] pair, got {!r}", pair,
+            "coefficient must be a [numerator, denominator] pair, got {}", pair,
         )
         nums.append(_json_int(pair[0], pair))
         den = _json_int(pair[1], pair)
-        _require(den > 0, "denominator must be positive in {!r}", pair)
+        _require(den > 0, "denominator must be positive in {}", pair)
         dens.append(den)
     # Integer numerators over the lcm of the denominators; CycNumber reduces
     # the whole vector once, so unreduced pairs like ["2","4"] parse too.
@@ -180,8 +181,8 @@ def tuple_from_json(document) -> MonodromyTuple:
     for key in ("N", "n", "punctures", "matrices"):
         _require(key in document, "tuple needs {}", key)
     order, rank = document["N"], document["n"]
-    _require(_is_integer(order) and order >= 1, "bad order {!r}", order)
-    _require(_is_integer(rank) and rank >= 1, "bad rank {!r}", rank)
+    _require(_is_integer(order) and order >= 1, "bad order {}", order)
+    _require(_is_integer(rank) and rank >= 1, "bad rank {}", rank)
     punctures = document["punctures"]
     matrices = document["matrices"]
     _require(isinstance(punctures, list) and punctures, "punctures must be a nonempty list")
@@ -190,7 +191,7 @@ def tuple_from_json(document) -> MonodromyTuple:
     try:
         labels = [Fraction(str(p)) for p in punctures]
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"bad puncture labels {punctures!r}") from None
+        raise SchemaError(f"bad puncture labels {_shown(punctures)}") from None
     mats = [matrix_from_json(m) for m in matrices]
     try:
         result = MonodromyTuple(order, labels, mats)
@@ -254,12 +255,12 @@ def parse_integer_polynomial(text: str) -> list[Fraction]:
     while position < len(text):
         match = _TERM_RE.match(text, position)
         if not match or match.end() == position:
-            raise SchemaError(f"cannot parse polynomial near {text[position:]!r}")
+            raise SchemaError(f"cannot parse polynomial near {_shown(text[position:])}")
         sign, coeff, var, power = match.group("sign", "coeff", "var", "power")
         if coeff is None and var is None:
-            raise SchemaError(f"cannot parse polynomial near {text[position:]!r}")
+            raise SchemaError(f"cannot parse polynomial near {_shown(text[position:])}")
         if sign is None and not first:
-            raise SchemaError(f"missing sign before {text[match.start():]!r}")
+            raise SchemaError(f"missing sign before {_shown(text[match.start():])}")
         value = Fraction(int(coeff)) if coeff is not None else Fraction(1)
         if sign == "-":
             value = -value
@@ -282,7 +283,7 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
     _require(isinstance(document, dict), "multiplicity function must be an object")
     _require("N" in document and "m" in document, "multiplicity function needs N and m")
     order = document["N"]
-    _require(_is_integer(order) and order >= 1, "bad order {!r}", order)
+    _require(_is_integer(order) and order >= 1, "bad order {}", order)
     entries = document["m"]
     _require(isinstance(entries, list), "m must be a list")
     pairs = []
@@ -290,11 +291,11 @@ def multiplicity_from_json(document) -> tuple[MultiplicityFunction, int]:
     for item in entries:
         _require(
             isinstance(item, dict) and "zeta" in item and "mult" in item,
-            "multiplicity entries need zeta and mult, got {!r}", item,
+            "multiplicity entries need zeta and mult, got {}", item,
         )
         key = parse_root_of_unity(str(item["zeta"]))
         mult = item["mult"]
-        _require(_is_integer(mult) and mult > 0, "bad multiplicity {!r}", mult)
+        _require(_is_integer(mult) and mult > 0, "bad multiplicity {}", mult)
         total += mult
         _require(
             total <= MAX_MULTIPLICITY,

@@ -29,6 +29,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def f2_at_order_one_path(tmp_path):
+    # build_F(2) with every "N" set to 1: its eigenvalue -1 is a root of
+    # unity of Q(zeta_1) = Q outside mu_1
+    path = tmp_path / "f2_n1.json"
+    path.write_text(ser.canonical_dumps(ser.tuple_to_json(build_F(2))).replace('"N":2', '"N":1'))
+    return str(path)
+
+
+@pytest.fixture
+def odd_order_hypergeom_path(capsys, tmp_path):
+    # a = (1, -1), b = (zeta3, zeta3^2): no puncture has a single Jordan
+    # block, so regular reads every one, and -1 is -zeta3^0 at N = 3
+    code, out, _ = run(capsys, "hypergeom", "--a", "1,-1", "--b", "zeta3,zeta3^2", "--order", "3")
+    assert code == 0 and json.loads(out)["N"] == 3
+    path = tmp_path / "odd.json"
+    path.write_text(out)
+    return str(path)
+
+
+#: every subcommand that reads a tuple file, with its own arguments
+TUPLE_SUBCOMMANDS = [
+    ["jordan", "--point", "0"], ["jordan", "--point", "inf"], ["rigidity", "--expect-rigid"],
+    ["irreducible"], ["regular"], ["mc", "--lambda", "-1"], ["twist", "--scalars=-1,1"],
+    ["katz-reduce"],
+]
+
+
 class TestJordan:
     def test_f6_at_infinity(self, capsys, f6_path):
         code, out, _ = run(capsys, "jordan", f6_path, "--point", "inf")
@@ -47,6 +75,26 @@ class TestJordan:
     def test_unknown_point(self, capsys, f6_path):
         code, _, err = run(capsys, "jordan", f6_path, "--point", "9")
         assert code == 2 and "error" in err
+
+    def test_roots_of_unity_of_the_field_outside_mu_n(self, capsys, f2_at_order_one_path):
+        code, out, _ = run(capsys, "jordan", f2_at_order_one_path, "--point", "0")
+        assert code == 0 and out.strip() == "1 (+) (-1)^{+2}"
+        code, out, _ = run(capsys, "jordan", f2_at_order_one_path, "--point", "0", "--format", "json")
+        assert code == 0 and [e["eigenvalue"]["N"] for e in json.loads(out)] == [1, 1]
+
+
+@pytest.mark.parametrize("source", ["f2_at_order_one_path", "odd_order_hypergeom_path"])
+@pytest.mark.parametrize("argv", TUPLE_SUBCOMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_tuple_subcommands_read_every_root_of_unity_of_the_field(capsys, request, source, argv):
+    # Both tuples have an eigenvalue -zeta_N^k at odd N, a root of unity of
+    # Q(zeta_N) outside mu_N.
+    path = request.getfixturevalue(source)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, argv[0], path, *argv[1:], "--format", fmt)
+        assert (code, err) == (0, "") and out
+    if argv == ["regular"]:
+        assert out.strip() == ('{"verdict":"RegularViaLemma","witness":"inf"}'
+                               if source.startswith("f2") else '{"verdict":"Unknown","witness":null}')
 
 
 class TestRigidity:
@@ -135,12 +183,22 @@ class TestConstructors:
         code, _, err = run(capsys, "hypergeom", "--a", "1,1")
         assert code == 2 and "error" in err
 
-    def test_hypergeom_order_of_rational_minus_one(self, capsys):
-        # -1 lies in Q but has order 2; the inferred order must cover it
+    def test_hypergeom_order_of_rational_minus_one(self, capsys, tmp_path):
+        # -1 lies in Q = Q(zeta_1), so the inferred order stays 1; the local
+        # data and verdicts are those of the same tuple written at order 2
         inferred = run(capsys, "hypergeom", "--a", "-1", "--b", "1")
         explicit = run(capsys, "hypergeom", "--a", "-1", "--b", "1", "--order", "2")
-        assert inferred == explicit
-        assert inferred[0] == 0 and json.loads(inferred[1])["N"] == 2
+        assert inferred[0] == explicit[0] == 0
+        assert json.loads(inferred[1])["N"] == 1 and json.loads(explicit[1])["N"] == 2
+        verdicts = []
+        for k, (_, out, _) in enumerate((inferred, explicit)):
+            path = tmp_path / f"t{k}.json"
+            path.write_text(out)
+            code, at_infinity, _ = run(capsys, "jordan", str(path), "--point", "inf")
+            assert code == 0 and at_infinity.strip() == "(-1)"
+            verdicts.append([run(capsys, command, str(path))
+                             for command in ("rigidity", "irreducible", "regular", "katz-reduce")])
+        assert verdicts[0] == verdicts[1]
 
     def test_hypergeom_non_root_of_unity_exits_two(self, capsys):
         code, out, err = run(capsys, "hypergeom", "--a", "2", "--b", "1")

@@ -459,6 +459,95 @@ class TestDettweilerReiterDimension:
         assert 0 in ranks
 
 
+def roots_of_unity(order):
+    """mu_lcm(2, N), the roots of unity of Q(zeta_N), written at N."""
+    return list(dict.fromkeys(s * CycNumber.zeta(order, k) for s in (1, -1) for k in range(order)))
+
+
+class TestDettweilerReiterLocalData:
+    """The local monodromy of MC_lambda for lambda != 1 and an irreducible
+    tuple (Dettweiler-Reiter, J. Symbolic Comput. 30 (2000), section 3):
+    with J(alpha, l) a Jordan block,
+    - rank m = sum_k rk(A_k - 1) + rk(A_inf - lambda) - n, where
+      rk(A - alpha) is n minus the number of blocks of alpha;
+    - at a finite puncture J(1, l) -> J(lambda, l - 1), J(lambda^-1, l) ->
+      J(1, l + 1), J(alpha, l) -> J(alpha lambda, l) otherwise, then
+      J(1, 1) blocks up to rank m;
+    - at infinity J(1, l) -> J(lambda^-1, l + 1), J(lambda, l) ->
+      J(1, l - 1), J(alpha, l) -> J(alpha lambda^-1, l) otherwise, then
+      J(lambda^-1, 1) blocks up to rank m.
+    Checked at every puncture for every lambda in mu_lcm(2, N) minus 1."""
+
+    @staticmethod
+    def predicted(t, lam):
+        types = {p: t.jordan_at(p).blocks for p in t.punctures + (INFINITY,)}
+        n = t.rank
+
+        def count(blocks, alpha):
+            return sum(1 for value, _ in blocks if value == alpha)
+
+        rank = sum(n - count(types[p], 1) for p in t.punctures)
+        rank += n - count(types[INFINITY], lam) - n
+        inverse = lam.inverse()
+        out = {}
+        for p, blocks in types.items():
+            moved, fill = [], (inverse, 1) if p.is_infinity else (1, 1)
+            for alpha, size in blocks:
+                if p.is_infinity:
+                    if alpha == 1:
+                        moved.append((inverse, size + 1))
+                    elif alpha == lam:
+                        moved.append((1, size - 1))
+                    else:
+                        moved.append((alpha * inverse, size))
+                elif alpha == 1:
+                    moved.append((lam, size - 1))
+                elif alpha == inverse:
+                    moved.append((1, size + 1))
+                else:
+                    moved.append((alpha * lam, size))
+            moved = [block for block in moved if block[1]]
+            moved += [fill] * (rank - sum(size for _, size in moved))
+            out[p] = JordanType.from_blocks(moved)
+        return rank, out
+
+    def check(self, t):
+        assert is_absolutely_irreducible(t), "hypotheses fail"
+        convolved = 0
+        for lam in roots_of_unity(t.order)[1:]:
+            rank, types = self.predicted(t, lam)
+            if rank == 0:
+                with pytest.raises(ValueError):
+                    middle_convolution(t, lam)
+                continue
+            out = middle_convolution(t, lam)
+            assert out.rank == rank, (t, lam)
+            for p, expected in types.items():
+                assert out.jordan_at(p) == expected, (t, lam, p)
+            convolved += 1
+        return convolved
+
+    def test_family(self):
+        # -1 is the one lambda of Q(zeta_2), and of Q(zeta_1) at odd N = 1
+        for i in range(1, 7):
+            assert self.check(build_F(i)) == 1
+            assert self.check(declared_at_order_one(build_F(i))) == 1
+
+    @pytest.mark.parametrize("order", [3, 5, 6, 12])
+    def test_seeded_hypergeometric_every_lambda(self, rng, order):
+        for _ in range(2):
+            assert self.check(seeded_hypergeometric(rng, order, min_rank=2))
+
+    def test_negated_cube_root_at_order_three(self):
+        # a = (zeta3, zeta3^2), b = (1, 1), lambda = -zeta3 = zeta6^5, a
+        # root of unity of Q(zeta_3) outside mu_3
+        z = CycNumber.zeta(3)
+        out = middle_convolution(hypergeometric_tuple([z, z ** 2], [1, 1], 3), -z)
+        assert out.order == 3
+        notation = {str(p): out.jordan_at(p).notation() for p in out.punctures + (INFINITY,)}
+        assert notation == {"0": "1 (+) (zeta6^5)", "1": "1 (+) (zeta6^5)", "inf": "(-1) (+) (zeta6^5)"}
+
+
 class TestMiddleConvolutionInverse:
     """MC_(lambda^-1)(MC_lambda(T)) = T for irreducible T of rank >= 2 and
     lambda != 1 (Dettweiler-Reiter, J. Symb. Comput. 30 (2000), section 3):

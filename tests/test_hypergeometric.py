@@ -80,12 +80,16 @@ class TestHypergeometricTuple:
             hypergeometric_tuple([2], [1], 1)
 
     def test_order_covers_each_parameter(self):
-        # -1 and -zeta3 have orders 2 and 6, twice their field orders
+        # -1 and -zeta3 have orders 2 and 6, but lie in Q(zeta_1) and
+        # Q(zeta_3): the tuple stays at the field's order and equals the
+        # one written at the multiplicative order
+        assert hypergeometric_tuple([-1], [1], 1).order == 1
         assert hypergeometric_tuple([-1], [1], 1) == hypergeometric_tuple([-1], [1], 2)
         minus_zeta3 = -CycNumber.zeta(3)
         t = hypergeometric_tuple([minus_zeta3], [1], 3)
-        assert t.order == 6
+        assert t.order == 3
         assert t == hypergeometric_tuple([minus_zeta3], [1], 6)
+        assert hypergeometric_tuple([1, 1], [CycNumber.zeta(6), -1], 3).order == 6
 
 
 class TestMultiplicityFunction:
@@ -140,6 +144,39 @@ class TestRandomCorpus:
                 [(key.inverse(), mult) for key, mult in m.items()]
             )
             assert t.jordan_at("0") == expected_zero
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_odd_order_with_negated_parameters(self, rng, order):
+        # Parameters in mu_2N, written at odd N, one of them -zeta_N^k, and
+        # a, b disjoint.  The local data by construction: A at infinity and
+        # B^-1 at 0 are companion matrices, one block per distinct
+        # eigenvalue; A^-1 B at 1 is a pseudo-reflection with special
+        # eigenvalue det = prod b / prod a, a unipotent U(2) when that is 1.
+        def regular(values):
+            return JordanType.from_blocks([(v, values.count(v)) for v in dict.fromkeys(values)])
+
+        roots = list(dict.fromkeys(s * CycNumber.zeta(order, k) for s in (1, -1) for k in range(order)))
+        for _ in range(4):
+            n = rng.randint(1, 3)
+            negated = -CycNumber.zeta(order, rng.randrange(order))
+            a_pool = [negated] + rng.sample([r for r in roots if r != negated], order - 1)
+            b_pool = [r for r in roots if r not in a_pool]
+            a = [negated] + [rng.choice(a_pool) for _ in range(n - 1)]
+            b = [rng.choice(b_pool) for _ in range(n)]
+            t = hypergeometric_tuple(a, b, order)
+            assert t.order == order, (a, b)
+            assert t.jordan_at("inf") == regular(a), (a, b)
+            assert t.jordan_at("0") == regular([v.inverse() for v in b]), (a, b)
+            special = CycNumber.one()
+            for x, y in zip(a, b):
+                special = special * y / x
+            if n == 1:
+                at_one = [(special, 1)]
+            elif special.is_one():
+                at_one = [(1, 1)] * (n - 2) + [(1, 2)]
+            else:
+                at_one = [(1, 1)] * (n - 1) + [(special, 1)]
+            assert t.jordan_at("1") == JordanType.from_blocks(at_one), (a, b)
 
     def test_disjoint_parameters_rigid_irreducible(self, rng):
         for _ in range(8):

@@ -6,8 +6,10 @@ must form no cycle.  No module of the package imports another inside a
 function, where a call-time import could hide a cycle.  The Weil decision
 takes its pseudo-divisions in one place, so a second remainder loop cannot
 return unnoticed; only dot convolves numerators; only monodromy keys the
-rank-sequence memo; and a tuple's generators are reduced mod p where it is
-built, so Norton's test and the F_p closure cannot reduce them again.  The
+rank-sequence memo; a tuple's generators are reduced mod p where it is
+built, so Norton's test and the F_p closure cannot reduce them again; and
+only cyclotomic forms lcm(2, N), the order of the roots of unity of
+Q(zeta_N), so every reader of a tuple's local data sees one set.  The
 JSON parsers format an error message only when a check fails, so no valid
 document pays for one.
 """
@@ -203,3 +205,32 @@ def test_generators_are_reduced_once_per_tuple():
     assert set(references(monodromy, "_reduction")) == {
         "__init__", "_spans_all_matrices_mod_p", "_norton_mod_p"
     }
+
+
+def lcm_with_two(tree: ast.AST) -> list[str | None]:
+    """The innermost function around each call of ``lcm``, bare or as an
+    attribute, with a literal 2 among its arguments; None outside any
+    function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "attr", getattr(child.func, "id", None)) == "lcm"
+                and any(isinstance(arg, ast.Constant) and arg.value == 2 for arg in child.args)
+            ):
+                found.append(scope)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_cyclotomic_forms_the_order_of_its_roots_of_unity():
+    sample = ast.parse("def f():\n    math.lcm(2, n)\n    lcm(n, 2)\n    math.lcm(4, n)\nm = lcm(2, k, n)\n")
+    assert lcm_with_two(sample) == ["f", "f", None]
+    for path in PACKAGE.glob("*.py"):
+        uses = lcm_with_two(ast.parse(path.read_text()))
+        assert uses == (["_unity_order"] if path.stem == "cyclotomic" else []), path

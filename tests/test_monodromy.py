@@ -383,7 +383,9 @@ def _every_power_ranked(matrix, order):
 class TestRankSequences:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 12])
     def test_constructed_jordan_data(self, rng, order):
-        roots = [CycNumber.zeta(order, k) for k in range(order)]
+        # mu_lcm(2, N), the roots of unity of Q(zeta_N): at odd N, the
+        # -zeta_N^k too
+        roots = list(dict.fromkeys(s * CycNumber.zeta(order, k) for s in (1, -1) for k in range(order)))
         for _ in range(4):
             eigenvalues = rng.sample(roots, rng.randint(1, min(3, order)))
             count = rng.randint(1, 3)

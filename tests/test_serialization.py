@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -305,27 +306,57 @@ def _zeta(order, phi):
 _ZERO = {"N": 1, "coeffs": [["0", "1"]]}
 
 
+_COEFFICIENT = ("matrices", 0, "entries", 0, "coeffs", 0)
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [(("punctures", 0), "x", "bad puncture labels"),
-     (("matrices", 0, "entries", 0, "coeffs", 0, 0), "7" * 5000, "too many digits in a rational component: 5000"),
+     (_COEFFICIENT + (0,), "7" * 5000, "too many digits in a rational component: 5000"),
      (("matrices", 0), {"rows": 2, "cols": 2, "entries": [_zeta(997, 996), _ZERO, _ZERO, _zeta(991, 990)]},
-      "above the supported maximum")],
-    ids=["puncture-label", "5000-digits", "order-lcm"],
+      "above the supported maximum"),
+     (_COEFFICIENT + (0,), "7" * 5000 + "x", "non-integer rational component in"),
+     (_COEFFICIENT, ["7" * 5000, "1", "1"], "coefficient must be a [numerator, denominator] pair, got"),
+     (_COEFFICIENT, "7" * 5000, "coefficient must be a [numerator, denominator] pair, got"),
+     (_COEFFICIENT, ["7" * 4000, "0"], "denominator must be positive in"),
+     (("matrices", 0, "entries", 0, "N"), "7" * 5000, "bad cyclotomic order"),
+     (("N",), "7" * 5000, "bad order"),
+     (("n",), "7" * 5000, "bad rank"),
+     (("punctures", 0), "x" * 5000, "bad puncture labels"),
+     (("N",), 10 ** 3999, "is above the supported maximum")],
+    ids=["puncture-label", "5000-digits", "order-lcm", "non-integer", "three-element-pair",
+         "bare-string-pair", "zero-denominator", "cyc-N", "tuple-N", "rank", "long-label",
+         "4000-digit-order"],
 )
 def test_error_paths_give_schema_errors(capsys, monkeypatch, path, value, message):
     # A label Fraction cannot read; a numerator past int()'s digit limit
     # for strings (4300 by default), reported by its length and not
     # echoed; entries at orders 997 and 991, whose lcm 988027 exceeds
-    # MAX_ORDER, refused by the matrix parser before any rank check.
+    # MAX_ORDER, refused by the matrix parser before any rank check.  A
+    # message about a value of some thousand characters shows a fixed-length
+    # head of its repr.
     import io
 
     document = json.loads(_RANK_ONE_TUPLE)
     _set(document, path, value)
-    with pytest.raises(SchemaError, match=message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
         ser.tuple_from_json(document)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
     assert main(["rigidity", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert captured.err.count("\n") == 1 and len(captured.err) < 200  # no input echoed
+
+
+def test_entry_count_past_the_digit_limit_is_named(capsys, monkeypatch):
+    # rows * cols has 8001 digits, past what int() converts to a string
+    # (4300 by default), so the message gives its size in bits.
+    import io
+
+    document = json.loads(_RANK_ONE_TUPLE)
+    document["matrices"][0].update(rows=10 ** 4000, cols=10 ** 4000)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    assert main(["rigidity", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: expected <integer of 26576 bits> entries")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
