@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success or a passing verdict, 1 for a well-formed input
 whose check fails (weil failure, rigidity != 2 under --expect-rigid, table
-mismatch) or for an internal error, 2 for malformed input.
+mismatch, mc of rank 0) or for an internal error, 2 for malformed input.
 
 One output path: each subcommand's handler returns (document, text, code),
 the JSON-ready result, a zero-argument renderer of its text form and the
@@ -21,7 +21,7 @@ import sys
 
 from . import serialization as ser
 from .convolution import RankOneData, katz_reduce, middle_convolution, tensor_rank_one
-from .errors import RigidCalcError, SchemaError
+from .errors import RigidCalcError, SchemaError, ZeroRank
 from .hypergeometric import from_multiplicity_function, hypergeometric_tuple
 from .monodromy import certify_regular, is_absolutely_irreducible, rigidity_index
 from .purity import WeilPolynomial, WeilVerdict, weil_check
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         return code
     except (SchemaError, RigidCalcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ZeroRank) else 2  # rank 0 is no bad input
     except (RuntimeError, ZeroDivisionError) as exc:
         # a fault of rigidcalc itself, not of the input
         print(f"internal error: {exc}", file=sys.stderr)

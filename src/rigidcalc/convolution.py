@@ -31,6 +31,7 @@ from .errors import (
     NotRootOfUnity,
     PunctureMismatch,
     ZeroLambda,
+    ZeroRank,
     ZeroScalar,
 )
 from .linalg import ExactMatrix
@@ -84,14 +85,15 @@ class ReductionTrace:
 def rank_one_system(punctures, scalars, order: int) -> MonodromyTuple:
     """Rank-one tuple with A_k = [scalar_k].
 
-    The classical sheaf attached to a pair of characters (chi_1, chi_2) is
-    the special case punctures (0, 1) with scalars (chi_1, chi_2); the scalar
-    at infinity is derived so the total product is 1.
+    Each scalar must be a root of unity of Q(zeta_N), N = order, so in
+    mu_lcm(2, N).  The classical sheaf attached to a pair of characters
+    (chi_1, chi_2) is the special case punctures (0, 1) with scalars
+    (chi_1, chi_2); the scalar at infinity is derived so the product is 1.
     """
     data = RankOneData.of(scalars, order)
     for s in data.scalars:
-        if (k := s.multiplicative_order()) is None or order % k:
-            raise NotRootOfUnity(f"{s} is not a root of unity of order dividing {order}")
+        if (k := s.multiplicative_order()) is None or _unity_order(order) % k:
+            raise NotRootOfUnity(f"{s} is not a root of unity of Q(zeta_{order})")
     matrices = [ExactMatrix(1, 1, [s], order=order) for s in data.scalars]
     return MonodromyTuple(order, punctures, matrices)
 
@@ -151,8 +153,9 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
     """MC_lambda of a tuple, on the same punctures.
 
     Output rank is rn - dim(K + L) where K is the slotwise sum of
-    ker(A_j - I) and L the common fixed space of the generators B_k.  Each
-    step works at the size of its answer, and two checks guard it.
+    ker(A_j - I) and L the common fixed space of the generators B_k; when
+    it is 0, ZeroRank is raised.  Each step works at the size of its
+    answer, and two checks guard it.
 
     L from an n-row system.  B_k - I is zero outside block row k, where it
     is D_k = [A_1 - I, ..., A_(k-1) - I, lam*A_k - I, lam*(A_(k+1) - I),
@@ -206,7 +209,7 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
     pivot_cols = set(pivots)
     complement = [i for i in range(big) if i not in pivot_cols]
     if not complement:
-        raise ValueError("middle convolution collapsed to rank 0")
+        raise ZeroRank("middle convolution collapsed to rank 0")
 
     m = len(complement)
     quotient_identity = ExactMatrix.identity(m, order=order)
@@ -253,12 +256,13 @@ def build_F(i: int) -> MonodromyTuple:
     return tensor_rank_one(convolved, twist)
 
 
-def _dominant_exponent(matrix: ExactMatrix, order: int, shift: int = 0) -> int:
-    # The t in range(order) maximizing the eigenspace of zeta_order^t for
-    # zeta_order^shift * matrix, i.e. n - r_1 of zeta_order^(t - shift) for
-    # the matrix; ties go to the smallest t.
-    dims = {t: matrix.rows - ranks[1] for t, ranks in _rank_sequences(matrix, order).items()}
-    return max(range(order), key=lambda t: (dims.get((t - shift) % order, 0), -t))
+def _dominant_exponent(matrix: ExactMatrix, shift: int = 0) -> int:
+    # The u in range(m), m = lcm(2, matrix.order), maximizing the eigenspace
+    # of zeta_m^u for zeta_m^shift * matrix, i.e. n - r_1 of zeta_m^(u - shift)
+    # for the matrix; ties go to the smallest u.
+    m = _unity_order(matrix.order)
+    dims = {u: matrix.rows - ranks[1] for u, ranks in _rank_sequences(matrix).items()}
+    return max(range(m), key=lambda u: (dims.get((u - shift) % m, 0), -u))
 
 
 def katz_reduce_step(t: MonodromyTuple):
@@ -287,10 +291,9 @@ def katz_reduce_step(t: MonodromyTuple):
     index = rigidity_index(t)
     if index != 2:
         raise NotRigid(f"rigidity index is {index}, not 2")
-    m = _unity_order(t.order)
-    exponents = [_dominant_exponent(a, m) for a in t.matrices]
+    exponents = [_dominant_exponent(a) for a in t.matrices]
     twist = RankOneData.of([_root_of_unity(t.order, -u) for u in exponents], t.order)
-    lam = _root_of_unity(t.order, _dominant_exponent(t.at_infinity, m, sum(exponents)))
+    lam = _root_of_unity(t.order, _dominant_exponent(t.at_infinity, sum(exponents)))
     result = middle_convolution(tensor_rank_one(t, twist), lam)
     return twist, lam, result
 

@@ -73,6 +73,10 @@ class ZeroLambda(RigidCalcError):
     """Middle convolution is undefined for lambda = 0."""
 
 
+class ZeroRank(RigidCalcError, ValueError):
+    """MC_lambda of a well-formed tuple has rank 0: no tuple to return."""
+
+
 class NegativeIndex(RigidCalcError):
     """The recursive family is indexed by i >= 0."""
 
@@ -101,7 +105,8 @@ class EmptyParameters(RigidCalcError):
 
 class NotRootOfUnity(RigidCalcError):
     """A hypergeometric parameter or multiplicity key is not a root of unity,
-    or a rank-one scalar is not one of order dividing N."""
+    or a rank-one scalar is not a root of unity of Q(zeta_N), that is, not
+    in mu_lcm(2, N)."""
 
 
 class EmptySupport(RigidCalcError):

@@ -20,9 +20,9 @@ from .errors import DimensionMismatch, SingularMatrix
 class ExactMatrix:
     """A dense matrix over Q(zeta_N).
 
-    ``_sequences`` is the memo of ``monodromy._rank_sequences``, one entry
-    per field, filled on first use and read or written only there; it takes
-    no part in equality, hashing or display.
+    ``_sequences`` is None or the ``{u: ranks}`` table of
+    ``monodromy._rank_sequences``, filled on first use and touched only
+    there; it takes no part in equality, hashing or display.
     """
 
     __slots__ = ("rows", "cols", "order", "entries", "_sequences")

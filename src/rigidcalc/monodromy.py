@@ -251,29 +251,27 @@ def make_tuple(order: int, punctures, matrices) -> MonodromyTuple:
 
 
 def is_quasi_unipotent(matrix: ExactMatrix, order: int) -> bool:
-    """True iff all eigenvalues lie in mu_N: their multiplicities n - r_k
-    in the rank sequences over mu_N add up to n."""
+    """True iff jordan_type(matrix, order) returns: the multiplicities
+    n - r_k over mu_lcm(2, N), the roots of unity of Q(zeta_N) for N =
+    lcm(order, matrix.order), add up to n."""
+    _check_order(order)  # math.lcm below would make a negative order positive
     if not matrix.is_square:
         raise DimensionMismatch("quasi-unipotence requires a square matrix")
-    sequences = _rank_sequences(matrix, order).values()
+    sequences = _rank_sequences(matrix.lift(math.lcm(order, matrix.order))).values()
     return sum(ranks[0] - ranks[-1] for ranks in sequences) == matrix.rows
 
 
-def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
-    """{t: [n, r_1, ..., r_k]} for each t in range(order) such that
-    zeta = zeta_order^t is an eigenvalue, with r_j = rank((matrix - zeta I)^j)
-    and r_k the stable rank: the first repeat, or 0.
-
-    The matrix keeps one entry per field, under m = lcm(2, matrix.order,
-    order) (_unity_order): the sequences over mu_m, all roots of unity of
-    the field, by u for zeta_m^u, which each order dividing m reads as a
-    view, t = u order / m.  So a matrix is ranked once, at big =
-    lcm(matrix.order, m / 2 if m = 2 (mod 4) else m), its own order unless
-    the field must grow, as Q(zeta_2k) = Q(zeta_k) for odd k.
+def _rank_sequences(matrix: ExactMatrix) -> dict[int, list[int]]:
+    """{u: [n, r_1, ..., r_k]} for each u in range(m), m = lcm(2, N), N =
+    matrix.order, such that zeta = zeta_m^u is an eigenvalue, with r_j =
+    rank((matrix - zeta I)^j) and r_k the stable rank: the first repeat, or
+    0.  mu_m are the roots of unity of Q(zeta_N), written at order N, so the
+    matrix is ranked at its own order, once: the table stays in
+    matrix._sequences, and a larger field ranks a lifted copy.
 
     Only the u whose residue z is a root of chi, the characteristic
     polynomial of the residues of the matrix, are ranked, and each stops
-    early.  With p from residue_prime(big) and g the residue of zeta_m,
+    early.  With p from residue_prime(N) and g the residue of zeta_m,
     zeta reduces to z = g^u, and by the residue map (see modp):
     - chi(z) != 0 gives full rank mod p, hence over K: zeta is skipped;
     - zeta's multiplicity a is at most the multiplicity b of z in chi,
@@ -290,30 +288,25 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
     is left, lambda = tr - sum a_u zeta_u - d zeta.  zeta's multiplicity is
     d + 1 if lambda = zeta, else d; a later zeta is simple iff it is lambda.
     """
-    _check_order(order)  # math.lcm below would make a negative order positive
-    m = _unity_order(math.lcm(matrix.order, order))
-    memo = matrix._sequences or {}
-    if m in memo:
-        step = m // order
-        return {u // step: ranks for u, ranks in memo[m].items() if u % step == 0}
-    n = matrix.rows
-    big = math.lcm(matrix.order, m // 2 if m % 4 == 2 else m)
-    lifted = matrix.lift(big)
-    p, _ = residue_prime(big)
-    g = _root_of_unity(big, 1).residue()
-    residues = modp.rows(lifted)
+    if matrix._sequences is not None:
+        return matrix._sequences
+    n, order = matrix.rows, matrix.order
+    units = range(_unity_order(order))
+    p, _ = residue_prime(order)
+    g = _root_of_unity(order, 1).residue()
+    residues = modp.rows(matrix)
     if residues is None:  # n binds no nullity: the ranks stop at 0 first
-        bounds = dict.fromkeys(range(m), n)
+        bounds = dict.fromkeys(units, n)
     else:
         chi = modp.charpoly(residues, p)
-        bounds = {u: modp.multiplicity(chi, pow(g, u, p), p) for u in range(m)}
-    rest = lifted.trace()  # tr - sum of a_u zeta_u over the finished u
+        bounds = {u: modp.multiplicity(chi, pow(g, u, p), p) for u in units}
+    rest = matrix.trace()  # tr - sum of a_u zeta_u over the finished u
     found = 0
     sequences = {}
     for u in sorted((u for u in bounds if bounds[u]), key=lambda u: (-bounds[u], u)):
         if found == n:
             break
-        zeta = _root_of_unity(big, u)
+        zeta = _root_of_unity(order, u)
         ranks = [n]
         power = None
         while True:
@@ -327,10 +320,10 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
                     ranks.append(ranks[-1])
                 break
             if power is None:
-                entries = list(lifted.entries)
+                entries = list(matrix.entries)
                 for i in range(n):
                     entries[i * n + i] = entries[i * n + i] - zeta
-                power = shifted = ExactMatrix(n, n, entries, order=big)
+                power = shifted = ExactMatrix(n, n, entries, order=order)
             else:
                 power = power * shifted
             ranks.append(power.rank())
@@ -343,8 +336,8 @@ def _rank_sequences(matrix: ExactMatrix, order: int) -> dict[int, list[int]]:
             sequences[u] = ranks
             found += n - ranks[-1]
             rest = rest - (n - ranks[-1]) * zeta
-    matrix._sequences = memo | {m: dict(sorted(sequences.items()))}
-    return _rank_sequences(matrix, order)  # now a view of the entry
+    matrix._sequences = dict(sorted(sequences.items()))
+    return matrix._sequences
 
 
 def _blocks_at_least(ranks: list[int]) -> list[int]:
@@ -360,13 +353,12 @@ def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
     of size exactly j.
     """
     _check_order(order)  # math.lcm below would make a negative order positive
-    order = math.lcm(order, matrix.order)
-    m = _unity_order(order)
-    if not is_quasi_unipotent(matrix, m):  # also rejects a non-square matrix
-        raise NotQuasiUnipotent(f"eigenvalues are not all roots of unity of Q(zeta_{order})")
+    matrix = matrix.lift(math.lcm(order, matrix.order))
+    if not is_quasi_unipotent(matrix, matrix.order):  # also rejects a non-square matrix
+        raise NotQuasiUnipotent(f"eigenvalues are not all roots of unity of Q(zeta_{matrix.order})")
     blocks: list[tuple[CycNumber, int]] = []
-    for u, ranks in _rank_sequences(matrix, m).items():
-        zeta = _root_of_unity(order, u)
+    for u, ranks in _rank_sequences(matrix).items():
+        zeta = _root_of_unity(matrix.order, u)
         at_least = _blocks_at_least(ranks)
         for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
             blocks.extend([(zeta, size)] * (a - b))
@@ -385,10 +377,9 @@ def centralizer_dim(matrix: ExactMatrix) -> int:
     """
     if not matrix.is_square:
         raise DimensionMismatch("centralizer requires a square matrix")
-    m = _unity_order(matrix.order)
-    if not is_quasi_unipotent(matrix, m):
+    if not is_quasi_unipotent(matrix, matrix.order):
         return _commutation_nullity(matrix)
-    sequences = _rank_sequences(matrix, m).values()
+    sequences = _rank_sequences(matrix).values()
     return sum(d * d for ranks in sequences for d in _blocks_at_least(ranks))
 
 

@@ -153,6 +153,19 @@ class TestConstructors:
         text = out.strip()
         assert ser.canonical_dumps(ser.tuple_to_json(ser.tuple_from_json(json.loads(text)))) == text
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+    def test_mc_of_rank_zero_exits_one(self, capsys, monkeypatch, fmt):
+        # The rank-one tuple with A_0 = -1 is well-formed and so is lambda =
+        # -1, but MC_(-1) of it has rank 0: a failing answer, not bad input.
+        import io
+
+        code, tuple_text, _ = run(capsys, "hypergeom", "--a", "-1", "--b", "1")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(tuple_text))
+        code, out, err = run(capsys, "mc", "-", "--lambda", "-1", *fmt)
+        assert code == 1 and out == ""
+        assert err == "error: middle convolution collapsed to rank 0\n"
+
     def test_twist(self, capsys, f0_path):
         code, out, _ = run(capsys, "twist", f0_path, "--scalars=-1,-1")
         assert code == 0

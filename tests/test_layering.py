@@ -11,7 +11,10 @@ built, so Norton's test and the F_p closure cannot reduce them again; and
 only cyclotomic forms lcm(2, N), the order of the roots of unity of
 Q(zeta_N), so every reader of a tuple's local data sees one set.  The
 JSON parsers format an error message only when a check fails, so no valid
-document pays for one.
+document pays for one.  The rank sequences are ranked at the matrix's own
+order and called with the matrix alone, so no caller can key them by a
+second order again; and every private helper is used somewhere in the
+package besides its own body, so dead helpers cannot pile up.
 """
 from __future__ import annotations
 
@@ -182,8 +185,8 @@ def test_require_messages_are_formatted_only_on_failure():
 
 
 def test_only_monodromy_touches_the_rank_sequence_memo():
-    # The memo key of the rank sequences is monodromy's policy alone;
-    # linalg only creates the empty slot.
+    # The one rank-sequence table of a matrix is monodromy's alone; linalg
+    # only creates the empty slot.
     for path in PACKAGE.glob("*.py"):
         uses = references(ast.parse(path.read_text()), "_sequences")
         if path.stem == "linalg":
@@ -234,3 +237,75 @@ def test_only_cyclotomic_forms_the_order_of_its_roots_of_unity():
     for path in PACKAGE.glob("*.py"):
         uses = lcm_with_two(ast.parse(path.read_text()))
         assert uses == (["_unity_order"] if path.stem == "cyclotomic" else []), path
+
+
+def call_arities(tree: ast.AST, name: str) -> list[int]:
+    """The number of arguments, positional and keyword, of each call of
+    ``name``, bare or as an attribute, in walk order."""
+    return [
+        len(node.args) + len(node.keywords)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+    ]
+
+
+def test_rank_sequences_take_the_matrix_alone():
+    sample = ast.parse("f(m)\nmonodromy.f(m, 4)\nf(m, order=2)\ng(m, 2)\n")
+    assert call_arities(sample, "f") == [1, 2, 2]
+    arities = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        arities += call_arities(tree, "_rank_sequences")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_rank_sequences":
+                assert len(node.args.args) == 1 and not node.args.kwonlyargs, path
+    assert arities and set(arities) == {1}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Each private module-level function or class, and each private method
+    of a module-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and is_private(node.name):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                child for child in node.body
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_private(child.name)
+            ]
+    return found
+
+
+def uses_outside(trees: list[ast.AST], definition: ast.AST) -> int:
+    """Uses of the defined name, bare or as an attribute, anywhere in the
+    trees except inside the definition itself."""
+    count = 0
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if node is definition:
+            continue
+        if definition.name in (getattr(node, "id", None), getattr(node, "attr", None)):
+            count += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return count
+
+
+def test_every_private_helper_is_used():
+    sample = ast.parse(
+        "def _used(): pass\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "class _Kept:\n    def _method(self): return self._method()\n    def __init__(self): pass\n"
+        "def public(): return _used(), _Kept()\n"
+    )
+    unused = [d.name for d in private_definitions(sample) if not uses_outside([sample], d)]
+    assert unused == ["_recursive", "_method"]
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    definitions = [d for tree in trees for d in private_definitions(tree)]
+    assert len(definitions) > 50
+    assert [d.name for d in definitions if not uses_outside(trees, d)] == []

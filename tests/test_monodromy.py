@@ -161,23 +161,44 @@ class TestQuasiUnipotent:
         assert not is_quasi_unipotent(mat([[2]]), 12)
 
     def test_cyclotomic_eigenvalue(self):
+        # The field is Q(zeta_N), N = lcm(order, matrix.order): a matrix
+        # over Q(zeta_3) is read over mu_6 at order 2 as at order 3, while
+        # the rational x^2 + x + 1 needs an order that brings in zeta_3.
         z = CycNumber.zeta(3)
         assert is_quasi_unipotent(ExactMatrix.diagonal([z, z * z]), 3)
-        assert not is_quasi_unipotent(ExactMatrix.diagonal([z, z * z]), 2)
+        assert is_quasi_unipotent(ExactMatrix.diagonal([z, z * z]), 2)
+        rotation = ExactMatrix.companion([1, 1, 1])
+        assert [is_quasi_unipotent(rotation, n) for n in (1, 2, 3, 6)] == [False, False, True, True]
 
     @staticmethod
     def by_powers(matrix, order):
-        # Reference: (M^N - I)^n = 0 iff every eigenvalue lies in mu_N.
-        power = matrix ** order - ExactMatrix.identity(matrix.rows, order=matrix.order)
+        # Reference: (M^e - I)^n = 0, e = lcm(2, N, M.order), iff every
+        # eigenvalue lies in mu_e, the roots of unity of Q(zeta_lcm(N, M.order)).
+        e = math.lcm(2, order, matrix.order)
+        power = matrix ** e - ExactMatrix.identity(matrix.rows, order=matrix.order)
         return (power ** matrix.rows).is_zero()
+
+    @staticmethod
+    def jordan_type_returns(matrix, order):
+        try:
+            jordan_type(matrix, order)
+        except NotQuasiUnipotent:
+            return False
+        return True
 
     def test_agrees_with_matrix_powers(self, rng):
         # Conjugated Jordan matrices over Q(zeta_K) with eigenvalues in
         # mu_lcm(2, K), some with an extra eigenvalue 2, and generic ones,
-        # each compared at every order N = 1..12.
+        # each compared at every order N = 1..12: True exactly when
+        # jordan_type returns, and when the power reference holds.  The
+        # matrix at 0 of build_F(2) read at order 1 has the eigenvalue -1,
+        # a root of unity of Q outside mu_1.
         rotation = mat([[0, -1], [1, 0]])  # eigenvalues +-i, outside Q
         assert [is_quasi_unipotent(rotation, n) for n in (1, 2, 4)] == [False, False, True]
-        matrices = [rotation, mat([[2, 1], [0, 1]])]
+        text = ser.canonical_dumps(ser.tuple_to_json(build_F(2))).replace('"N":2', '"N":1')
+        at_zero = ser.tuple_from_json(json.loads(text)).monodromy_at("0")
+        assert at_zero.order == 1 and is_quasi_unipotent(at_zero, 1)
+        matrices = [rotation, mat([[2, 1], [0, 1]]), at_zero]
         for field in (1, 3, 4, 12):
             m = math.lcm(2, field)
             roots = [CycNumber.zeta(m, k) for k in range(m)]
@@ -192,6 +213,7 @@ class TestQuasiUnipotent:
             for order in range(1, 13):
                 expected = self.by_powers(m, order)
                 assert is_quasi_unipotent(m, order) == expected, (m, order)
+                assert self.jordan_type_returns(m, order) == expected, (m, order)
                 verdicts.append(expected)
         assert True in verdicts and False in verdicts
 
@@ -357,17 +379,18 @@ def _commutation_nullity_sympy(matrix):
     return n * n - DomainMatrix.from_Matrix(system).convert_to(sympy.QQ).rank()
 
 
-def _every_power_ranked(matrix, order):
+def _every_power_ranked(matrix):
     # _rank_sequences without the screen mod p, the stop at the multiplicity
-    # mod p or the trace: every t, and every power until a repeat or 0.
+    # mod p or the trace: every u of zeta_m^u, m = lcm(2, matrix.order),
+    # written at order m, and every power until a repeat or 0.
     n = matrix.rows
-    big = math.lcm(matrix.order, order)
+    m = math.lcm(2, matrix.order)
     out = {}
-    for t in range(order):
-        zeta = CycNumber.zeta(order, t)
+    for t in range(m):
+        zeta = CycNumber.zeta(m, t)
         shifted = ExactMatrix.from_rows(
             [[matrix[i, j] - (zeta if i == j else 0) for j in range(n)] for i in range(n)],
-            order=big,
+            order=m,
         )
         power, ranks = shifted, [n]
         while True:
@@ -440,9 +463,9 @@ class TestRankSequences:
                       for a in range(n)], order=4)
         assert modp.rows(scaled) is None
         expected = {0: [7, 6, 5, 4, 4], 1: [7, 5, 4, 4], 2: [7, 6, 6]}
-        assert _rank_sequences(scaled, 4) == expected
+        assert _rank_sequences(scaled) == expected
         assert formed == []
-        assert _rank_sequences(j, 4) == expected
+        assert _rank_sequences(j) == expected
         assert len(formed) == 1
         assert jordan_type(scaled, 4) == JordanType.from_blocks(blocks)
 
@@ -492,22 +515,22 @@ class TestRankSequences:
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
         p = random_invertible(rng, 3)
         semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
-        assert _rank_sequences(semisimple, 2) == {0: [3, 1, 1], 1: [3, 2, 2]}
+        assert _rank_sequences(semisimple) == {0: [3, 1, 1], 1: [3, 2, 2]}
         assert len(calls) == 1
         block = p * jordan_matrix([(1, 3)], 2) * p.inverse()
-        assert _rank_sequences(block, 2) == {0: [3, 2, 1, 0]}
+        assert _rank_sequences(block) == {0: [3, 2, 1, 0]}
         assert len(calls) == 3
 
     def test_non_roots_take_no_exact_rank(self, rng, monkeypatch):
-        # At order 12 only t = 0 and t = 6 (zeta = 1, -1) are roots of the
-        # characteristic polynomial mod p; the other ten t cost no exact
-        # elimination, and the trace names -1.
+        # Lifted to order 12, only u = 0 and u = 6 (zeta = 1, -1) are roots
+        # of the characteristic polynomial mod p; the other ten u cost no
+        # exact elimination, and the trace names -1.
         calls = []
         exact_rank = ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
         p = random_invertible(rng, 3)
         semisimple = p * ExactMatrix.diagonal([1, 1, -1]) * p.inverse()
-        assert _rank_sequences(semisimple, 12) == {0: [3, 1, 1], 6: [3, 2, 2]}
+        assert _rank_sequences(semisimple.lift(12)) == {0: [3, 1, 1], 6: [3, 2, 2]}
         assert len(calls) == 1
 
     def test_trace_names_the_last_eigenvalue_without_residues(self, monkeypatch):
@@ -521,7 +544,7 @@ class TestRankSequences:
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
         m = mat([[1, Fraction(1, p)], [0, -1]], order=4)
         assert modp.rows(m) is None
-        assert list(_rank_sequences(m, 4).items()) == [(0, [2, 1, 1]), (2, [2, 1, 1])]
+        assert list(_rank_sequences(m).items()) == [(0, [2, 1, 1]), (2, [2, 1, 1])]
         assert len(calls) == 1
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 12])
@@ -529,10 +552,9 @@ class TestRankSequences:
         # Seeded P J P^-1 with eigenvalues in mu_lcm(2, N) and outside the
         # roots of unity, each also as D P J P^-1 D^-1 for D = diag(p^i), so
         # that p divides a denominator; and every 1 x 1 matrix of those
-        # eigenvalues.  The dicts must be equal with their keys in t order.
-        both = math.lcm(2, order)
+        # eigenvalues.  Each is ranked at its own order N over mu_lcm(2, N),
+        # and the dicts must be equal with their keys in u order.
         p, _ = residue_prime(order)
-        assert residue_prime(both)[0] == p
         roots = list(dict.fromkeys(s * CycNumber.zeta(order, k) for s in (1, -1) for k in range(order)))
         others = [CycNumber.from_rational(2), CycNumber.from_rational(Fraction(-1, 3)),
                   2 * CycNumber.zeta(order)]
@@ -547,31 +569,32 @@ class TestRankSequences:
             cases += [m, scale * m * scale.inverse()]
         assert any(modp.rows(m) is None for m in cases)
         for m in cases:
-            for k in (order, both):
-                assert list(_rank_sequences(m, k).items()) == list(_every_power_ranked(m, k).items())
+            assert m.order == order
+            assert list(_rank_sequences(m).items()) == list(_every_power_ranked(m).items())
 
     def test_katz_eigenvalue_tie_break(self, monkeypatch):
-        # exponents t of zeta_2^t: 0 for the eigenvalue 1, 1 for -1
-        assert _dominant_exponent(ExactMatrix.diagonal([1, -1]), 2) == 0
-        assert _dominant_exponent(ExactMatrix.diagonal([-1, -1, 1]), 2) == 1
+        # exponents u of zeta_2^u over Q: 0 for the eigenvalue 1, 1 for -1
+        assert _dominant_exponent(ExactMatrix.diagonal([1, -1])) == 0
+        assert _dominant_exponent(ExactMatrix.diagonal([-1, -1, 1])) == 1
         # no eigenvalue in mu_2: every eigenspace is 0, and zeta^0 = 1 wins
-        assert _dominant_exponent(ExactMatrix.diagonal([2, 3]), 2) == 0
+        assert _dominant_exponent(ExactMatrix.diagonal([2, 3])) == 0
         # shift 1 scales by zeta_2 = -1: diag(1, -1, -1), where -1 wins
-        assert _dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), 2, shift=1) == 1
-        # At order 3, -zeta3 = zeta6^5 is no eigenvalue in mu_3 but wins
-        # over mu_6, read from the sequences the order-3 test left; a tie
-        # with zeta3 = zeta6^2 goes to zeta3.
+        assert _dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), shift=1) == 1
+        # At order 3, -zeta3 = zeta6^5, a root of unity of Q(zeta_3)
+        # outside mu_3, wins over mu_6, read from the sequences the
+        # quasi-unipotence test left; a tie with zeta3 = zeta6^2 goes to
+        # zeta3.
         calls = []
         exact_rank = ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: calls.append(m) or exact_rank(m))
         z = CycNumber.zeta(3)
         m = ExactMatrix.diagonal([z, -z, -z])
-        assert not is_quasi_unipotent(m, 3)
+        assert is_quasi_unipotent(m, 3)
         seen = len(calls)
-        assert _dominant_exponent(m, 6) == 5
-        assert _dominant_exponent(m, 6, shift=3) == 2  # -m: zeta3 twice
+        assert _dominant_exponent(m) == 5
+        assert _dominant_exponent(m, shift=3) == 2  # -m: zeta3 twice
         assert len(calls) == seen
-        assert _dominant_exponent(ExactMatrix.diagonal([-z, z]), 6) == 2
+        assert _dominant_exponent(ExactMatrix.diagonal([-z, z])) == 2
 
 
 class TestRankSequenceMemo:
@@ -626,10 +649,26 @@ class TestRankSequenceMemo:
         assert copy.jordan_at("inf") == t.jordan_at("inf")
         assert len(rank_calls) > seen
 
+    def test_a_larger_field_ranks_a_copy(self, rank_calls):
+        # Q(zeta_4) has roots of unity that Q lacks, so jordan_type at
+        # order 4 ranks a lifted copy, before and after the matrix keeps
+        # its own table over mu_2, and leaves that table as it was.
+        m = mat([[1, 1, 0], [0, 1, 0], [0, 0, -1]])
+        expected = JordanType.from_blocks([(1, 2), (-1, 1)])
+        assert jordan_type(m, 4) == expected
+        assert m._sequences is None
+        assert jordan_type(m, 1) == expected
+        table = m._sequences
+        kept = copy.deepcopy(table)
+        seen = len(rank_calls)
+        assert jordan_type(m, 4) == expected
+        assert len(rank_calls) > seen and {a.order for a in rank_calls[seen:]} == {4}
+        assert m._sequences is table and table == kept == {0: [3, 2, 1, 1], 1: [3, 2, 2]}
+
     def test_invisible(self):
         m, twin = (mat([[1, 1, 0], [0, 1, 0], [0, 0, -1]]) for _ in range(2))
         shown = (repr(m), hash(m), ser.canonical_dumps(ser.matrix_to_json(m)))
-        assert jordan_type(m, 2) == JordanType.from_blocks([(1, 2), (-1, 1)])
+        assert jordan_type(m, 1) == JordanType.from_blocks([(1, 2), (-1, 1)])
         assert m._sequences and twin._sequences is None
         assert (repr(m), hash(m), ser.canonical_dumps(ser.matrix_to_json(m))) == shown
         assert m == twin and hash(m) == hash(twin)
