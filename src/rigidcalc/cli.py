@@ -210,9 +210,7 @@ def _cmd_hypergeom(args):
         m, order = ser.multiplicity_from_json(_json_argument(args.multiplicity))
         result = from_multiplicity_function(m, order if args.order is None else args.order)
     elif args.a and args.b:
-        # the tuple's order is the lcm of this one and the parameters' field
-        # orders: -1 alone gives 1, as Q holds it
-        order = 1 if args.order is None else args.order
+        order = 1 if args.order is None else args.order  # raised to the parameters' lcm
         result = hypergeometric_tuple(_roots(args.a), _roots(args.b), order)
     else:
         raise SchemaError("hypergeom needs either --multiplicity or both --a and --b")

@@ -18,10 +18,9 @@ the punctures 0 and 1; build_F(i) has rank i + 1 over Q(zeta_2).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNumber, _root_of_unity, _unity_order
+from .cyclotomic import CycNumber, _lift_to_common, _root_of_unity, _unity_order
 from .errors import (
     AlreadyRankOne,
     NegativeIndex,
@@ -188,10 +187,8 @@ def middle_convolution(t: MonodromyTuple, lam) -> MonodromyTuple:
         raise ZeroLambda("middle convolution requires lambda != 0")
     n = t.rank
     big = len(t.matrices) * n
-    order = math.lcm(t.order, lam.order)
-    lam = lam.lift(order)
+    (lam, *mats), order = _lift_to_common((lam, *t.matrices), t.order)
     zero = CycNumber.zero(order)
-    mats = [a.lift(order) for a in t.matrices]
     identity = ExactMatrix.identity(n, order=order)
     shifted = [a - identity for a in mats]
     shifts = _shifts(shifted, lam)

@@ -41,6 +41,24 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
+#: largest |exponent| of rational text such as "1e3" (int()'s default digit
+#: limit): Fraction writes out 10^exponent, so "1e1000000000" would take hours
+MAX_EXPONENT = 4300
+
+
+def _parse_rational(value) -> Fraction:
+    """Fraction(value) for a label or a scalar from the input, or a ValueError
+    that shows it through _shown; an exponent above MAX_EXPONENT is refused
+    before it is expanded."""
+    try:
+        exponent = abs(int(value.lower().partition("e")[2] or 0)) if isinstance(value, str) else 0
+        if exponent <= MAX_EXPONENT:
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # malformed input, not an arithmetic fault
+        raise ValueError(f"{_shown(value)} is not a rational") from None
+    raise ValueError(f"exponent of {_shown(value)} is above the supported maximum {MAX_EXPONENT}")
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small, large = [], []
@@ -264,6 +282,14 @@ def _unity_order(order: int) -> int:
     return math.lcm(2, order)
 
 
+def _lift_to_common(values, order: int = 1) -> tuple[tuple, int]:
+    """(lifted, N): each CycNumber or ExactMatrix of ``values`` lifted to
+    Q(zeta_N), N = lcm(order, their orders), once order is checked."""
+    _check_order(order)
+    n = math.lcm(order, *[v.order for v in values])
+    return tuple([v.lift(n) for v in values]), n
+
+
 def _root_of_unity(order: int, u: int) -> "CycNumber":
     """zeta_m^u written at ``order``, m = _unity_order(order).  zeta_m =
     zeta_order for even order; for odd order, zeta_order^((order + 1) / 2)
@@ -347,12 +373,12 @@ class CycNumber:
     @classmethod
     def coerce(cls, value, order: int = 1) -> "CycNumber":
         """Accept a CycNumber, int or Fraction; lift to at least ``order``."""
-        _check_order(order)  # math.lcm below would make a negative order positive
-        if isinstance(value, CycNumber):
-            x = value
-        else:
-            x = cls.from_rational(value, order)
-        return x.lift(math.lcm(x.order, order))
+        if not isinstance(value, CycNumber):
+            _check_order(order)
+            return cls.from_rational(value, order)
+        if order > 0 and value.order % order == 0:  # the lcm is value's own order
+            return value
+        return _lift_to_common((value,), order)[0][0]
 
     # -- order handling --------------------------------------------------
 
@@ -372,8 +398,8 @@ class CycNumber:
     def _common(self, other: "CycNumber"):
         if self.order == other.order:
             return self, other, self.order
-        n = math.lcm(self.order, other.order)
-        return self.lift(n), other.lift(n), n
+        (a, b), n = _lift_to_common((self, other))
+        return a, b, n
 
     # -- predicates -------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _lift_to_common
 from .errors import DimensionMismatch, EmptyParameters, EmptySupport, NotRootOfUnity
 from .linalg import ExactMatrix
 from .monodromy import MonodromyTuple
@@ -68,8 +68,9 @@ def hypergeometric_tuple(a_params, b_params, order: int) -> MonodromyTuple:
     for value in a_list + b_list:
         if value.multiplicative_order() is None:
             raise NotRootOfUnity(f"{value} is not a root of unity")
-    a_mat = ExactMatrix.companion(poly.from_roots(a_list), order=order)
-    b_mat = ExactMatrix.companion(poly.from_roots(b_list), order=order)
+    params, order = _lift_to_common(a_list + b_list, order)
+    a_mat = ExactMatrix.companion(poly.from_roots(params[: len(a_list)]), order=order)
+    b_mat = ExactMatrix.companion(poly.from_roots(params[len(a_list) :]), order=order)
     at_zero = b_mat.inverse()
     at_one = a_mat.inverse() * b_mat
     return MonodromyTuple(order, ["0", "1"], [at_zero, at_one])

@@ -10,10 +10,9 @@ entry and every elimination update is one call of the dot-product kernel
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .cyclotomic import CycNumber, dot
+from .cyclotomic import CycNumber, _lift_to_common, dot
 from .errors import DimensionMismatch, SingularMatrix
 
 
@@ -38,17 +37,11 @@ class ExactMatrix:
         else:
             common = 1
         # Entries already CycNumbers at the common order are kept as they
-        # are; only when some entry is not is the common order widened to
-        # every entry's order and the rest coerced and lifted.
+        # are; otherwise every entry is lifted to the lcm of the orders.
         for e in values:
             if e.__class__ is not CycNumber or e.order != common:
-                for v in values:
-                    if isinstance(v, CycNumber) and common % v.order:
-                        common = math.lcm(common, v.order)
-                values = tuple(
-                    [v if v.__class__ is CycNumber and v.order == common
-                     else CycNumber.coerce(v, common) for v in values]
-                )
+                coerced = [v if isinstance(v, CycNumber) else CycNumber.coerce(v, common) for v in values]
+                values, common = _lift_to_common(coerced, common)
                 break
         if len(values) != rows * cols:
             raise DimensionMismatch(
@@ -96,14 +89,14 @@ class ExactMatrix:
         coeffs = [CycNumber.coerce(c) for c in monic_coeffs]
         if not coeffs or coeffs[-1] != 1:
             raise ValueError("companion matrix needs a monic polynomial")
-        common = math.lcm(order or 1, *(c.order for c in coeffs))
+        coeffs, common = _lift_to_common(coeffs, 1 if order is None else order)
         n = len(coeffs) - 1
         one, zero = CycNumber.one(common), CycNumber.zero(common)
         entries = [zero] * (n * n)
         for i in range(1, n):
             entries[i * n + (i - 1)] = one
         for i in range(n):
-            entries[i * n + (n - 1)] = -coeffs[i].lift(common)
+            entries[i * n + (n - 1)] = -coeffs[i]
         return cls(n, n, entries, order=common)
 
     @classmethod
@@ -188,11 +181,9 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, b = self, other
+        a, b, n = self, other, self.order
         if a.order != b.order:
-            n = math.lcm(a.order, b.order)
-            a, b = a.lift(n), b.lift(n)
-        n = a.order
+            (a, b), n = _lift_to_common((a, b))
         b_cols = [b.column(j) for j in range(b.cols)]
         out = [dot(a.row(i), bc, n) for i in range(a.rows) for bc in b_cols]
         return ExactMatrix(a.rows, b.cols, out, order=n)
@@ -220,13 +211,10 @@ class ExactMatrix:
         return result
 
     def mul_vector(self, vector) -> tuple[CycNumber, ...]:
-        vec = [v if v.__class__ is CycNumber and v.order == self.order
-               else CycNumber.coerce(v, self.order) for v in vector]
+        vec = [v if isinstance(v, CycNumber) else CycNumber.coerce(v, self.order) for v in vector]
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        n = math.lcm(self.order, *(v.order for v in vec))
-        m = self.lift(n)
-        vec = [v.lift(n) for v in vec]
+        (m, *vec), n = _lift_to_common([self, *vec])
         return tuple(dot(m.row(i), vec, n) for i in range(self.rows))
 
     def transpose(self) -> "ExactMatrix":

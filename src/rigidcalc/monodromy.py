@@ -14,13 +14,14 @@ regularity certificate.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .cyclotomic import CycNumber, _check_order, _root_of_unity, _unity_order, dot, residue_prime
+from .cyclotomic import (
+    CycNumber, _lift_to_common, _parse_rational, _root_of_unity, _unity_order, dot, residue_prime
+)
 from .errors import (
     DimensionMismatch,
     DuplicatePuncture,
@@ -44,10 +45,7 @@ class Puncture:
             if value.is_infinity:
                 raise ValueError("expected a finite puncture")
             return value
-        try:
-            return cls(Fraction(value))
-        except ZeroDivisionError:  # a malformed label, not an arithmetic fault
-            raise ValueError(f"puncture label {value!r} has a zero denominator") from None
+        return cls(_parse_rational(value))
 
     @classmethod
     def parse(cls, text: str) -> "Puncture":
@@ -183,10 +181,7 @@ class MonodromyTuple:
                 raise DimensionMismatch("matrices must be square and of equal size")
         if n == 0:
             raise DimensionMismatch("a tuple needs rank at least 1")
-        common = order
-        for m in matrices:
-            common = math.lcm(common, m.order)
-        matrices = tuple(m.lift(common) for m in matrices)
+        matrices, common = _lift_to_common(matrices, order)
         # Each generator is reduced once: its residue rows and chi-bar, which
         # Norton's test and the F_p closure read and never change.  chi-bar(0)
         # = (-1)^n det mod p, so chi-bar(0) != 0 proves it invertible (see modp).
@@ -254,10 +249,11 @@ def is_quasi_unipotent(matrix: ExactMatrix, order: int) -> bool:
     """True iff jordan_type(matrix, order) returns: the multiplicities
     n - r_k over mu_lcm(2, N), the roots of unity of Q(zeta_N) for N =
     lcm(order, matrix.order), add up to n."""
-    _check_order(order)  # math.lcm below would make a negative order positive
+    if order != matrix.order:  # callers that pass the matrix's own order lift nothing
+        (matrix,), _ = _lift_to_common((matrix,), order)
     if not matrix.is_square:
         raise DimensionMismatch("quasi-unipotence requires a square matrix")
-    sequences = _rank_sequences(matrix.lift(math.lcm(order, matrix.order))).values()
+    sequences = _rank_sequences(matrix).values()
     return sum(ranks[0] - ranks[-1] for ranks in sequences) == matrix.rows
 
 
@@ -352,8 +348,7 @@ def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
     r_(j-1) - r_j blocks of size at least j, so r_(j-1) - 2 r_j + r_(j+1)
     of size exactly j.
     """
-    _check_order(order)  # math.lcm below would make a negative order positive
-    matrix = matrix.lift(math.lcm(order, matrix.order))
+    (matrix,), _ = _lift_to_common((matrix,), order)
     if not is_quasi_unipotent(matrix, matrix.order):  # also rejects a non-square matrix
         raise NotQuasiUnipotent(f"eigenvalues are not all roots of unity of Q(zeta_{matrix.order})")
     blocks: list[tuple[CycNumber, int]] = []

@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath
 
 from . import modp, poly
-from .cyclotomic import CycNumber, _is_prime, residue_prime
+from .cyclotomic import CycNumber, _is_prime, _lift_to_common, residue_prime
 from .errors import RootFindingFailure, ZeroConstantTerm
 
 #: starting working precision (bits) for the magnitude check; it doubles
@@ -71,13 +71,9 @@ class WeilPolynomial:
     w: int
 
     def __init__(self, coeffs, q: int, w: int):
-        values = tuple(CycNumber.coerce(c) for c in coeffs)
+        values, _ = _lift_to_common([CycNumber.coerce(c) for c in coeffs])
         if len(values) < 2:
             raise ValueError("a Weil polynomial must have degree >= 1")
-        common = 1
-        for v in values:
-            common = math.lcm(common, v.order)
-        values = tuple(v.lift(common) for v in values)
         if not values[-1].is_one():
             raise ValueError("Weil polynomial must be monic")
         if values[0].is_zero():
@@ -127,8 +123,6 @@ class WeilPolynomial:
 
 def functional_equation_check(p: WeilPolynomial) -> bool:
     """Exact test of conj(Q)(X) = X^n Q(q^w / X) / Q(0)."""
-    if p.coeffs[0].is_zero():  # unreachable through the constructor
-        raise ZeroConstantTerm("Q(0) = 0 is not allowed")
     n = p.degree
     c0 = p.coeffs[0]
     # k = 0 reads conj(c_0) c_0 = q^(wn), and q^|wn| has more than

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .convolution import ReductionTrace
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _parse_rational
 from .errors import RigidCalcError, SchemaError, _shown
 from .hypergeometric import MultiplicityFunction
 from .linalg import ExactMatrix
@@ -64,8 +64,8 @@ def parse_scalar(text: str) -> CycNumber:
     """A rational like "2/3" or a root-of-unity token."""
     text = text.strip()
     try:
-        return CycNumber.from_rational(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+        return CycNumber.from_rational(_parse_rational(text))
+    except ValueError:
         return parse_root_of_unity(text)
 
 
@@ -189,8 +189,8 @@ def tuple_from_json(document) -> MonodromyTuple:
     _require(isinstance(matrices, list), "matrices must be a list")
     _require(len(punctures) == len(matrices), "one matrix per puncture required")
     try:
-        labels = [Fraction(str(p)) for p in punctures]
-    except (ValueError, ZeroDivisionError):
+        labels = [_parse_rational(str(p)) for p in punctures]
+    except ValueError:
         raise SchemaError(f"bad puncture labels {_shown(punctures)}") from None
     mats = [matrix_from_json(m) for m in matrices]
     try:

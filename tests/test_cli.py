@@ -442,6 +442,28 @@ class TestInputHandling:
             assert code == 2 and out == "" and err.count("\n") == 1
             assert err.startswith("error:") and "above the supported maximum" in err
 
+    @pytest.mark.parametrize("entry", ["--point", "--lambda", "--scalars", "label"])
+    def test_exponent_above_cap_exits_two_at_once(self, capsys, monkeypatch, f0_path, entry):
+        # Fraction would write out 10^1000000000 digit by digit
+        import io
+
+        big = "1e1000000000"
+        argv = {
+            "--point": ["jordan", f0_path, "--point", big],
+            "--lambda": ["mc", f0_path, "--lambda", big],
+            "--scalars": ["twist", f0_path, f"--scalars={big},1"],
+            "label": ["rigidity", "-"],
+        }[entry]
+        with open(f0_path) as handle:
+            labelled = handle.read().replace('"punctures":["0","1"]', f'"punctures":["0","{big}"]')
+        assert big in labelled
+        monkeypatch.setattr("sys.stdin", io.StringIO(labelled))
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:")
+        assert big in err
+
     def test_zero_denominator_point_exits_two(self, capsys, f6_path):
         code, out, err = run(capsys, "jordan", f6_path, "--point", "1/0")
         assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:")

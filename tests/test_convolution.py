@@ -220,11 +220,24 @@ class TestTensor:
             tensor_rank_one(build_F(1), RankOneData.of([1, 1, 1]))
 
     def test_jordan_eigenvalues_scale(self, rng):
-        t = build_F(2)
-        twisted = tensor_rank_one(t, RankOneData.of([-1, 1]))
-        for point, scalar in (("0", -1), ("1", 1), ("inf", -1)):
-            blocks = [(eig * scalar, size) for eig, size in t.jordan_at(point).blocks]
-            assert twisted.jordan_at(point) == JordanType.from_blocks(blocks)
+        # The twist by (c_k) scales every eigenvalue at puncture k by c_k and
+        # every one at infinity by (prod c_k)^-1, and keeps the block sizes.
+        # c_k = +-zeta_N^j ranges over mu_lcm(2, N), the roots of unity of
+        # Q(zeta_N); at odd N the first is -zeta_N^j, which is outside mu_N.
+        cases = [(build_F(2), [-1, 1])] + [(build_F(i), None) for i in range(1, 7)]
+        cases += [(seeded_hypergeometric(rng, order, min_rank=2), None) for order in (3, 5, 6, 12)]
+        for t, scalars in cases:
+            if scalars is None:
+                signs = [rng.choice((1, -1)) for _ in t.punctures]
+                signs[0] = -1 if t.order % 2 else signs[0]
+                scalars = [sign * CycNumber.zeta(t.order, rng.randrange(t.order)) for sign in signs]
+            twisted = tensor_rank_one(t, RankOneData.of(scalars))
+            product = CycNumber.one()
+            for c in scalars:
+                product = product * c
+            for point, c in [*zip(("0", "1"), scalars), ("inf", product.inverse())]:
+                blocks = [(eig * c, size) for eig, size in t.jordan_at(point).blocks]
+                assert twisted.jordan_at(point) == JordanType.from_blocks(blocks), (t, scalars, point)
 
 
 class TestMiddleConvolution:

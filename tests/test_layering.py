@@ -7,11 +7,13 @@ function, where a call-time import could hide a cycle.  The Weil decision
 takes its pseudo-divisions in one place, so a second remainder loop cannot
 return unnoticed; only dot convolves numerators; only monodromy keys the
 rank-sequence memo; a tuple's generators are reduced mod p where it is
-built, so Norton's test and the F_p closure cannot reduce them again; and
+built, so Norton's test and the F_p closure cannot reduce them again;
 only cyclotomic forms lcm(2, N), the order of the roots of unity of
-Q(zeta_N), so every reader of a tuple's local data sees one set.  The
-JSON parsers format an error message only when a check fails, so no valid
-document pays for one.  The rank sequences are ranked at the matrix's own
+Q(zeta_N), so every reader of a tuple's local data sees one set; and only
+cyclotomic._lift_to_common takes an lcm of values' orders, so every site
+that brings values of several orders into one field refuses an order
+below 1 alike.  The JSON parsers format an error message only when a check
+fails, so no valid document pays for one.  The rank sequences are ranked at the matrix's own
 order and called with the matrix alone, so no caller can key them by a
 second order again; and every private helper is used somewhere in the
 package besides its own body, so dead helpers cannot pile up.
@@ -210,10 +212,10 @@ def test_generators_are_reduced_once_per_tuple():
     }
 
 
-def lcm_with_two(tree: ast.AST) -> list[str | None]:
+def lcm_calls(tree: ast.AST, matches) -> list[str | None]:
     """The innermost function around each call of ``lcm``, bare or as an
-    attribute, with a literal 2 among its arguments; None outside any
-    function."""
+    attribute, with an argument for which ``matches`` holds; None outside
+    any function."""
     found = []
 
     def visit(node, scope):
@@ -221,7 +223,7 @@ def lcm_with_two(tree: ast.AST) -> list[str | None]:
             if (
                 isinstance(child, ast.Call)
                 and getattr(child.func, "attr", getattr(child.func, "id", None)) == "lcm"
-                and any(isinstance(arg, ast.Constant) and arg.value == 2 for arg in child.args)
+                and any(matches(arg) for arg in child.args)
             ):
                 found.append(scope)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -231,12 +233,33 @@ def lcm_with_two(tree: ast.AST) -> list[str | None]:
     return found
 
 
+def lcm_with_two(tree: ast.AST) -> list[str | None]:
+    """lcm_calls with a literal 2 among the arguments."""
+    return lcm_calls(tree, lambda arg: isinstance(arg, ast.Constant) and arg.value == 2)
+
+
+def lcm_of_orders(tree: ast.AST) -> list[str | None]:
+    """lcm_calls with an ``.order`` attribute anywhere in an argument."""
+    return lcm_calls(tree, lambda arg: any(getattr(node, "attr", None) == "order" for node in ast.walk(arg)))
+
+
 def test_only_cyclotomic_forms_the_order_of_its_roots_of_unity():
     sample = ast.parse("def f():\n    math.lcm(2, n)\n    lcm(n, 2)\n    math.lcm(4, n)\nm = lcm(2, k, n)\n")
     assert lcm_with_two(sample) == ["f", "f", None]
     for path in PACKAGE.glob("*.py"):
         uses = lcm_with_two(ast.parse(path.read_text()))
         assert uses == (["_unity_order"] if path.stem == "cyclotomic" else []), path
+
+
+def test_only_cyclotomic_takes_the_lcm_of_orders():
+    sample = ast.parse(
+        "def f():\n    math.lcm(a.order, b.order)\n    lcm(n, *(v.order for v in vs))\n"
+        "    math.lcm(*dens)\n    lcm(2, n)\n    x.order * y.order\nm = lcm(order, x.order)\n"
+    )
+    assert lcm_of_orders(sample) == ["f", "f", None]
+    for path in PACKAGE.glob("*.py"):
+        uses = lcm_of_orders(ast.parse(path.read_text()))
+        assert uses == (["_lift_to_common"] if path.stem == "cyclotomic" else []), path
 
 
 def call_arities(tree: ast.AST, name: str) -> list[int]:

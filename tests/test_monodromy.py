@@ -15,7 +15,9 @@ from rigidcalc import (
     CycNumber,
     ExactMatrix,
     JordanType,
+    MonodromyTuple,
     Puncture,
+    RankOneData,
     build_F,
     centralizer_dim,
     certify_regular,
@@ -24,6 +26,7 @@ from rigidcalc import (
     is_somewhere_maximal,
     jordan_type,
     make_tuple,
+    rank_one_system,
     rigidity_index,
 )
 from rigidcalc.errors import (
@@ -123,6 +126,9 @@ class TestMakeTuple:
     def test_puncture_parsing(self):
         assert Puncture.parse("inf").is_infinity
         assert Puncture.parse("5/2").label == Fraction(5, 2)
+        # an exponent up to the bound is read as Fraction reads it
+        assert Puncture.parse("1.5e-2").label == Fraction(3, 200)
+        assert Puncture.parse("-2E3").label == -2000
         assert str(Puncture.finite(0)) == "0"
         assert str(INFINITY) == "inf"
 
@@ -132,6 +138,37 @@ class TestMakeTuple:
                 Puncture.parse(text)
             with pytest.raises(ValueError):
                 Puncture.finite(text)
+
+
+_MINUS_ONE, _ZETA4 = CycNumber.zeta(2), CycNumber.zeta(4)
+
+#: each public entry that takes a cyclotomic order, called at that order
+ORDER_ENTRIES = {
+    "make_tuple": lambda n: make_tuple(n, ["0"], [mat([[_MINUS_ONE]])]),
+    "MonodromyTuple": lambda n: MonodromyTuple(n, ["0"], [mat([[_MINUS_ONE]])]),
+    "ExactMatrix": lambda n: ExactMatrix(1, 1, [_MINUS_ONE], order=n),
+    "companion": lambda n: ExactMatrix.companion([_ZETA4, 1], order=n),
+    "identity": lambda n: ExactMatrix.identity(2, n),
+    "zeros": lambda n: ExactMatrix.zeros(2, 2, n),
+    "jordan_type": lambda n: jordan_type(ExactMatrix.identity(2), n),
+    "is_quasi_unipotent": lambda n: is_quasi_unipotent(ExactMatrix.identity(2), n),
+    "hypergeometric_tuple": lambda n: hypergeometric_tuple([1], [_MINUS_ONE], n),
+    "from_multiplicity_function": lambda n: from_multiplicity_function({_MINUS_ONE: 1}, n),
+    "rank_one_system": lambda n: rank_one_system(["0"], [_MINUS_ONE], n),
+    "RankOneData.of": lambda n: RankOneData.of([_MINUS_ONE], n),
+    "coerce": lambda n: CycNumber.coerce(_ZETA4, n),
+    "zeta": lambda n: CycNumber.zeta(n),
+    "from_rational": lambda n: CycNumber.from_rational(1, n),
+}
+
+
+@pytest.mark.parametrize("order", [0, -3])
+@pytest.mark.parametrize("entry", ORDER_ENTRIES)
+def test_every_entry_refuses_orders_below_one(entry, order):
+    # lcm(2, -3) = 6 would read a negative order as a valid one, and
+    # "order or 1" would read 0 as no order at all
+    with pytest.raises(InvalidOrder):
+        ORDER_ENTRIES[entry](order)
 
 
 class TestMonodromyAt:
