@@ -18,6 +18,7 @@ the punctures 0 and 1; build_F(i) has rank i + 1 over Q(zeta_2).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, _lift_to_common, _root_of_unity, _unity_order
@@ -36,6 +37,7 @@ from .errors import (
 from .linalg import ExactMatrix
 from .monodromy import (
     MonodromyTuple,
+    _blocks_at_least,
     _rank_sequences,
     is_absolutely_irreducible,
     rigidity_index,
@@ -253,13 +255,43 @@ def build_F(i: int) -> MonodromyTuple:
     return tensor_rank_one(convolved, twist)
 
 
-def _dominant_exponent(matrix: ExactMatrix, shift: int = 0) -> int:
-    # The u in range(m), m = lcm(2, matrix.order), maximizing the eigenspace
-    # of zeta_m^u for zeta_m^shift * matrix, i.e. n - r_1 of zeta_m^(u - shift)
-    # for the matrix; ties go to the smallest u.
-    m = _unity_order(matrix.order)
-    dims = {u: matrix.rows - ranks[1] for u, ranks in _rank_sequences(matrix).items()}
-    return max(range(m), key=lambda u: (dims.get((u - shift) % m, 0), -u))
+def _blocks(matrix: ExactMatrix) -> list[tuple[int, int]]:
+    # The Jordan blocks (u, size) of the eigenvalues zeta_m^u, m = lcm(2,
+    # matrix.order), read off the rank sequences: r_(j-1) - r_j blocks of
+    # size at least j.  Their sizes add up to n exactly when every
+    # eigenvalue is in mu_m.
+    blocks = []
+    for u, ranks in _rank_sequences(matrix).items():
+        at_least = _blocks_at_least(ranks)
+        for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
+            blocks += [(u, size)] * (a - b)
+    return blocks
+
+
+def _shifted(blocks: list[tuple[int, int]], e: int, m: int) -> list[tuple[int, int]]:
+    # The blocks after multiplying the matrix by zeta_m^e.
+    return [((u + e) % m, size) for u, size in blocks]
+
+
+def _dominant(blocks: list[tuple[int, int]], m: int) -> int:
+    # The u in range(m) with the most blocks of zeta_m^u, that is, the
+    # largest eigenspace; ties go to the smallest u.
+    counts = Counter(u for u, _ in blocks)
+    return max(range(m), key=lambda u: (counts[u], -u))
+
+
+def _katz_choice(local: list, order: int):
+    # Katz's twist and the exponent of his lambda from the blocks at the
+    # finite punctures and at infinity, with the blocks of the twisted
+    # tuple: the twist by zeta_m^(-a_k) moves puncture k by -a_k and
+    # infinity, the inverse of the product, by sum a_k.
+    m = _unity_order(order)
+    *finite, infinity = local
+    exponents = [_dominant(b, m) for b in finite]
+    twisted = [_shifted(b, -a, m) for b, a in zip(finite, exponents)]
+    twisted.append(_shifted(infinity, sum(exponents), m))
+    twist = RankOneData.of([_root_of_unity(order, -a) for a in exponents], order)
+    return twist, _dominant(twisted[-1], m), twisted
 
 
 def katz_reduce_step(t: MonodromyTuple):
@@ -273,11 +305,12 @@ def katz_reduce_step(t: MonodromyTuple):
     choice shrinks the quotient less and can fail to reduce the rank.
 
     Both range over mu_m, m = lcm(2, N), all the roots of unity of K =
-    Q(zeta_N), so at odd N one may be -zeta_N^a.  With dominant eigenvalues
-    zeta_m^(a_k) the twisted monodromy at infinity is zeta_m^e times the
-    parent's, e = sum of a_k, so both choices read the rank sequences the
-    rigidity check left on the parent's matrices, and the twisted tuple's
-    infinity monodromy is never formed.
+    Q(zeta_N), so at odd N one may be -zeta_N^a; dominant means most Jordan
+    blocks, ties to the smallest exponent of zeta_m.  With dominant
+    eigenvalues zeta_m^(a_k) the twisted monodromy at infinity is
+    zeta_m^e times the parent's, e = sum of a_k, so both choices read the
+    rank sequences the rigidity check left on the parent's matrices, and
+    the twisted tuple's infinity monodromy is never formed.
 
     Returns (twist, lam, result) where result = MC_lam(twist applied to t).
     """
@@ -288,23 +321,98 @@ def katz_reduce_step(t: MonodromyTuple):
     index = rigidity_index(t)
     if index != 2:
         raise NotRigid(f"rigidity index is {index}, not 2")
-    exponents = [_dominant_exponent(a) for a in t.matrices]
-    twist = RankOneData.of([_root_of_unity(t.order, -u) for u in exponents], t.order)
-    lam = _root_of_unity(t.order, _dominant_exponent(t.at_infinity, sum(exponents)))
+    twist, ell, _ = _katz_choice([_blocks(a) for a in (*t.matrices, t.at_infinity)], t.order)
+    lam = _root_of_unity(t.order, ell)
     result = middle_convolution(tensor_rank_one(t, twist), lam)
     return twist, lam, result
 
 
+def _planned_steps(t: MonodromyTuple):
+    # Katz's steps from t's Jordan blocks alone, while every eigenvalue is
+    # in mu_m (nothing otherwise); see katz_reduce for the argument.
+    # Exponents are taken mod m, and every tuple of the chain keeps order N.
+    n, m = t.rank, _unity_order(t.order)
+    local = [_blocks(a) for a in (*t.matrices, t.at_infinity)]
+    if any(sum(size for _, size in b) != n for b in local):
+        return
+
+    def convolved(blocks, e, grow, fill, rank):
+        # Dettweiler-Reiter at one point: zeta_m^u moves to zeta_m^(u + e);
+        # its blocks grow by `grow` at u = 0 and shrink by it where u + e =
+        # 0; then blocks (fill, 1) make up the rank.
+        moved = []
+        for u, size in blocks:
+            v = (u + e) % m
+            size += grow * ((u == 0) - (v == 0))
+            if size:
+                moved.append((v, size))
+        return moved + [(fill, 1)] * (rank - sum(size for _, size in moved))
+
+    while n > 1:
+        twist, ell, (*finite, infinity) = _katz_choice(local, t.order)
+        rank = sum(n - sum(u == 0 for u, _ in b) for b in finite) - sum(u == ell for u, _ in infinity)
+        yield ReductionStep(twist, _root_of_unity(t.order, ell), rank)
+        local = [convolved(b, ell, -1, 0, rank) for b in finite]
+        local.append(convolved(infinity, -ell, 1, -ell % m, rank))
+        n = rank
+
+
+def _record(steps: list[ReductionStep], rank: int, step: ReductionStep) -> None:
+    if step.rank >= rank:
+        raise NoProgress(f"reduction step did not decrease rank ({rank} -> {step.rank})")
+    steps.append(step)
+
+
 def katz_reduce(t: MonodromyTuple) -> ReductionTrace:
-    """Iterate reduction steps down to rank 1."""
+    """Iterate reduction steps down to rank 1.
+
+    The first step is katz_reduce_step, exact, with its irreducibility and
+    rigidity checks on t; every later step is read off t's Jordan blocks,
+    as integer bookkeeping on exponents mod m = lcm(2, N), with no matrix
+    built.  This holds when every eigenvalue of t at its punctures and at
+    infinity is in mu_m; otherwise each step is taken exactly.
+
+    The argument.  Twists by rank-one systems and MC_lambda for lambda != 1
+    keep absolute irreducibility and the rigidity index (Katz, Rigid Local
+    Systems (1996), ch. 5; Dettweiler-Reiter, J. Symbolic Comput. 30 (2000),
+    section 3), so every tuple of the chain is irreducible and rigid, and
+    its eigenvalues stay in mu_m.  Let r be the number of finite punctures
+    and d_i the largest eigenspace at each of the r + 1 points.  The
+    centralizer of a matrix has dimension at most n d_i, so rigidity,
+    sum of centralizer dimensions = (r - 1) n^2 + 2, gives sum d_i >=
+    (r - 1) n + 2/n.  With all eigenvalues in mu_m, Katz's choice twists
+    each d_i onto the eigenvalue 1 at the finite punctures and onto lambda
+    at infinity.  Scott's lemma for an irreducible tuple of rank n > 1,
+    sum over all points of dim ker(A_i - 1) <= (r - 1) n, then rules out
+    lambda = 1, and the rank formula below gives rn - sum d_i <= n - 2/n < n:
+    the rank drops at every step and, MC_lambda being invertible, never
+    reaches 0.  So NoProgress and ZeroRank cannot fire after the input
+    checks.  For lambda != 1 Dettweiler-Reiter give the local data of
+    MC_lambda, with J(alpha, l) a Jordan block:
+    - rank sum_k rk(A_k - 1) + rk(A_inf - lambda) - n, where rk(A - alpha)
+      is n minus the number of blocks of alpha;
+    - at a finite puncture J(1, l) -> J(lambda, l - 1), J(lambda^-1, l) ->
+      J(1, l + 1), J(alpha, l) -> J(alpha lambda, l) otherwise, then
+      J(1, 1) blocks up to the new rank;
+    - at infinity J(1, l) -> J(lambda^-1, l + 1), J(lambda, l) ->
+      J(1, l - 1), J(alpha, l) -> J(alpha lambda^-1, l) otherwise, then
+      J(lambda^-1, 1) blocks up to the new rank;
+    and a twist by scalars c_k multiplies the eigenvalues at puncture k by
+    c_k and at infinity by (prod c_k)^-1.  The planned first step is
+    checked against the exact one.
+    """
     steps: list[ReductionStep] = []
     current = t
     while current.rank > 1:
         twist, lam, result = katz_reduce_step(current)
-        if result.rank >= current.rank:
-            raise NoProgress(
-                f"reduction step did not decrease rank ({current.rank} -> {result.rank})"
-            )
-        steps.append(ReductionStep(twist, lam, result.rank))
+        _record(steps, current.rank, ReductionStep(twist, lam, result.rank))
+        plan = _planned_steps(current)
+        planned = next(plan, None)
+        if planned is not None:
+            if planned != steps[-1]:  # pragma: no cover
+                raise RuntimeError("planned reduction step differs from the exact step")
+            for step in plan:
+                _record(steps, steps[-1].rank, step)
+            break
         current = result
     return ReductionTrace(tuple(steps))

@@ -23,7 +23,7 @@ from fractions import Fraction
 import mpmath
 
 from . import poly
-from .errors import InvalidOrder, NotAnEmbedding, _shown
+from .errors import AboveMaximum, InvalidOrder, NotAnEmbedding, _shown
 
 #: bits of working precision for complex embeddings unless overridden
 DEFAULT_EMBED_PRECISION = 128
@@ -41,22 +41,30 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-#: largest |exponent| of rational text such as "1e3" (int()'s default digit
-#: limit): Fraction writes out 10^exponent, so "1e1000000000" would take hours
+#: largest |exponent| of rational text such as "1e3", and most digits of its
+#: value's numerator and denominator (int()'s default limit for writing an
+#: int as text): Fraction writes out 10^exponent, so "1e1000000000" would
+#: take hours, and a longer value could not be written back
 MAX_EXPONENT = 4300
+_DIGIT_BOUND = 10 ** MAX_EXPONENT
 
 
 def _parse_rational(value) -> Fraction:
     """Fraction(value) for a label or a scalar from the input, or a ValueError
-    that shows it through _shown; an exponent above MAX_EXPONENT is refused
-    before it is expanded."""
+    that shows it through _shown.  An exponent above MAX_EXPONENT is refused
+    before it is expanded, and a value with more than MAX_EXPONENT digits
+    after, both as AboveMaximum."""
     try:
         exponent = abs(int(value.lower().partition("e")[2] or 0)) if isinstance(value, str) else 0
         if exponent <= MAX_EXPONENT:
-            return Fraction(value)
+            result = Fraction(value)
     except (ValueError, ZeroDivisionError):  # malformed input, not an arithmetic fault
         raise ValueError(f"{_shown(value)} is not a rational") from None
-    raise ValueError(f"exponent of {_shown(value)} is above the supported maximum {MAX_EXPONENT}")
+    if exponent > MAX_EXPONENT:
+        raise AboveMaximum(f"exponent of {_shown(value)} is above the supported maximum {MAX_EXPONENT}")
+    if max(abs(result.numerator), result.denominator) >= _DIGIT_BOUND:
+        raise AboveMaximum(f"value of {_shown(value)} has more digits than the supported maximum {MAX_EXPONENT}")
+    return result
 
 
 def divisors(n: int) -> list[int]:

@@ -30,6 +30,12 @@ class InvalidOrder(RigidCalcError):
     """A cyclotomic order N < 1 was requested."""
 
 
+class AboveMaximum(RigidCalcError, ValueError):
+    """Rational text from the input is past MAX_EXPONENT, in its exponent or
+    in the digits of its value; a ValueError, like every other refusal of
+    malformed rational text."""
+
+
 class NotAnEmbedding(RigidCalcError):
     """zeta -> exp(2*pi*i*a/N) requires gcd(a, N) = 1."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNumber, _lift_to_common, dot
+from .cyclotomic import CycNumber, _check_order, _lift_to_common, dot
 from .errors import DimensionMismatch, SingularMatrix
 
 
@@ -31,6 +31,7 @@ class ExactMatrix:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
         values = tuple(entries)
         if order is not None:
+            _check_order(order)  # also for an empty entry list, which lifts nothing
             common = order
         elif values and values[0].__class__ is CycNumber:
             common = values[0].order

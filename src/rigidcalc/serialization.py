@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .convolution import ReductionTrace
 from .cyclotomic import CycNumber, _parse_rational
-from .errors import RigidCalcError, SchemaError, _shown
+from .errors import AboveMaximum, RigidCalcError, SchemaError, _shown
 from .hypergeometric import MultiplicityFunction
 from .linalg import ExactMatrix
 from .monodromy import JordanType, MonodromyTuple
@@ -65,6 +65,8 @@ def parse_scalar(text: str) -> CycNumber:
     text = text.strip()
     try:
         return CycNumber.from_rational(_parse_rational(text))
+    except AboveMaximum:
+        raise  # rational text past a cap is no root-of-unity token either
     except ValueError:
         return parse_root_of_unity(text)
 

@@ -463,6 +463,35 @@ class TestInputHandling:
         assert time.process_time() - start < 1
         assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:")
         assert big in err
+        # a scalar past the cap is named as such, not as a bad root of unity
+        assert ("bad puncture labels" if entry == "label" else "above the supported maximum 4300") in err
+
+    @pytest.mark.parametrize("label", ["1e4300", "9" * 4300 + "e1", "1e-4300"])
+    def test_label_past_the_digit_limit_exits_two(self, capsys, monkeypatch, f0_path, label):
+        # int() writes at most 4300 digits as text, so mc could not write
+        # such a label back: it is refused where the input is read
+        import io
+
+        with open(f0_path) as handle:
+            labelled = handle.read().replace('"punctures":["0","1"]', f'"punctures":["0","{label}"]')
+        monkeypatch.setattr("sys.stdin", io.StringIO(labelled))
+        code, out, err = run(capsys, "mc", "-", "--lambda", "-1")
+        assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("error: bad puncture labels") and "Exceeds the limit" not in err
+        code, out, err = run(capsys, "jordan", f0_path, "--point", label)
+        assert code == 2 and out == "" and len(err) < 200
+        assert "more digits than the supported maximum 4300" in err
+
+    def test_label_at_the_digit_limit_is_written_back(self, capsys, monkeypatch, f0_path):
+        import io
+
+        label = "1e4299"  # 4300 digits
+        with open(f0_path) as handle:
+            labelled = handle.read().replace('"punctures":["0","1"]', f'"punctures":["0","{label}"]')
+        monkeypatch.setattr("sys.stdin", io.StringIO(labelled))
+        code, out, err = run(capsys, "mc", "-", "--lambda", "-1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["punctures"] == ["0", "1" + "0" * 4299]
 
     def test_zero_denominator_point_exits_two(self, capsys, f6_path):
         code, out, err = run(capsys, "jordan", f6_path, "--point", "1/0")

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -22,14 +23,16 @@ from rigidcalc import (
     rigidity_index,
     tensor_rank_one,
 )
-from rigidcalc import serialization
+from rigidcalc import convolution, serialization
 from rigidcalc.errors import (
     AlreadyRankOne,
     NegativeIndex,
+    NoProgress,
     NotIrreducible,
     NotRigid,
     NotRootOfUnity,
     PunctureMismatch,
+    RigidCalcError,
     ZeroLambda,
     ZeroRank,
     ZeroScalar,
@@ -699,3 +702,116 @@ class TestKatzChoiceOracle:
         # unity of Q(zeta_N) outside mu_N
         self.check_chain(declared_at_order_one(build_F(3)))
         self.check_chain(twisted_order_five_tuple())
+
+
+def exact_reduction(t):
+    """Katz's reduction by katz_reduce_step alone, every tuple of the chain
+    built and checked: (twist scalars, lambda, rank) per step, each scalar
+    with its order, or the error that ended it."""
+    steps = []
+    try:
+        while t.rank > 1:
+            twist, lam, result = katz_reduce_step(t)
+            if result.rank >= t.rank:
+                raise NoProgress(f"reduction step did not decrease rank ({t.rank} -> {result.rank})")
+            steps.append(([(s, s.order) for s in twist.scalars], (lam, lam.order), result.rank))
+            t = result
+    except RigidCalcError as exc:
+        return type(exc), str(exc)
+    return steps
+
+
+def planned_reduction(t):
+    """katz_reduce's trace in exact_reduction's form."""
+    try:
+        trace = katz_reduce(t)
+    except RigidCalcError as exc:
+        return type(exc), str(exc)
+    return [([(s, s.order) for s in step.twist.scalars], (step.lam, step.lam.order), step.rank)
+            for step in trace.steps]
+
+
+def fresh_copy(t):
+    # the same tuple with no rank sequence or infinity monodromy memoized
+    mats = [ExactMatrix(m.rows, m.cols, m.entries, m.order) for m in t.matrices]
+    return make_tuple(t.order, t.punctures, mats)
+
+
+def hypergeometric_over_q(a, b):
+    """(C_a, C_a^-1 C_b) at 0 and 1 for rational parameters, which may be no
+    roots of unity: irreducible when no a_i equals a b_j."""
+    def companion(roots):
+        coeffs = [1]
+        for r in roots:
+            coeffs = [0] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+        return ExactMatrix.companion(coeffs)
+
+    ca, cb = companion(a), companion(b)
+    return make_tuple(1, ["0", "1"], [ca, ca.inverse() * cb])
+
+
+class TestKatzReducePlan:
+    """katz_reduce takes its first step exactly and reads every later one
+    off the input's Jordan blocks (Dettweiler-Reiter's local data of
+    MC_lambda): its trace, and any error, equal the loop of
+    katz_reduce_step that builds every tuple of the chain."""
+
+    def test_family(self):
+        for i in range(17):
+            assert planned_reduction(build_F(i)) == exact_reduction(build_F(i)), i
+
+    def test_family_declared_at_order_one(self):
+        for i in range(17):
+            t = declared_at_order_one(build_F(i))
+            assert planned_reduction(t) == exact_reduction(t), i
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6, 8, 10, 12])
+    def test_seeded_hypergeometric(self, rng, order):
+        for _ in range(3):
+            t = seeded_hypergeometric(rng, order, min_rank=2)
+            expected = exact_reduction(t)
+            assert isinstance(expected, list) and expected[-1][2] == 1
+            assert planned_reduction(t) == expected, t
+
+    def test_errors(self):
+        z = CycNumber.zeta(3)
+        reducible = hypergeometric_tuple([1, z], [z ** 2, 1], 3)
+        not_rigid = make_tuple(2, ["0", "1", "2"], [
+            ExactMatrix.diagonal([1, -1]), mat([[0, 1], [1, 0]]), mat([[1, -2], [0, -1]])])
+        for t, error in ((reducible, NotIrreducible), (not_rigid, NotRigid)):
+            assert planned_reduction(t) == exact_reduction(t)
+            assert planned_reduction(t)[0] is error
+
+    def test_eigenvalues_outside_the_field_take_exact_steps(self):
+        # Eigenvalue 2 is no root of unity: Katz's choice sees only mu_2,
+        # and nothing is planned.  a = (2, -1, -1) with b = (1, 1, 3)
+        # reduces to rank 1; b = (1, 3, 5) takes lambda = 1 at step 2,
+        # where the rank stays 2.
+        reduces = hypergeometric_over_q([2, -1, -1], [1, 1, 3])
+        assert [step[2] for step in exact_reduction(reduces)] == [2, 1]
+        assert planned_reduction(reduces) == exact_reduction(reduces)
+        stuck = hypergeometric_over_q([2, -1, -1], [1, 3, 5])
+        assert exact_reduction(stuck) == (NoProgress, "reduction step did not decrease rank (2 -> 2)")
+        assert planned_reduction(stuck) == exact_reduction(stuck)
+
+    def test_one_exact_step(self, monkeypatch):
+        t = build_F(8)
+        calls = {name: 0 for name in ("katz_reduce_step", "middle_convolution", "tensor_rank_one")}
+        for name in calls:
+            def counted(*args, _name=name, _callee=getattr(convolution, name)):
+                calls[_name] += 1
+                return _callee(*args)
+
+            monkeypatch.setattr(convolution, name, counted)
+        assert [step.rank for step in katz_reduce(t).steps] == list(range(8, 0, -1))
+        assert calls == {"katz_reduce_step": 1, "middle_convolution": 1, "tensor_rank_one": 1}
+
+    def test_rank_25_in_budget(self):
+        # build excluded; the exact loop took about 2.5 s here, the plan 0.35 s
+        t = fresh_copy(build_F(24))
+        start = time.process_time()
+        trace = katz_reduce(t)
+        assert time.process_time() - start < 1.5
+        assert [step.rank for step in trace.steps] == list(range(24, 0, -1))

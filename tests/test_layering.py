@@ -16,7 +16,10 @@ below 1 alike.  The JSON parsers format an error message only when a check
 fails, so no valid document pays for one.  The rank sequences are ranked at the matrix's own
 order and called with the matrix alone, so no caller can key them by a
 second order again; and every private helper is used somewhere in the
-package besides its own body, so dead helpers cannot pile up.
+package besides its own body, so dead helpers cannot pile up.  Katz
+reduction reads a matrix's rank sequences through one helper, which turns
+them into Jordan blocks, and katz_reduce builds tuples only through the
+exact katz_reduce_step, so every later step stays a plan on those blocks.
 """
 from __future__ import annotations
 
@@ -332,3 +335,33 @@ def test_every_private_helper_is_used():
     definitions = [d for tree in trees for d in private_definitions(tree)]
     assert len(definitions) > 50
     assert [d.name for d in definitions if not uses_outside(trees, d)] == []
+
+
+def reachable(tree: ast.Module, start: str, avoid: str | None = None) -> set[str]:
+    """The module-level functions that ``start`` calls or names, bare or as
+    an attribute, directly or through others, never entering ``avoid``."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    found, stack = set(), [start]
+    while stack:
+        name = stack.pop()
+        if name in found or name == avoid:
+            continue
+        found.add(name)
+        for node in ast.walk(functions[name]):
+            used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if used in functions:
+                stack.append(used)
+    return found
+
+
+def test_katz_reduce_convolves_only_through_the_exact_step():
+    sample = ast.parse("def a():\n    b()\n    x.d\ndef b():\n    e()\ndef d():\n    a()\ndef e(): pass\n")
+    assert reachable(sample, "a") == {"a", "b", "d", "e"}
+    assert reachable(sample, "a", avoid="b") == {"a", "d"}
+    convolution = ast.parse((PACKAGE / "convolution.py").read_text())
+    assert references(convolution, "_rank_sequences") == ["_blocks"]
+    built = {"middle_convolution", "tensor_rank_one"}
+    assert built <= reachable(convolution, "katz_reduce")
+    assert not built & reachable(convolution, "katz_reduce", avoid="katz_reduce_step")

@@ -38,8 +38,8 @@ from rigidcalc.errors import (
     UnknownPuncture,
 )
 
-from rigidcalc.convolution import _dominant_exponent
-from rigidcalc.cyclotomic import residue_prime
+from rigidcalc.convolution import _blocks, _dominant, _shifted
+from rigidcalc.cyclotomic import _unity_order, residue_prime
 from rigidcalc.hypergeometric import from_multiplicity_function, hypergeometric_tuple
 from rigidcalc.monodromy import (
     _commutation_nullity,
@@ -147,6 +147,7 @@ ORDER_ENTRIES = {
     "make_tuple": lambda n: make_tuple(n, ["0"], [mat([[_MINUS_ONE]])]),
     "MonodromyTuple": lambda n: MonodromyTuple(n, ["0"], [mat([[_MINUS_ONE]])]),
     "ExactMatrix": lambda n: ExactMatrix(1, 1, [_MINUS_ONE], order=n),
+    "empty ExactMatrix": lambda n: ExactMatrix(0, 0, [], order=n),
     "companion": lambda n: ExactMatrix.companion([_ZETA4, 1], order=n),
     "identity": lambda n: ExactMatrix.identity(2, n),
     "zeros": lambda n: ExactMatrix.zeros(2, 2, n),
@@ -609,14 +610,20 @@ class TestRankSequences:
             assert m.order == order
             assert list(_rank_sequences(m).items()) == list(_every_power_ranked(m).items())
 
+    @staticmethod
+    def dominant_exponent(matrix, shift=0):
+        # Katz's choice for zeta_m^shift * matrix, m = lcm(2, matrix.order)
+        m = _unity_order(matrix.order)
+        return _dominant(_shifted(_blocks(matrix), shift, m), m)
+
     def test_katz_eigenvalue_tie_break(self, monkeypatch):
         # exponents u of zeta_2^u over Q: 0 for the eigenvalue 1, 1 for -1
-        assert _dominant_exponent(ExactMatrix.diagonal([1, -1])) == 0
-        assert _dominant_exponent(ExactMatrix.diagonal([-1, -1, 1])) == 1
+        assert self.dominant_exponent(ExactMatrix.diagonal([1, -1])) == 0
+        assert self.dominant_exponent(ExactMatrix.diagonal([-1, -1, 1])) == 1
         # no eigenvalue in mu_2: every eigenspace is 0, and zeta^0 = 1 wins
-        assert _dominant_exponent(ExactMatrix.diagonal([2, 3])) == 0
+        assert self.dominant_exponent(ExactMatrix.diagonal([2, 3])) == 0
         # shift 1 scales by zeta_2 = -1: diag(1, -1, -1), where -1 wins
-        assert _dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), shift=1) == 1
+        assert self.dominant_exponent(ExactMatrix.diagonal([-1, 1, 1]), shift=1) == 1
         # At order 3, -zeta3 = zeta6^5, a root of unity of Q(zeta_3)
         # outside mu_3, wins over mu_6, read from the sequences the
         # quasi-unipotence test left; a tie with zeta3 = zeta6^2 goes to
@@ -628,10 +635,10 @@ class TestRankSequences:
         m = ExactMatrix.diagonal([z, -z, -z])
         assert is_quasi_unipotent(m, 3)
         seen = len(calls)
-        assert _dominant_exponent(m) == 5
-        assert _dominant_exponent(m, shift=3) == 2  # -m: zeta3 twice
+        assert self.dominant_exponent(m) == 5
+        assert self.dominant_exponent(m, shift=3) == 2  # -m: zeta3 twice
         assert len(calls) == seen
-        assert _dominant_exponent(ExactMatrix.diagonal([-z, z])) == 2
+        assert self.dominant_exponent(ExactMatrix.diagonal([-z, z])) == 2
 
 
 class TestRankSequenceMemo:
