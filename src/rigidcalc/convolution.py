@@ -35,13 +35,7 @@ from .errors import (
     ZeroScalar,
 )
 from .linalg import ExactMatrix
-from .monodromy import (
-    MonodromyTuple,
-    _blocks_at_least,
-    _rank_sequences,
-    is_absolutely_irreducible,
-    rigidity_index,
-)
+from .monodromy import MonodromyTuple, _blocks, is_absolutely_irreducible, rigidity_index
 
 
 @dataclass(frozen=True)
@@ -255,19 +249,6 @@ def build_F(i: int) -> MonodromyTuple:
     return tensor_rank_one(convolved, twist)
 
 
-def _blocks(matrix: ExactMatrix) -> list[tuple[int, int]]:
-    # The Jordan blocks (u, size) of the eigenvalues zeta_m^u, m = lcm(2,
-    # matrix.order), read off the rank sequences: r_(j-1) - r_j blocks of
-    # size at least j.  Their sizes add up to n exactly when every
-    # eigenvalue is in mu_m.
-    blocks = []
-    for u, ranks in _rank_sequences(matrix).items():
-        at_least = _blocks_at_least(ranks)
-        for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
-            blocks += [(u, size)] * (a - b)
-    return blocks
-
-
 def _shifted(blocks: list[tuple[int, int]], e: int, m: int) -> list[tuple[int, int]]:
     # The blocks after multiplying the matrix by zeta_m^e.
     return [((u + e) % m, size) for u, size in blocks]
@@ -309,8 +290,10 @@ def katz_reduce_step(t: MonodromyTuple):
     blocks, ties to the smallest exponent of zeta_m.  With dominant
     eigenvalues zeta_m^(a_k) the twisted monodromy at infinity is
     zeta_m^e times the parent's, e = sum of a_k, so both choices read the
-    rank sequences the rigidity check left on the parent's matrices, and
-    the twisted tuple's infinity monodromy is never formed.
+    Jordan blocks the rigidity check left on the parent's matrices, and
+    the twisted tuple's infinity monodromy is never formed.  An eigenvalue
+    outside mu_m is never chosen, so when one has the largest eigenspace
+    at some point the result may keep the rank (see katz_reduce).
 
     Returns (twist, lam, result) where result = MC_lam(twist applied to t).
     """
@@ -328,18 +311,18 @@ def katz_reduce_step(t: MonodromyTuple):
 
 
 def _planned_steps(t: MonodromyTuple):
-    # Katz's steps from t's Jordan blocks alone, while every eigenvalue is
-    # in mu_m (nothing otherwise); see katz_reduce for the argument.
-    # Exponents are taken mod m, and every tuple of the chain keeps order N.
+    # Katz's steps from t's Jordan blocks in mu_m alone; see katz_reduce for
+    # the argument.  Exponents are taken mod m, and every tuple of the chain
+    # keeps order N.  The total size of a point's blocks outside mu_m, which
+    # _blocks does not list, is the same at every step.
     n, m = t.rank, _unity_order(t.order)
     local = [_blocks(a) for a in (*t.matrices, t.at_infinity)]
-    if any(sum(size for _, size in b) != n for b in local):
-        return
+    outside = [n - sum(size for _, size in b) for b in local]
 
     def convolved(blocks, e, grow, fill, rank):
         # Dettweiler-Reiter at one point: zeta_m^u moves to zeta_m^(u + e);
         # its blocks grow by `grow` at u = 0 and shrink by it where u + e =
-        # 0; then blocks (fill, 1) make up the rank.
+        # 0; then blocks (fill, 1) make up the size `rank`.
         moved = []
         for u, size in blocks:
             v = (u + e) % m
@@ -351,44 +334,28 @@ def _planned_steps(t: MonodromyTuple):
     while n > 1:
         twist, ell, (*finite, infinity) = _katz_choice(local, t.order)
         rank = sum(n - sum(u == 0 for u, _ in b) for b in finite) - sum(u == ell for u, _ in infinity)
+        rank = rank if ell else n  # MC_1 keeps the rank
         yield ReductionStep(twist, _root_of_unity(t.order, ell), rank)
-        local = [convolved(b, ell, -1, 0, rank) for b in finite]
-        local.append(convolved(infinity, -ell, 1, -ell % m, rank))
+        local = [convolved(b, ell, -1, 0, rank - o) for b, o in zip(finite, outside)]
+        local.append(convolved(infinity, -ell, 1, -ell % m, rank - outside[-1]))
         n = rank
 
 
-def _record(steps: list[ReductionStep], rank: int, step: ReductionStep) -> None:
-    if step.rank >= rank:
-        raise NoProgress(f"reduction step did not decrease rank ({rank} -> {step.rank})")
-    steps.append(step)
-
-
 def katz_reduce(t: MonodromyTuple) -> ReductionTrace:
-    """Iterate reduction steps down to rank 1.
+    """Reduce t to rank 1 by Katz's steps.
 
     The first step is katz_reduce_step, exact, with its irreducibility and
-    rigidity checks on t; every later step is read off t's Jordan blocks,
-    as integer bookkeeping on exponents mod m = lcm(2, N), with no matrix
-    built.  This holds when every eigenvalue of t at its punctures and at
-    infinity is in mu_m; otherwise each step is taken exactly.
+    rigidity checks on t.  Every step, the first included, is also read off
+    t's Jordan blocks in mu_m, m = lcm(2, N), as integer bookkeeping on
+    exponents mod m with no matrix built (_planned_steps), and the planned
+    first step must equal the exact one.
 
     The argument.  Twists by rank-one systems and MC_lambda for lambda != 1
     keep absolute irreducibility and the rigidity index (Katz, Rigid Local
     Systems (1996), ch. 5; Dettweiler-Reiter, J. Symbolic Comput. 30 (2000),
-    section 3), so every tuple of the chain is irreducible and rigid, and
-    its eigenvalues stay in mu_m.  Let r be the number of finite punctures
-    and d_i the largest eigenspace at each of the r + 1 points.  The
-    centralizer of a matrix has dimension at most n d_i, so rigidity,
-    sum of centralizer dimensions = (r - 1) n^2 + 2, gives sum d_i >=
-    (r - 1) n + 2/n.  With all eigenvalues in mu_m, Katz's choice twists
-    each d_i onto the eigenvalue 1 at the finite punctures and onto lambda
-    at infinity.  Scott's lemma for an irreducible tuple of rank n > 1,
-    sum over all points of dim ker(A_i - 1) <= (r - 1) n, then rules out
-    lambda = 1, and the rank formula below gives rn - sum d_i <= n - 2/n < n:
-    the rank drops at every step and, MC_lambda being invertible, never
-    reaches 0.  So NoProgress and ZeroRank cannot fire after the input
-    checks.  For lambda != 1 Dettweiler-Reiter give the local data of
-    MC_lambda, with J(alpha, l) a Jordan block:
+    section 3), so every tuple of the chain is irreducible and rigid.  For
+    lambda != 1 Dettweiler-Reiter give the local data of MC_lambda, with
+    J(alpha, l) a Jordan block:
     - rank sum_k rk(A_k - 1) + rk(A_inf - lambda) - n, where rk(A - alpha)
       is n minus the number of blocks of alpha;
     - at a finite puncture J(1, l) -> J(lambda, l - 1), J(lambda^-1, l) ->
@@ -398,21 +365,40 @@ def katz_reduce(t: MonodromyTuple) -> ReductionTrace:
       J(1, l - 1), J(alpha, l) -> J(alpha lambda^-1, l) otherwise, then
       J(lambda^-1, 1) blocks up to the new rank;
     and a twist by scalars c_k multiplies the eigenvalues at puncture k by
-    c_k and at infinity by (prod c_k)^-1.  The planned first step is
-    checked against the exact one.
+    c_k and at infinity by (prod c_k)^-1.  Three consequences:
+    - A block whose eigenvalue lies outside mu_m never meets 1 or
+      lambda^(+-1), which lie in mu_m, so every twist and every MC_lambda
+      keeps its size and keeps it outside mu_m.  The blocks in mu_m are
+      thus known at every step, and the new blocks fill them up to the new
+      rank less the fixed size outside.
+    - MC_1 has rank n.  W = sum_k im(A_k - 1) is invariant, as A_j w = w +
+      (A_j - 1) w, and nonzero (not every A_k is 1), so W = V for an
+      irreducible tuple of rank n > 1.  Then L = ker [A_1 - 1 | ... |
+      A_r - 1] has dimension rn - n, and it contains K, the slotwise sum
+      of the ker(A_j - 1), so the quotient by K + L has dimension n.
+    - NoProgress fires only when Katz's choice, which ranges over mu_m,
+      misses a largest eigenspace at some point, which needs an eigenvalue
+      outside mu_m there.  Let r be the number of finite punctures and d_i
+      the largest eigenspace at each of the r + 1 points.  The centralizer
+      of a matrix has dimension at most n d_i, so rigidity, sum of
+      centralizer dimensions = (r - 1) n^2 + 2, gives sum d_i >= (r - 1) n
+      + 2/n.  If the choice twists each d_i onto 1 at the finite punctures
+      and onto lambda at infinity, Scott's lemma for an irreducible tuple
+      of rank n > 1, sum over all points of dim ker(A_i - 1) <= (r - 1) n,
+      rules out lambda = 1, and the rank is rn - sum d_i <= n - 2/n < n.
+    ZeroRank never fires: MC_lambda is invertible for lambda != 1, and MC_1
+    keeps the rank.
     """
     steps: list[ReductionStep] = []
-    current = t
-    while current.rank > 1:
-        twist, lam, result = katz_reduce_step(current)
-        _record(steps, current.rank, ReductionStep(twist, lam, result.rank))
-        plan = _planned_steps(current)
-        planned = next(plan, None)
-        if planned is not None:
-            if planned != steps[-1]:  # pragma: no cover
+    rank = t.rank
+    if rank > 1:
+        twist, lam, result = katz_reduce_step(t)
+        exact = ReductionStep(twist, lam, result.rank)
+        for step in _planned_steps(t):
+            if not steps and step != exact:  # pragma: no cover
                 raise RuntimeError("planned reduction step differs from the exact step")
-            for step in plan:
-                _record(steps, steps[-1].rank, step)
-            break
-        current = result
+            if step.rank >= rank:
+                raise NoProgress(f"reduction step did not decrease rank ({rank} -> {step.rank})")
+            steps.append(step)
+            rank = step.rank
     return ReductionTrace(tuple(steps))

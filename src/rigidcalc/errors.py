@@ -100,7 +100,9 @@ class AlreadyRankOne(RigidCalcError):
 
 
 class NoProgress(RigidCalcError):
-    """A reduction step failed to decrease the rank (convention bug)."""
+    """A Katz reduction step failed to decrease the rank: its twist and
+    lambda range over mu_lcm(2,N), the roots of unity of Q(zeta_N), and
+    missed a largest eigenspace at an eigenvalue outside them."""
 
 
 # -- hypergeometric construction ---------------------------------------------

@@ -341,23 +341,27 @@ def _blocks_at_least(ranks: list[int]) -> list[int]:
     return [a - b for a, b in zip(ranks, ranks[1:]) if a != b]
 
 
+def _blocks(matrix: ExactMatrix) -> list[tuple[int, int]]:
+    # The Jordan blocks (u, size) of the eigenvalues zeta_m^u, m = lcm(2,
+    # matrix.order): with r_j = rank((matrix - zeta I)^j), zeta has r_(j-1)
+    # - r_j blocks of size at least j.  Their sizes add up to n exactly
+    # when every eigenvalue is in mu_m.
+    blocks = []
+    for u, ranks in _rank_sequences(matrix).items():
+        at_least = _blocks_at_least(ranks)
+        for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
+            blocks += [(u, size)] * (a - b)
+    return blocks
+
+
 def jordan_type(matrix: ExactMatrix, order: int) -> JordanType:
     """Jordan type of a matrix whose eigenvalues are roots of unity of
     Q(zeta_N), N = lcm(order, matrix.order): mu_m, m = lcm(2, N), each
-    written at order N.  With r_j = rank((matrix - zeta I)^j), zeta has
-    r_(j-1) - r_j blocks of size at least j, so r_(j-1) - 2 r_j + r_(j+1)
-    of size exactly j.
-    """
+    written at order N (see _blocks)."""
     (matrix,), _ = _lift_to_common((matrix,), order)
     if not is_quasi_unipotent(matrix, matrix.order):  # also rejects a non-square matrix
         raise NotQuasiUnipotent(f"eigenvalues are not all roots of unity of Q(zeta_{matrix.order})")
-    blocks: list[tuple[CycNumber, int]] = []
-    for u, ranks in _rank_sequences(matrix).items():
-        zeta = _root_of_unity(matrix.order, u)
-        at_least = _blocks_at_least(ranks)
-        for size, (a, b) in enumerate(zip(at_least, at_least[1:] + [0]), start=1):
-            blocks.extend([(zeta, size)] * (a - b))
-    return JordanType.from_blocks(blocks)
+    return JordanType.from_blocks((_root_of_unity(matrix.order, u), size) for u, size in _blocks(matrix))
 
 
 def centralizer_dim(matrix: ExactMatrix) -> int:
@@ -568,16 +572,22 @@ def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
 
 
 def is_somewhere_maximal(t: MonodromyTuple) -> Puncture | None:
-    """First puncture whose local monodromy is a single Jordan block.
+    """First puncture whose local monodromy is a single Jordan block with
+    its eigenvalue in mu_m, m = lcm(2, N), the roots of unity of Q(zeta_N).
 
     Punctures are scanned with infinity first, then the finite punctures in
     listed order; infinity is where the maximal block of the families built
     here lives, and the certificates in this library name it whenever it
-    qualifies.  Returns None when no puncture qualifies.
+    qualifies.  A point with an eigenvalue outside mu_m is no witness, but
+    the scan goes on past it.  When no puncture qualifies, returns None if
+    every point is quasi-unipotent and raises NotQuasiUnipotent otherwise.
     """
-    for p in (INFINITY,) + t.punctures:
-        if t.jordan_at(p).block_count == 1:
+    points = (INFINITY,) + t.punctures
+    for p in points:
+        if [size for _, size in _blocks(t.monodromy_at(p))] == [t.rank]:
             return p
+    if not all(is_quasi_unipotent(t.monodromy_at(p), t.order) for p in points):
+        raise NotQuasiUnipotent(f"eigenvalues are not all roots of unity of Q(zeta_{t.order})")
     return None
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rigidcalc import CycNumber, ExactMatrix, MonodromyTuple, MultiplicityFunction
+from rigidcalc import CycNumber, ExactMatrix, MonodromyTuple, MultiplicityFunction, make_tuple
 
 
 def random_rational(rng: random.Random, span: int = 4) -> Fraction:
@@ -106,3 +106,18 @@ def brute_force_irreducible(t: MonodromyTuple) -> bool:
         if rank == target:
             return True
         level = next_level
+
+
+def hypergeometric_over_q(a, b):
+    """(C_a, C_a^-1 C_b) at 0 and 1 for rational parameters, which may be no
+    roots of unity: irreducible when no a_i equals a b_j."""
+    def companion(roots):
+        coeffs = [1]
+        for r in roots:
+            coeffs = [0] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+        return ExactMatrix.companion(coeffs)
+
+    ca, cb = companion(a), companion(b)
+    return make_tuple(1, ["0", "1"], [ca, ca.inverse() * cb])

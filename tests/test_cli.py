@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from rigidcalc import CycNumber, ExactMatrix, build_F, hypergeometric_tuple, serialization as ser
+from rigidcalc import CycNumber, ExactMatrix, build_F, hypergeometric_tuple, make_tuple, serialization as ser
 from rigidcalc.cli import main
+
+from helpers import hypergeometric_over_q
 
 
 @pytest.fixture
@@ -294,6 +296,34 @@ class TestKatzReduceCli:
         code, out, err = run(capsys, "katz-reduce", str(path))
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "irreducible" in err and "Traceback" not in err
+
+
+def rational_hypergeometric_path(tmp_path, a, b):
+    path = tmp_path / "rational.json"
+    path.write_text(ser.canonical_dumps(ser.tuple_to_json(hypergeometric_over_q(a, b))))
+    return str(path)
+
+
+class TestEigenvaluesOutsideTheField:
+    def test_katz_reduce_with_the_eigenvalue_two(self, capsys, tmp_path):
+        path = rational_hypergeometric_path(tmp_path, [2, -1, -1, -1, -1], [1, 1, 1, 1, 3])
+        code, out, err = run(capsys, "katz-reduce", path, "--format", "json")
+        assert (code, err) == (0, "")
+        assert [step["rank"] for step in json.loads(out)["steps"]] == [4, 3, 2, 1]
+
+    def test_katz_reduce_without_progress_exits_two(self, capsys, tmp_path):
+        path = rational_hypergeometric_path(tmp_path, [2, 2, -1, -1], [1, 1, 3, 3])
+        code, out, err = run(capsys, "katz-reduce", path)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "did not decrease rank" in err and "Traceback" not in err
+
+    def test_regular_witness_after_golden_ratio_infinity(self, capsys, tmp_path):
+        t = make_tuple(1, ["0", "1"], [ExactMatrix.from_rows([[0, 1], [1, 0]]),
+                                       ExactMatrix.from_rows([[1, 1], [0, 1]])])
+        path = tmp_path / "golden.json"
+        path.write_text(ser.canonical_dumps(ser.tuple_to_json(t)))
+        code, out, err = run(capsys, "regular", str(path))
+        assert (code, out.strip(), err) == (0, "RegularViaLemma(1)", "")
 
 
 class TestWeil:

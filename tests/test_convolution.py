@@ -38,7 +38,7 @@ from rigidcalc.errors import (
     ZeroScalar,
 )
 
-from helpers import random_cyc
+from helpers import hypergeometric_over_q, random_cyc
 
 
 def mat(rows, order=None):
@@ -737,21 +737,6 @@ def fresh_copy(t):
     return make_tuple(t.order, t.punctures, mats)
 
 
-def hypergeometric_over_q(a, b):
-    """(C_a, C_a^-1 C_b) at 0 and 1 for rational parameters, which may be no
-    roots of unity: irreducible when no a_i equals a b_j."""
-    def companion(roots):
-        coeffs = [1]
-        for r in roots:
-            coeffs = [0] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        return ExactMatrix.companion(coeffs)
-
-    ca, cb = companion(a), companion(b)
-    return make_tuple(1, ["0", "1"], [ca, ca.inverse() * cb])
-
-
 class TestKatzReducePlan:
     """katz_reduce takes its first step exactly and reads every later one
     off the input's Jordan blocks (Dettweiler-Reiter's local data of
@@ -784,17 +769,33 @@ class TestKatzReducePlan:
             assert planned_reduction(t) == exact_reduction(t)
             assert planned_reduction(t)[0] is error
 
-    def test_eigenvalues_outside_the_field_take_exact_steps(self):
+    def test_eigenvalues_outside_the_field_are_planned(self):
         # Eigenvalue 2 is no root of unity: Katz's choice sees only mu_2,
-        # and nothing is planned.  a = (2, -1, -1) with b = (1, 1, 3)
-        # reduces to rank 1; b = (1, 3, 5) takes lambda = 1 at step 2,
-        # where the rank stays 2.
+        # and the plan keeps the block of 2 at its size.  a = (2, -1, -1)
+        # with b = (1, 1, 3) reduces to rank 1; b = (1, 3, 5) takes
+        # lambda = 1 at step 2, where the rank stays 2.
         reduces = hypergeometric_over_q([2, -1, -1], [1, 1, 3])
         assert [step[2] for step in exact_reduction(reduces)] == [2, 1]
         assert planned_reduction(reduces) == exact_reduction(reduces)
         stuck = hypergeometric_over_q([2, -1, -1], [1, 3, 5])
         assert exact_reduction(stuck) == (NoProgress, "reduction step did not decrease rank (2 -> 2)")
         assert planned_reduction(stuck) == exact_reduction(stuck)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ([2, -1, -1, -1, -1], [1, 1, 1, 1, 3], [4, 3, 2, 1]),
+        ([2, -1, -1, -1], [1, 1, 1, 3], [3, 2, 1]),
+        ([2, 2, -1, -1], [1, 1, 3, 3], (NoProgress, "reduction step did not decrease rank (2 -> 2)")),
+    ])
+    def test_eigenvalue_two_takes_one_exact_step(self, monkeypatch, a, b, expected):
+        # outside mu_2: 2 at 0, prod(b) / prod(a) at 1, 1/3 at infinity
+        t = hypergeometric_over_q(a, b)
+        exact = exact_reduction(t)
+        assert (exact if isinstance(exact, tuple) else [step[2] for step in exact]) == expected
+        calls = []
+        step = convolution.katz_reduce_step
+        monkeypatch.setattr(convolution, "katz_reduce_step", lambda s: calls.append(s) or step(s))
+        assert planned_reduction(t) == exact
+        assert calls == [t]
 
     def test_one_exact_step(self, monkeypatch):
         t = build_F(8)

@@ -16,10 +16,13 @@ below 1 alike.  The JSON parsers format an error message only when a check
 fails, so no valid document pays for one.  The rank sequences are ranked at the matrix's own
 order and called with the matrix alone, so no caller can key them by a
 second order again; and every private helper is used somewhere in the
-package besides its own body, so dead helpers cannot pile up.  Katz
-reduction reads a matrix's rank sequences through one helper, which turns
-them into Jordan blocks, and katz_reduce builds tuples only through the
-exact katz_reduce_step, so every later step stays a plan on those blocks.
+package besides its own body, so dead helpers cannot pile up.  One
+helper, monodromy._blocks, turns a matrix's rank sequences into Jordan
+blocks; besides it only is_quasi_unipotent and centralizer_dim read the
+sequences, and convolution reads none of them, so Katz reduction and
+jordan_type see the same blocks.  katz_reduce builds tuples only through
+the exact katz_reduce_step, so every later step stays a plan on those
+blocks.
 """
 from __future__ import annotations
 
@@ -361,7 +364,10 @@ def test_katz_reduce_convolves_only_through_the_exact_step():
     assert reachable(sample, "a") == {"a", "b", "d", "e"}
     assert reachable(sample, "a", avoid="b") == {"a", "d"}
     convolution = ast.parse((PACKAGE / "convolution.py").read_text())
-    assert references(convolution, "_rank_sequences") == ["_blocks"]
+    assert references(convolution, "_rank_sequences") == []
+    assert references(convolution, "_blocks_at_least") == []
+    monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
+    assert set(references(monodromy, "_rank_sequences")) == {"_blocks", "is_quasi_unipotent", "centralizer_dim"}
     built = {"middle_convolution", "tensor_rank_one"}
     assert built <= reachable(convolution, "katz_reduce")
     assert not built & reachable(convolution, "katz_reduce", avoid="katz_reduce_step")

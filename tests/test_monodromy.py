@@ -891,6 +891,14 @@ class TestSomewhereMaximal:
         with pytest.raises(NotQuasiUnipotent):
             is_somewhere_maximal(t)
 
+    def test_witness_after_a_point_outside_the_field(self):
+        # golden-ratio eigenvalues at infinity, U(2) at 1: the scan passes
+        # infinity and finds the witness at 1
+        t = make_tuple(1, ["0", "1"], [mat([[0, 1], [1, 0]]), mat([[1, 1], [0, 1]])])
+        assert not is_quasi_unipotent(t.at_infinity, 1)
+        assert is_somewhere_maximal(t) == Puncture.finite(1)
+        assert str(certify_regular(t)) == "RegularViaLemma(1)"
+
 
 class TestJordanNotation:
     def test_mixed(self):
