@@ -355,7 +355,8 @@ def katz_reduce(t: MonodromyTuple) -> ReductionTrace:
     Systems (1996), ch. 5; Dettweiler-Reiter, J. Symbolic Comput. 30 (2000),
     section 3), so every tuple of the chain is irreducible and rigid.  For
     lambda != 1 Dettweiler-Reiter give the local data of MC_lambda, with
-    J(alpha, l) a Jordan block:
+    A_inf = (A_r ... A_1)^-1, the product whose lambda-eigenspace is the
+    fixed space of middle_convolution, and J(alpha, l) a Jordan block:
     - rank sum_k rk(A_k - 1) + rk(A_inf - lambda) - n, where rk(A - alpha)
       is n minus the number of blocks of alpha;
     - at a finite puncture J(1, l) -> J(lambda, l - 1), J(lambda^-1, l) ->

@@ -2,9 +2,20 @@
 
 Given parameter lists a_1..a_n and b_1..b_n of roots of unity, let A and B
 be the companion matrices of prod(T - a_j) and prod(T - b_j).  The tuple
-places B^-1 at 0 and A^-1 B at 1, so the derived monodromy at infinity is
-B^-1 A B; local eigenvalue data is therefore b_j^-1 at 0 and a_j at infinity,
-and A^-1 B - I has rank at most 1 (a pseudo-reflection at 1).
+places B^-1 at 0 and A^-1 B at 1, so the derived monodromy at infinity,
+(A^-1 B B^-1)^-1, is A itself: the Beukers-Heckman normal form A_inf A_1 A_0
+= I (Levelt's theorem; Beukers-Heckman, Invent. Math. 95 (1989), section
+3).  Local eigenvalue data is therefore b_j^-1 at 0 and a_j at infinity, and
+A^-1 B - I has rank at most 1 (a pseudo-reflection at 1).
+
+Both generators are built in closed form, with no matrix inverse or
+product.  For a companion matrix C of T^n + c_(n-1) T^(n-1) + ... + c_0,
+C e_i = e_(i+1) for i < n - 1, so C^-1 has ones on the superdiagonal, and
+C e_(n-1) = -(c_0, ..., c_(n-1)) gives column 0 of C^-1 as -c_0^-1 (c_1,
+..., c_(n-1), 1).  Here c_0 = (-1)^n prod of the roots is a root of unity,
+so c_0^-1 is its complex conjugate.  A and B differ only in their last
+columns, -alpha and -beta for the coefficient vectors alpha and beta, so
+A^-1 B = I + A^-1 (alpha - beta) e_n^T.
 
 A multiplicity function m on roots of unity != 1 selects a_j = 1 (n times)
 and each key zeta repeated m(zeta) times, which produces one unipotent
@@ -69,11 +80,20 @@ def hypergeometric_tuple(a_params, b_params, order: int) -> MonodromyTuple:
         if value.multiplicative_order() is None:
             raise NotRootOfUnity(f"{value} is not a root of unity")
     params, order = _lift_to_common(a_list + b_list, order)
-    a_mat = ExactMatrix.companion(poly.from_roots(params[: len(a_list)]), order=order)
-    b_mat = ExactMatrix.companion(poly.from_roots(params[len(a_list) :]), order=order)
-    at_zero = b_mat.inverse()
-    at_one = a_mat.inverse() * b_mat
-    return MonodromyTuple(order, ["0", "1"], [at_zero, at_one])
+    n = len(a_list)
+    alpha, beta = poly.from_roots(params[:n]), poly.from_roots(params[n:])
+    zero, one = CycNumber.zero(order), CycNumber.one(order)
+    # B^-1: ones on the superdiagonal, column 0 = -beta_0^-1 (beta_1, ..., beta_n)
+    f = -beta[0].conjugate()
+    at_zero = [f * beta[i + 1] if j == 0 else one if j == i + 1 else zero for i in range(n) for j in range(n)]
+    # A^-1 B = I + w e_n^T, w = A^-1 d for d = alpha - beta, whose d_n is 0
+    d = [x - y for x, y in zip(alpha, beta)]
+    f = d[0] * alpha[0].conjugate()
+    at_one = [one if i == j else zero for i in range(n) for j in range(n)]
+    for i in range(n):
+        at_one[i * n + n - 1] += d[i + 1] - f * alpha[i + 1]
+    matrices = [ExactMatrix(n, n, entries, order=order) for entries in (at_zero, at_one)]
+    return MonodromyTuple(order, ["0", "1"], matrices)
 
 
 def from_multiplicity_function(m: MultiplicityFunction | dict, order: int) -> MonodromyTuple:

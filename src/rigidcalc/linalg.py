@@ -20,11 +20,13 @@ class ExactMatrix:
     """A dense matrix over Q(zeta_N).
 
     ``_sequences`` is None or the ``{u: ranks}`` table of
-    ``monodromy._rank_sequences``, filled on first use and touched only
-    there; it takes no part in equality, hashing or display.
+    ``monodromy._rank_sequences``, and ``_residues`` None or the pair of
+    residue rows and charpoly mod p of ``monodromy._reduced``.  Each is
+    filled on first use and touched only there; neither takes part in
+    equality, hashing or display.
     """
 
-    __slots__ = ("rows", "cols", "order", "entries", "_sequences")
+    __slots__ = ("rows", "cols", "order", "entries", "_sequences", "_residues")
 
     def __init__(self, rows: int, cols: int, entries, order: int | None = None):
         if rows < 0 or cols < 0:
@@ -53,6 +55,7 @@ class ExactMatrix:
         self.order = common
         self.entries = values
         self._sequences = None
+        self._residues = None
 
     # -- constructors -----------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 A local system of rank n on P^1 minus r finite punctures and infinity is
 stored as the ordered matrices (A_1, ..., A_r) at the finite punctures; the
-monodromy at infinity is derived as (A_1 ... A_r)^-1 so the product over all
-punctures is the identity.
+monodromy at infinity is derived as (A_r ... A_1)^-1, so that A_inf A_r ...
+A_1 = I.  This is the package's one product relation: middle convolution's
+fixed space and Dettweiler-Reiter's local data assume it.
 
 The module also provides the conjugation-invariant local data: Jordan types
 of quasi-unipotent matrices, centralizer dimensions, the rigidity index
@@ -164,7 +165,7 @@ class RegularityCertificate:
 class MonodromyTuple:
     """Ordered invertible matrices at labeled finite punctures."""
 
-    __slots__ = ("order", "rank", "punctures", "matrices", "_at_infinity", "_reduction")
+    __slots__ = ("order", "rank", "punctures", "matrices", "_at_infinity", "_irreducible")
 
     def __init__(self, order: int, punctures, matrices):
         punctures = tuple(Puncture.finite(p) for p in punctures)
@@ -182,13 +183,10 @@ class MonodromyTuple:
         if n == 0:
             raise DimensionMismatch("a tuple needs rank at least 1")
         matrices, common = _lift_to_common(matrices, order)
-        # Each generator is reduced once: its residue rows and chi-bar, which
-        # Norton's test and the F_p closure read and never change.  chi-bar(0)
-        # = (-1)^n det mod p, so chi-bar(0) != 0 proves it invertible (see modp).
-        p, _ = residue_prime(common)
-        generators = tuple(modp.rows(m) for m in matrices)
-        charpolys = tuple(None if rows is None else modp.charpoly(rows, p) for rows in generators)
-        for point, m, chi in zip(punctures, matrices, charpolys):
+        # chi-bar(0) = (-1)^n det mod p, so chi-bar(0) != 0 proves a
+        # generator invertible (see modp).
+        for point, m in zip(punctures, matrices):
+            _, chi = _reduced(m)
             if (chi is None or not chi[0]) and m.rank() != n:
                 raise SingularMatrix(f"monodromy at {point} is singular")
         self.order = common
@@ -196,17 +194,26 @@ class MonodromyTuple:
         self.punctures = punctures
         self.matrices = matrices
         self._at_infinity = None
-        self._reduction = None if None in generators else (p, generators, charpolys)
+        self._irreducible = None
 
     @property
     def at_infinity(self) -> ExactMatrix:
-        """(A_1 ... A_r)^-1, the derived monodromy at infinity."""
+        """(A_r ... A_1)^-1, the derived monodromy at infinity: A_inf A_r
+        ... A_1 = I."""
         if self._at_infinity is None:
             product = self.matrices[0]
             for m in self.matrices[1:]:
-                product = product * m
+                product = m * product
             self._at_infinity = product.inverse()
         return self._at_infinity
+
+    @property
+    def _reduction(self):
+        """(p, residue rows, chi-bars) of the generators, read off each
+        generator's one reduction (_reduced); None when p divides a
+        denominator of some entry."""
+        rows, charpolys = zip(*map(_reduced, self.matrices))
+        return None if None in rows else (residue_prime(self.order)[0], rows, charpolys)
 
     def monodromy_at(self, point) -> ExactMatrix:
         if isinstance(point, str):
@@ -257,6 +264,20 @@ def is_quasi_unipotent(matrix: ExactMatrix, order: int) -> bool:
     return sum(ranks[0] - ranks[-1] for ranks in sequences) == matrix.rows
 
 
+def _reduced(matrix: ExactMatrix):
+    """(rows, chi-bar): the residues of a square matrix mod p =
+    residue_prime(matrix.order)[0], row by row, and their characteristic
+    polynomial over F_p; (None, None) when p divides a denominator.  A
+    matrix is reduced once: the pair stays in matrix._residues, which the
+    tuple's constructor, Norton's test, the F_p closure and the rank
+    sequences read and never change."""
+    if matrix._residues is None:
+        rows = modp.rows(matrix)
+        chi = None if rows is None else modp.charpoly(rows, residue_prime(matrix.order)[0])
+        matrix._residues = (rows, chi)
+    return matrix._residues
+
+
 def _rank_sequences(matrix: ExactMatrix) -> dict[int, list[int]]:
     """{u: [n, r_1, ..., r_k]} for each u in range(m), m = lcm(2, N), N =
     matrix.order, such that zeta = zeta_m^u is an eigenvalue, with r_j =
@@ -290,11 +311,10 @@ def _rank_sequences(matrix: ExactMatrix) -> dict[int, list[int]]:
     units = range(_unity_order(order))
     p, _ = residue_prime(order)
     g = _root_of_unity(order, 1).residue()
-    residues = modp.rows(matrix)
-    if residues is None:  # n binds no nullity: the ranks stop at 0 first
+    _, chi = _reduced(matrix)
+    if chi is None:  # n binds no nullity: the ranks stop at 0 first
         bounds = dict.fromkeys(units, n)
     else:
-        chi = modp.charpoly(residues, p)
         bounds = {u: modp.multiplicity(chi, pow(g, u, p), p) for u in units}
     rest = matrix.trace()  # tr - sum of a_u zeta_u over the finished u
     found = 0
@@ -475,10 +495,11 @@ def _spans_all_matrices_mod_p(t: MonodromyTuple) -> bool:
     entry (the reduction is undefined) or the span mod p is smaller than
     n^2; neither says anything about the tuple over K.
     """
-    if t._reduction is None:
+    reduction = t._reduction
+    if reduction is None:
         return False
     n = t.rank
-    p, generators, _ = t._reduction
+    p, generators, _ = reduction
 
     def multiply(rows, word):  # generator as rows, word and product flattened
         columns = [word[j::n] for j in range(n)]
@@ -492,11 +513,11 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     """Norton's irreducibility test on the generators reduced mod p.
 
     On the rows and chi-bars of t._reduction.  theta runs over A_k - zI and
-    P - zI, P = A_1 ... A_r mod p, for z over the residues g^u of the roots
-    of unity zeta_m^u of K, m = lcm(2, N), u < m, in turn, but only where z is a
-    root of that matrix's characteristic polynomial mod p: elsewhere theta
-    is invertible, so its nullity is 0, and one Horner evaluation shows
-    it.  The first theta of nullity exactly 1 mod p is taken, with ker
+    P - zI, P = A_r ... A_1 = A_inf^-1 mod p, for z over the residues g^u
+    of the roots of unity zeta_m^u of K, m = lcm(2, N), u < m, in turn, but
+    only where z is a root of that matrix's characteristic polynomial mod
+    p (P's is the one taken here): elsewhere theta is invertible, so its
+    nullity is 0, and one Horner evaluation shows it.  The first theta of nullity exactly 1 mod p is taken, with ker
     theta = F_p v and ker theta^T = F_p w; by Norton's lemma the verdict
     does not depend on which comes first.  Every theta lies in the algebra
     A generated by the reduced generators.  True when v spins to F_p^n under A and w under A^T; False
@@ -504,14 +525,15 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     p divides a denominator or no theta has nullity 1.  See
     is_absolutely_irreducible for what True proves.
     """
-    if t._reduction is None:
+    reduction = t._reduction
+    if reduction is None:
         return None
     n = t.rank
-    p, generators, charpolys = t._reduction
+    p, generators, charpolys = reduction
     g = _root_of_unity(t.order, 1).residue()
     product = generators[0]
     for rows in generators[1:]:
-        product = modp.mul(product, zip(*rows), p)
+        product = modp.mul(rows, zip(*product), p)
     matrices = generators + (product,)
     charpolys = charpolys + (modp.charpoly(product, p),)
 
@@ -540,7 +562,7 @@ def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
 
     Three stages; only the last can return False.  The first two read the
     residues of the generators mod p = residue_prime(t.order)[0], taken
-    once when the tuple was built.
+    once per generator (_reduced).
 
     1. Norton's test mod p (_norton_mod_p; Parker, "The computer
        calculation of modular characters (the MeatAxe)", 1984, in the form
@@ -563,12 +585,17 @@ def is_absolutely_irreducible(t: MonodromyTuple) -> bool:
     3. Otherwise (p divides a denominator, or the reduction is not
        absolutely irreducible, which can also happen for an irreducible
        tuple) the closure runs over K = Q(zeta_N), and its verdict is exact.
+
+    The verdict is taken once per tuple and kept in t._irreducible.
     """
-    verdict = _norton_mod_p(t)
-    if verdict or (verdict is None and _spans_all_matrices_mod_p(t)):
-        return True
-    identity = ExactMatrix.identity(t.rank, order=t.order)
-    return _spans_all_matrices(t.rank ** 2, identity, t.matrices, operator.mul, _SpanBasis())
+    if t._irreducible is None:
+        verdict = _norton_mod_p(t)
+        if verdict or (verdict is None and _spans_all_matrices_mod_p(t)):
+            t._irreducible = True
+        else:
+            identity = ExactMatrix.identity(t.rank, order=t.order)
+            t._irreducible = _spans_all_matrices(t.rank ** 2, identity, t.matrices, operator.mul, _SpanBasis())
+    return t._irreducible
 
 
 def is_somewhere_maximal(t: MonodromyTuple) -> Puncture | None:

@@ -7,6 +7,14 @@ from fractions import Fraction
 from rigidcalc import CycNumber, ExactMatrix, MonodromyTuple, MultiplicityFunction, make_tuple
 
 
+def product_relation(t: MonodromyTuple) -> ExactMatrix:
+    """A_inf A_r ... A_1, the identity by the package's one product relation."""
+    product = t.at_infinity
+    for m in reversed(t.matrices):
+        product = product * m
+    return product
+
+
 def random_rational(rng: random.Random, span: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from rigidcalc import CycNumber, ExactMatrix, build_F, hypergeometric_tuple, make_tuple, serialization as ser
+from rigidcalc import (
+    CycNumber, ExactMatrix, build_F, hypergeometric_tuple, make_tuple, rank_one_system, serialization as ser
+)
 from rigidcalc.cli import main
 
 from helpers import hypergeometric_over_q
@@ -296,6 +298,45 @@ class TestKatzReduceCli:
         code, out, err = run(capsys, "katz-reduce", str(path))
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "irreducible" in err and "Traceback" not in err
+
+
+class TestThreePuncturesCli:
+    """The rank-one system at 0, 1, 2 over Q(zeta_12) with scalars zeta^10,
+    zeta^5 and zeta^6 has rigidity index 2, and so has its MC with lambda =
+    zeta^11, of rank 3 (Dettweiler-Reiter).  Their local data at infinity
+    hold for (A_3 A_2 A_1)^-1: eigenvalues zeta, zeta and zeta^4."""
+
+    @pytest.fixture
+    def convolved_path(self, capsys, tmp_path):
+        z = CycNumber.zeta(12)
+        path = tmp_path / "rank_one.json"
+        t = rank_one_system(["0", "1", "2"], [z ** 10, z ** 5, z ** 6], 12)
+        path.write_text(ser.canonical_dumps(ser.tuple_to_json(t)))
+        code, out, err = run(capsys, "mc", str(path), "--lambda", "zeta12^11")
+        assert (code, err) == (0, "") and json.loads(out)["n"] == 3
+        path = tmp_path / "convolved.json"
+        path.write_text(out)
+        return path
+
+    def test_rigidity_is_two(self, capsys, convolved_path):
+        assert run(capsys, "rigidity", str(convolved_path), "--expect-rigid") == (0, "2\n", "")
+
+    def test_jordan_at_infinity(self, capsys, convolved_path):
+        code, out, err = run(capsys, "jordan", str(convolved_path), "--point", "inf")
+        assert (code, out, err) == (0, "(zeta3) (+) (zeta12)^{+2}\n", "")
+
+    def test_katz_reduce_takes_one_step_to_rank_one(self, capsys, convolved_path):
+        code, out, err = run(capsys, "katz-reduce", str(convolved_path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert [step["rank"] for step in json.loads(out)["steps"]] == [1]
+
+    def test_reversed_tuple_is_not_rigid(self, capsys, convolved_path):
+        document = json.loads(convolved_path.read_text())
+        document["matrices"].reverse()
+        convolved_path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "katz-reduce", str(convolved_path))
+        assert (code, out) == (2, "")
+        assert err == "error: rigidity index is 0, not 2\n"
 
 
 def rational_hypergeometric_path(tmp_path, a, b):

@@ -24,6 +24,7 @@ from rigidcalc import (
     tensor_rank_one,
 )
 from rigidcalc import convolution, serialization
+from rigidcalc.cyclotomic import _root_of_unity, _unity_order
 from rigidcalc.errors import (
     AlreadyRankOne,
     NegativeIndex,
@@ -38,7 +39,7 @@ from rigidcalc.errors import (
     ZeroScalar,
 )
 
-from helpers import hypergeometric_over_q, random_cyc
+from helpers import hypergeometric_over_q, product_relation, random_cyc
 
 
 def mat(rows, order=None):
@@ -46,14 +47,14 @@ def mat(rows, order=None):
 
 
 def local_types(t):
-    return {str(p): t.jordan_at(p) for p in ("0", "1", "inf")}
+    return {str(p): t.jordan_at(p) for p in t.punctures + (INFINITY,)}
 
 
 def infinity_by_inverse(matrices):
-    # (A_1 ... A_r)^-1 formed here, not through MonodromyTuple.at_infinity
+    # (A_r ... A_1)^-1 formed here, not through MonodromyTuple.at_infinity
     product = matrices[0]
     for m in matrices[1:]:
-        product = product * m
+        product = m * product
     return product.inverse()
 
 
@@ -85,6 +86,26 @@ def seeded_hypergeometric(rng, order, min_rank=1):
     a = [CycNumber.zeta(order, rng.choice(exponents[:cut])) for _ in range(n)]
     b = [CycNumber.zeta(order, rng.choice(exponents[cut:])) for _ in range(n)]
     return hypergeometric_tuple(a, b, order)
+
+
+def seeded_walk(rng, order, max_rank=7, tries=6):
+    """MC/twist walk on the punctures 0, 1, 2 over Q(zeta_order): from a
+    rank-one system with scalars != 1, each try twists by seeded roots of
+    unity and convolves with a seeded lambda != 1 in mu_lcm(2, N), and is
+    kept when the rank grows and stays at most max_rank.  Every tuple of
+    the walk is irreducible and rigid (Katz, Rigid Local Systems, ch. 5)."""
+    m = _unity_order(order)
+    t = rank_one_system(["0", "1", "2"], [_root_of_unity(order, rng.randrange(1, m)) for _ in range(3)], order)
+    walk = [t]
+    for _ in range(tries):
+        twist = RankOneData.of([_root_of_unity(order, rng.randrange(m)) for _ in range(3)], order)
+        try:
+            out = middle_convolution(tensor_rank_one(walk[-1], twist), _root_of_unity(order, rng.randrange(1, m)))
+        except ZeroRank:
+            continue
+        if walk[-1].rank < out.rank <= max_rank:
+            walk.append(out)
+    return walk
 
 
 def direct_sum(s, t):
@@ -283,8 +304,7 @@ class TestMiddleConvolution:
 
     def test_product_relation_preserved(self):
         out = middle_convolution(build_F(2), -1)
-        product = out.matrices[0] * out.matrices[1]
-        assert product * out.at_infinity == ExactMatrix.identity(out.rank, order=out.order)
+        assert product_relation(out) == ExactMatrix.identity(out.rank, order=out.order)
 
     def test_lambda_outside_field_lifts_order(self):
         t = make_tuple(1, ["0", "1"], [mat([[1, 1], [0, 1]]), mat([[1, 0], [1, 1]])])
@@ -460,10 +480,7 @@ class TestDettweilerReiterDimension:
             return 0
         out = middle_convolution(t, lam)
         assert out.rank == expected
-        product = out.matrices[0]
-        for m in out.matrices[1:]:
-            product = product * m
-        assert product * out.at_infinity == ExactMatrix.identity(out.rank, order=out.order)
+        assert product_relation(out) == ExactMatrix.identity(out.rank, order=out.order)
         return expected
 
     def test_family_at_minus_one(self):
@@ -559,6 +576,16 @@ class TestDettweilerReiterLocalData:
         for _ in range(2):
             assert self.check(seeded_hypergeometric(rng, order, min_rank=2))
 
+    @pytest.mark.parametrize("order", [12, 8])
+    def test_three_puncture_walks_every_lambda(self, rng, order):
+        # the local data at infinity hold for (A_3 A_2 A_1)^-1, which
+        # (A_1 A_2 A_3)^-1 need not even be conjugate to
+        for _ in range(2):
+            walk = seeded_walk(rng, order)
+            assert len(walk) > 1, "the walk never moved"
+            for t in walk:
+                assert self.check(t)
+
     def test_negated_cube_root_at_order_three(self):
         # a = (zeta3, zeta3^2), b = (1, 1), lambda = -zeta3 = zeta6^5, a
         # root of unity of Q(zeta_3) outside mu_3
@@ -585,6 +612,53 @@ class TestMiddleConvolutionInverse:
                 back = middle_convolution(middle_convolution(t, lam), lam.inverse())
                 assert back.rank == t.rank, (t, k)
                 assert local_types(back) == types, (t, k)
+
+    @pytest.mark.parametrize("order", [12, 8])
+    def test_three_puncture_walks_every_lambda(self, rng, order):
+        checked = 0
+        for _ in range(2):
+            for t in seeded_walk(rng, order)[1:]:
+                assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
+                types = local_types(t)
+                for lam in roots_of_unity(order)[1:]:
+                    back = middle_convolution(middle_convolution(t, lam), lam.inverse())
+                    assert back.rank == t.rank, (t, lam)
+                    assert local_types(back) == types, (t, lam)
+                checked += 1
+        assert checked, "no walk moved"
+
+
+class TestThreePunctureWalks:
+    """Seeded MC/twist walks on the punctures 0, 1, 2 (seeded_walk), read
+    with the one product relation A_inf A_3 A_2 A_1 = I."""
+
+    @pytest.mark.parametrize("order", [12, 8])
+    def test_every_step_is_rigid_and_reduces_back(self, rng, order):
+        # Katz's first step takes the least rank over every twist and
+        # lambda in mu_lcm(2, N), since each local term of Dettweiler-
+        # Reiter's rank is least at its own point.  MC_(lambda^-1) undoes
+        # the walk's last step, so that rank is at most the previous one.
+        for _ in range(3):
+            walk = seeded_walk(rng, order)
+            assert len(walk) > 1, "the walk never moved"
+            for before, t in zip(walk, walk[1:]):
+                assert is_absolutely_irreducible(t) and rigidity_index(t) == 2, t
+                ranks = [step.rank for step in katz_reduce(t).steps]
+                assert ranks[0] <= before.rank, (t, ranks)
+                assert ranks == sorted(set(ranks), reverse=True) and ranks[-1] == 1, (t, ranks)
+
+    def test_reversed_tuple_is_not_rigid(self):
+        # the rank-3 tuple of TestThreePuncturesCli: its reversal (A_3, A_2,
+        # A_1) has A_inf^-1 = A_1 A_2 A_3, not conjugate to A_3 A_2 A_1
+        z = CycNumber.zeta(12)
+        t = middle_convolution(rank_one_system(["0", "1", "2"], [z ** 10, z ** 5, z ** 6], 12), z ** 11)
+        assert rigidity_index(t) == 2
+        assert t.jordan_at("inf") == JordanType.from_blocks([(z ** 4, 1), (z, 1), (z, 1)])
+        reversed_tuple = make_tuple(12, t.punctures, t.matrices[::-1])
+        assert is_absolutely_irreducible(reversed_tuple)
+        assert rigidity_index(reversed_tuple) == 0
+        with pytest.raises(NotRigid, match="rigidity index is 0, not 2"):
+            katz_reduce(reversed_tuple)
 
 
 class TestMiddleConvolutionComposition:
@@ -732,7 +806,8 @@ def planned_reduction(t):
 
 
 def fresh_copy(t):
-    # the same tuple with no rank sequence or infinity monodromy memoized
+    # the same tuple with nothing memoized: no rank sequence, reduction mod
+    # p, infinity monodromy or irreducibility verdict
     mats = [ExactMatrix(m.rows, m.cols, m.entries, m.order) for m in t.matrices]
     return make_tuple(t.order, t.punctures, mats)
 
@@ -758,6 +833,14 @@ class TestKatzReducePlan:
             t = seeded_hypergeometric(rng, order, min_rank=2)
             expected = exact_reduction(t)
             assert isinstance(expected, list) and expected[-1][2] == 1
+            assert planned_reduction(t) == expected, t
+
+    @pytest.mark.parametrize("order", [12, 8])
+    def test_three_puncture_walks(self, rng, order):
+        for _ in range(2):
+            t = seeded_walk(rng, order)[-1]
+            expected = exact_reduction(t)
+            assert isinstance(expected, list) and expected[-1][2] == 1, t
             assert planned_reduction(t) == expected, t
 
     def test_errors(self):

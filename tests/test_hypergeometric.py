@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import pytest
 
+from rigidcalc import poly, serialization as ser
 from rigidcalc import (
     INFINITY,
     CycNumber,
@@ -13,6 +15,7 @@ from rigidcalc import (
     hypergeometric_tuple,
     is_absolutely_irreducible,
     is_somewhere_maximal,
+    make_tuple,
     rigidity_index,
 )
 from rigidcalc.errors import DimensionMismatch, EmptyParameters, EmptySupport, NotRootOfUnity
@@ -21,6 +24,18 @@ from rigidcalc.errors import DimensionMismatch, EmptyParameters, EmptySupport, N
 def pseudo_reflection_rank(t):
     a1 = t.monodromy_at(1)
     return (a1 - ExactMatrix.identity(t.rank, order=t.order)).rank()
+
+
+def inverse_reference(a_params, b_params, order):
+    """(B^-1, A^-1 B, A) for the companion matrices A and B of prod(T - a_j)
+    and prod(T - b_j), through ExactMatrix.inverse and a matrix product."""
+    a = [CycNumber.coerce(x, order) for x in a_params]
+    b = [CycNumber.coerce(x, order) for x in b_params]
+    order = math.lcm(order, *(x.order for x in a + b))
+    a_mat, b_mat = (
+        ExactMatrix.companion(poly.from_roots([x.lift(order) for x in roots]), order=order) for roots in (a, b)
+    )
+    return b_mat.inverse(), a_mat.inverse() * b_mat, a_mat
 
 
 def random_multiplicity(rng, max_rank=6):
@@ -55,8 +70,7 @@ class TestHypergeometricTuple:
         z = CycNumber.zeta(3)
         t = hypergeometric_tuple([1, 1], [z, z * z], 3)
         # A = companion of (T-1)^2 = T^2 - 2T + 1, B = companion of T^2+T+1
-        a = t.at_infinity  # conjugate of A: same Jordan data
-        assert a.charpoly() == ExactMatrix.from_rows([[0, -1], [1, 2]]).charpoly()
+        assert t.at_infinity == ExactMatrix.from_rows([[0, -1], [1, 2]], order=3)  # A itself
         assert t.monodromy_at(0).inverse().charpoly() == ExactMatrix.from_rows(
             [[0, -1], [1, -1]], order=3
         ).charpoly()
@@ -121,6 +135,50 @@ class TestMultiplicityFunction:
         minus_one_b = CycNumber.from_raw([0, 0, 1, 0], 4)
         with pytest.raises(ValueError):
             MultiplicityFunction.of([(minus_one_a, 1), (minus_one_b, 2)])
+
+
+class TestClosedForm:
+    """B^-1 and A^-1 B from the coefficients alone (Levelt's closed form)
+    equal the build through ExactMatrix.inverse, and A_inf = (A_1 A_0)^-1
+    is A itself."""
+
+    def check(self, t, a_params, b_params, order):
+        at_zero, at_one, at_infinity = inverse_reference(a_params, b_params, order)
+        assert t.matrices == (at_zero, at_one), (a_params, b_params, order)
+        assert t.at_infinity == at_infinity, (a_params, b_params, order)
+        reference = make_tuple(t.order, ["0", "1"], [at_zero, at_one])
+        assert ser.canonical_dumps(ser.tuple_to_json(t)) == ser.canonical_dumps(ser.tuple_to_json(reference))
+
+    def test_seeded_parameters(self, rng):
+        # beta_0 is not +-1 on most of these, so c_0^-1 != c_0 is exercised
+        for _ in range(60):
+            order, n = rng.randint(1, 24), rng.randint(1, 6)
+            roots = [s * CycNumber.zeta(order, k) for s in (1, -1) for k in range(order)]
+            a, b = ([rng.choice(roots) for _ in range(n)] for _ in range(2))
+            self.check(hypergeometric_tuple(a, b, order), a, b, order)
+
+    def test_multiplicity_functions(self, rng):
+        for _ in range(30):
+            m, order = random_multiplicity(rng)
+            b = [key for key, mult in m.items() for _ in range(mult)]
+            self.check(from_multiplicity_function(m, order), [1] * m.rank, b, order)
+
+    def test_no_matrix_inverse_or_product(self, rng, monkeypatch):
+        calls = []
+        inverse, product = ExactMatrix.inverse, ExactMatrix.__mul__
+
+        def counted_product(m, x):
+            if isinstance(x, ExactMatrix):
+                calls.append("product")
+            return product(m, x)
+
+        monkeypatch.setattr(ExactMatrix, "inverse", lambda m: calls.append("inverse") or inverse(m))
+        monkeypatch.setattr(ExactMatrix, "__mul__", counted_product)
+        z = CycNumber.zeta(12)
+        hypergeometric_tuple([z, z ** 4, -1], [1, z ** 7, z ** 2], 12)
+        for _ in range(10):
+            from_multiplicity_function(*random_multiplicity(rng))
+        assert calls == []
 
 
 class TestRandomCorpus:

@@ -205,17 +205,38 @@ def test_only_monodromy_touches_the_rank_sequence_memo():
     assert set(references(monodromy, "_sequences")) == {"_rank_sequences"}
 
 
+def test_only_monodromy_touches_the_residue_memo():
+    # A matrix's residue rows and charpoly mod p are filled and read by
+    # monodromy._reduced alone; linalg only creates the empty slot.
+    for path in PACKAGE.glob("*.py"):
+        uses = references(ast.parse(path.read_text()), "_residues")
+        if path.stem == "linalg":
+            assert uses == ["__init__"]
+        elif path.stem != "monodromy":
+            assert uses == [], path
+    monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
+    assert set(references(monodromy, "_residues")) == {"_reduced"}
+
+
+def test_only_monodromy_touches_the_irreducibility_memo():
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "monodromy":
+            assert references(ast.parse(path.read_text()), "_irreducible") == [], path
+    monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
+    assert set(references(monodromy, "_irreducible")) == {"__init__", "is_absolutely_irreducible"}
+
+
 def test_generators_are_reduced_once_per_tuple():
     sample = ast.parse("class C:\n    def f(self):\n        modp.rows(m)\n        m.rows\ndef g():\n    h = modp.rows\n")
     assert attribute_uses(sample, "modp", "rows") == ["C.f", "g"]
     monodromy = ast.parse((PACKAGE / "monodromy.py").read_text())
-    assert attribute_uses(monodromy, "modp", "rows") == ["MonodromyTuple.__init__", "_rank_sequences"]
+    assert attribute_uses(monodromy, "modp", "rows") == ["_reduced"]
+    # the one other charpoly mod p is that of Norton's product A_r ... A_1
+    assert attribute_uses(monodromy, "modp", "charpoly") == ["_reduced", "_norton_mod_p"]
     for path in PACKAGE.glob("*.py"):
         if path.stem != "monodromy":
             assert references(ast.parse(path.read_text()), "_reduction") == [], path
-    assert set(references(monodromy, "_reduction")) == {
-        "__init__", "_spans_all_matrices_mod_p", "_norton_mod_p"
-    }
+    assert set(references(monodromy, "_reduction")) == {"_spans_all_matrices_mod_p", "_norton_mod_p"}
 
 
 def lcm_calls(tree: ast.AST, matches) -> list[str | None]:

@@ -51,6 +51,7 @@ from rigidcalc.monodromy import (
 from helpers import (
     brute_force_irreducible,
     jordan_matrix,
+    product_relation,
     random_cyc,
     random_invertible,
     random_multiplicity,
@@ -184,11 +185,13 @@ class TestMonodromyAt:
             build_F(0).monodromy_at(5)
 
     def test_product_relation(self):
-        t = build_F(3)
-        product = t.matrices[0]
-        for m in t.matrices[1:]:
-            product = product * m
-        assert product * t.at_infinity == ExactMatrix.identity(t.rank, order=t.order)
+        # A_inf A_r ... A_1 = I; at three punctures the order of the
+        # product matters, as A_3 A_2 A_1 != A_1 A_2 A_3 there
+        three = involution_four_puncture_tuple()
+        a1, a2, a3 = three.matrices
+        assert a3 * a2 * a1 != a1 * a2 * a3
+        for t in (build_F(3), three):
+            assert product_relation(t) == ExactMatrix.identity(t.rank, order=t.order)
 
 
 class TestQuasiUnipotent:
@@ -1007,8 +1010,8 @@ class TestNortonCertificate:
 
     def test_pseudo_reflection_eigenvalue_past_the_first_n_exponents(self, shifts, closure_calls):
         # a = zeta^(3, 4, 5) and b = zeta^(6, 7, 2) at N = 12: A_0 = B^-1
-        # has eigenvalues zeta^(6, 5, 10), A_0 A_1 = B^-1 A^-1 B has
-        # zeta^(9, 8, 7), and A_1 = A^-1 B is a pseudo-reflection with
+        # has eigenvalues zeta^(6, 5, 10), A_1 A_0 = A^-1 has zeta^(9, 8,
+        # 7), and A_1 = A^-1 B is a pseudo-reflection with
         # special eigenvalue prod b / prod a = zeta^3.  So the first theta
         # of nullity 1 is A_1 - zeta^3, past the first n = 3 exponents.
         zeta = [CycNumber.zeta(12, k) for k in range(12)]
@@ -1039,7 +1042,7 @@ class TestNortonCertificate:
     def test_only_the_transposed_spin_catches_this_reduction(self, closure_calls):
         # span(e_1) is the only invariant line: it is invariant under both,
         # and B moves e_2, the other eigenvector of A.  The singular thetas
-        # are A - I, B - I and AB - I, each with kernel outside span(e_1),
+        # are A - I, B - I and BA - I, each with kernel outside span(e_1),
         # so every forward spin is the whole plane (a spin meeting span(e_1)
         # only in 0 would be a second invariant line).  Their transposes
         # have kernels in span(e_2), the annihilator of span(e_1), which the
@@ -1047,7 +1050,7 @@ class TestNortonCertificate:
         a, b = ExactMatrix.diagonal([2, 1]), mat([[3, 1], [0, 1]])
         t = make_tuple(1, ["0", "1"], [a, b])
         identity = ExactMatrix.identity(2)
-        for theta in (a - identity, b - identity, a * b - identity):
+        for theta in (a - identity, b - identity, b * a - identity):
             (kernel,) = theta.kernel_basis()
             assert kernel[1] != 0
         assert _norton_mod_p(t) is False
@@ -1055,7 +1058,8 @@ class TestNortonCertificate:
         assert closure_calls == ["exact"]  # a short spin skips the mod-p closure
 
     def test_rank_thirteen_reaches_neither_closure(self, closure_calls):
-        assert is_absolutely_irreducible(build_F(12))
+        # a fresh tuple: the cached build_F(12) may already hold its verdict
+        assert is_absolutely_irreducible(make_tuple(2, ["0", "1"], build_F(12).matrices))
         assert closure_calls == []
 
 
@@ -1077,8 +1081,9 @@ class TestReductionAtConstruction:
     def test_irreducibility_reduces_nothing_again_and_changes_nothing(self, rng, reductions):
         # Norton's test takes chi-bar of the product alone; the F_p closure
         # and the exact closure take none.  A block triangular tuple runs
-        # the spins and the F_p closure too.
-        corpus = [build_F(i) for i in range(9)]
+        # the spins and the F_p closure too.  build_F is cached and keeps
+        # its verdict, so each member is read into a fresh tuple.
+        corpus = [make_tuple(2, ["0", "1"], build_F(i).matrices) for i in range(9)]
         for _ in range(20):  # the seeded tuples of acceptance criterion 4
             m, order = random_multiplicity(rng, max_rank=6)
             corpus.append(from_multiplicity_function(m, order))
