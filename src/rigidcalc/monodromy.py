@@ -517,12 +517,13 @@ def _norton_mod_p(t: MonodromyTuple) -> bool | None:
     of the roots of unity zeta_m^u of K, m = lcm(2, N), u < m, in turn, but
     only where z is a root of that matrix's characteristic polynomial mod
     p (P's is the one taken here): elsewhere theta is invertible, so its
-    nullity is 0, and one Horner evaluation shows it.  The first theta of nullity exactly 1 mod p is taken, with ker
-    theta = F_p v and ker theta^T = F_p w; by Norton's lemma the verdict
-    does not depend on which comes first.  Every theta lies in the algebra
-    A generated by the reduced generators.  True when v spins to F_p^n under A and w under A^T; False
-    when a spin is short, which proves the reduction reducible; None when
-    p divides a denominator or no theta has nullity 1.  See
+    nullity is 0, and one Horner evaluation shows it.  The first theta of
+    nullity exactly 1 mod p is taken, with ker theta = F_p v and ker
+    theta^T = F_p w; by Norton's lemma the verdict does not depend on which
+    comes first.  Every theta lies in the algebra A generated by the
+    reduced generators.  True when v spins to F_p^n under A and w under
+    A^T; False when a spin is short, which proves the reduction reducible;
+    None when p divides a denominator or no theta has nullity 1.  See
     is_absolutely_irreducible for what True proves.
     """
     reduction = t._reduction

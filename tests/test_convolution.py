@@ -601,31 +601,28 @@ class TestMiddleConvolutionInverse:
     lambda != 1 (Dettweiler-Reiter, J. Symb. Comput. 30 (2000), section 3):
     checked on T's rank and its Jordan types at 0, 1 and infinity."""
 
+    @staticmethod
+    def check(t, lambdas):
+        assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
+        types = local_types(t)
+        for lam in lambdas:
+            back = middle_convolution(middle_convolution(t, lam), lam.inverse())
+            assert back.rank == t.rank, (t, lam)
+            assert local_types(back) == types, (t, lam)
+
     @pytest.mark.parametrize("order", range(3, 13))
     def test_seeded_hypergeometric_every_lambda(self, rng, order):
+        lambdas = [CycNumber.zeta(order, k) for k in range(1, order)]
         for _ in range(2):
-            t = seeded_hypergeometric(rng, order, min_rank=2)
-            assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
-            types = local_types(t)
-            for k in range(1, order):
-                lam = CycNumber.zeta(order, k)
-                back = middle_convolution(middle_convolution(t, lam), lam.inverse())
-                assert back.rank == t.rank, (t, k)
-                assert local_types(back) == types, (t, k)
+            self.check(seeded_hypergeometric(rng, order, min_rank=2), lambdas)
 
     @pytest.mark.parametrize("order", [12, 8])
     def test_three_puncture_walks_every_lambda(self, rng, order):
-        checked = 0
         for _ in range(2):
-            for t in seeded_walk(rng, order)[1:]:
-                assert t.rank >= 2 and is_absolutely_irreducible(t), "hypotheses fail"
-                types = local_types(t)
-                for lam in roots_of_unity(order)[1:]:
-                    back = middle_convolution(middle_convolution(t, lam), lam.inverse())
-                    assert back.rank == t.rank, (t, lam)
-                    assert local_types(back) == types, (t, lam)
-                checked += 1
-        assert checked, "no walk moved"
+            walk = seeded_walk(rng, order)
+            assert len(walk) > 1, "the walk never moved"
+            for t in walk[1:]:
+                self.check(t, roots_of_unity(order)[1:])
 
 
 class TestThreePunctureWalks:
@@ -646,19 +643,6 @@ class TestThreePunctureWalks:
                 ranks = [step.rank for step in katz_reduce(t).steps]
                 assert ranks[0] <= before.rank, (t, ranks)
                 assert ranks == sorted(set(ranks), reverse=True) and ranks[-1] == 1, (t, ranks)
-
-    def test_reversed_tuple_is_not_rigid(self):
-        # the rank-3 tuple of TestThreePuncturesCli: its reversal (A_3, A_2,
-        # A_1) has A_inf^-1 = A_1 A_2 A_3, not conjugate to A_3 A_2 A_1
-        z = CycNumber.zeta(12)
-        t = middle_convolution(rank_one_system(["0", "1", "2"], [z ** 10, z ** 5, z ** 6], 12), z ** 11)
-        assert rigidity_index(t) == 2
-        assert t.jordan_at("inf") == JordanType.from_blocks([(z ** 4, 1), (z, 1), (z, 1)])
-        reversed_tuple = make_tuple(12, t.punctures, t.matrices[::-1])
-        assert is_absolutely_irreducible(reversed_tuple)
-        assert rigidity_index(reversed_tuple) == 0
-        with pytest.raises(NotRigid, match="rigidity index is 0, not 2"):
-            katz_reduce(reversed_tuple)
 
 
 class TestMiddleConvolutionComposition:
